@@ -11,7 +11,7 @@ implementations kept for differential testing:
   pending x nodes rescan.  The naive side of big sweep points is measured
   on a *capped* event count (printed and recorded — never silent) because
   the whole point is that it does not scale.
-* **UBF** — batched verdicts (coalesced ident + sharded cache + egid
+* **UBF** — batched verdicts (coalesced ident + decision cache + egid
   allow-sets) vs the sequential per-packet daemon.
 * **procfs** — hidepid=2 listings for a non-exempt viewer via the per-uid
   index vs the whole-table filter.

@@ -3,7 +3,8 @@
 ``instrument_cluster`` attaches a :class:`SecurityEventLog` to an existing
 :class:`~repro.core.cluster.Cluster`:
 
-* every UBF daemon's denial path emits :data:`EventKind.NET_DENY`;
+* every UBF daemon emits :data:`EventKind.NET_DENY` for its DROPs and
+  :data:`EventKind.DEGRADED` for verdicts issued under an identity fault;
 * every compute node's pam_slurm emits :data:`EventKind.PAM_DENY`;
 * an :class:`AuditedSyscalls` wrapper (handed out by
   :func:`audited_session`) emits FS/PROC denials for the calls user code
@@ -28,7 +29,6 @@ from typing import TYPE_CHECKING
 from repro.kernel.errors import AccessDenied, KernelError, NoSuchProcess, PermissionError_
 from repro.kernel.pam import PamSlurm
 from repro.monitor.events import EventKind, SecurityEventLog
-from repro.net.firewall import Verdict
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
     # portal, which core.cluster builds, reports events through this layer)
@@ -39,7 +39,7 @@ def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     """Attach a log; returns it (also stored as ``cluster.security_log``).
 
     Idempotent: a second call returns the existing log unchanged, so the
-    UBF daemons and PAM stacks are never wrapped twice.
+    PAM stacks are never wrapped twice.
     """
     existing = getattr(cluster, "security_log", None)
     if existing is not None:
@@ -61,32 +61,11 @@ def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     if health is not None and health.events is None:
         health.events = log
 
-    # UBF denials: wrap each daemon's decide()
+    # UBF denials and degraded verdicts: every daemon reports them from
+    # its one verdict chokepoint, single-packet and burst paths alike
     for daemon in cluster.ubf_daemons.values():
-        original = daemon.decide
-
-        def wrapped(pkt, _orig=original, _daemon=daemon):
-            verdict = _orig(pkt)
-            entry = _daemon.log[-1] if _daemon.log else None
-            if entry is not None and entry.reason.startswith("degraded"):
-                # Infrastructure fault, not a principal's denial: record it
-                # distinctly so posture/probe views don't blame the user.
-                log.emit(cluster.engine.now, EventKind.DEGRADED,
-                         entry.initiator_uid if entry.initiator_uid
-                         is not None else -1,
-                         f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
-                         f"{verdict.value}: {entry.reason}",
-                         node=pkt.flow.src_host)
-            elif verdict is Verdict.DROP and entry is not None:
-                log.emit(cluster.engine.now, EventKind.NET_DENY,
-                         entry.initiator_uid if entry.initiator_uid
-                         is not None else -1,
-                         f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
-                         entry.reason,
-                         node=pkt.flow.src_host)
-            return verdict
-
-        daemon.stack.firewall.bind_nfqueue(wrapped)
+        if daemon.events is None:
+            daemon.events = log
 
     # pam_slurm denials: wrap the account() of each stack's PamSlurm
     for cn in cluster.compute_nodes:

@@ -32,16 +32,9 @@ from repro.net.stack import (
 from repro.net.ubf import (
     COST_US,
     DecisionReason,
-    ShardedVerdictCache,
     UBFDaemon,
     UBFDecisionLog,
     firewall_cost_us,
-)
-from repro.net.ubf_columnar import (
-    ColumnarVerdictCache,
-    FlowBatch,
-    in_sorted,
-    to_verdicts,
 )
 from repro.net.zones import (
     POSTURES,
@@ -59,8 +52,7 @@ __all__ = [
     "MemoryRegion", "QueuePair", "RDMAFabric",
     "BoundSocket", "Connection", "ConnectionEnd", "Datagram", "Fabric",
     "HostStack", "SocketAPI",
-    "COST_US", "DecisionReason", "ShardedVerdictCache", "UBFDaemon",
-    "UBFDecisionLog", "firewall_cost_us",
-    "ColumnarVerdictCache", "FlowBatch", "in_sorted", "to_verdicts",
+    "COST_US", "DecisionReason", "UBFDaemon", "UBFDecisionLog",
+    "firewall_cost_us",
     "POSTURES", "UBFPosture", "ZoneTier", "apply_tier", "apply_zone_tiers",
 ]

@@ -26,14 +26,16 @@ listener egid changes are handled by keying on the egid *value*, so an
 ``sg`` to a new group produces a different key and a fresh (authoritative)
 decision.  Packets arriving without a uid stamp always take the full path.
 
-The cache is **bounded**: ``cache_capacity`` (None = unbounded) LRU-evicts
-across every variant — the naive dict, the sharded cache, and the columnar
-cache — with evictions counted under
+The cache is **bounded** and there is exactly one of it, shared by the
+naive reference and the fast path: an LRU dict that reads the daemon's
+``cache_capacity`` (None = unbounded) and ``cache_ttl`` where they are
+used, so changing either knob on a live daemon takes effect at the next
+decision.  Evictions are counted under
 ``ubf_cache_evictions_total{reason=lru|ttl}``.  At millions of distinct
 principal triples an unbounded decision cache is an OOM, not a cache.
 ``cache_ttl`` (logical decision ticks; the strict-zone posture sets it)
-additionally expires entries at read time, bounding how long a revoked
-group membership can keep serving a stale cached ACCEPT.
+expires entries at read time, bounding how long a revoked group
+membership can keep serving a stale cached ACCEPT.
 
 Degradation: when the initiating host (or its identd) cannot answer, the
 remote query raises :class:`~repro.net.ident.IdentUnavailable`.  The daemon
@@ -46,52 +48,41 @@ fault, not an identity decision — and are counted under
 
 Crash/restart: ``crash()`` detaches the daemon from the nfqueue (the kernel
 then fails closed for NEW connections — no handler means DROP) while
-conntrack keeps established flows alive.  ``restart()`` rebinds the exact
-handler that was detached (monitoring wrappers installed by
-``instrument_cluster`` survive), flushes the decision cache (stale across a
+conntrack keeps established flows alive.  ``restart()`` rebinds through
+:meth:`UBFDaemon.install`, flushes the decision cache (stale across a
 restart) and re-syncs against the surviving conntrack table — no manual
 flush is ever needed.
+
+Security events: every verdict passes through one point, ``_log``.  With
+an ``events`` sink attached (``instrument_cluster`` sets it), a DROP is
+reported as ``NET_DENY`` and a degraded verdict as ``DEGRADED`` — on the
+single-packet and burst paths alike — so monitoring never has to wrap
+the nfqueue handler.  ``log`` keeps only the last
+:data:`DECISION_LOG_MAX` decisions.
 
 Scale-out hot path (E24): ``decide_batch`` takes a burst of queued packets
 and **coalesces** ident queries — packets from the same remote (host, proto,
 src-port), i.e. the same initiating process, park as waiters on a single
 upstream exchange and all receive verdicts derived from its one reply
-(savings counted under ``ident_coalesced``).  The decision cache is
-**sharded** by an arithmetic hash of the (initiator uid, listener uid,
-listener egid) key — stable across ``PYTHONHASHSEED`` — so one giant dict
-never becomes the bottleneck, and the group rule consults a precomputed
-per-egid **allow-set** derived from the account database (invalidated via
-``UserDB.generation``), falling back to the ident reply's group snapshot
-before ever dropping.  ``naive=True`` preserves the original sequential
-per-packet path as the differential-testing reference; both paths produce
-identical verdicts (property-tested fault-free — under faults, coalescing
-legitimately consumes fewer identd attempts than per-packet retry loops).
-
-Columnar hot path (E27): ``decide_columns`` takes a
-:class:`~repro.net.ubf_columnar.FlowBatch` — preallocated parallel int
-columns — and computes verdicts into its reusable bitmap via vectorized
-passes: root short-circuit, same-uid compare, sorted-array allow-set
-membership, and a batch probe of the flat open-addressed
-:class:`~repro.net.ubf_columnar.ColumnarVerdictCache`.  Packets are only
-consulted for rows that still need an ident exchange (same coalescing as
-``decide_batch``).  The per-object paths remain the differential
-references: the oracle's I2 shadow check re-derives every full decision,
-and E27 asserts bit-identical verdicts across naive / batch / columnar.
-The columnar path skips per-row ``UBFDecisionLog``/audit records — it is
-the throughput plane; ``decide``/``decide_batch`` remain the audit-grade
-paths and verdict counters stay exact on all three.
+(savings counted under ``ident_coalesced``).  The group rule consults a
+precomputed per-egid **allow-set** derived from the account database
+(invalidated via ``UserDB.generation``), falling back to the ident reply's
+group snapshot before ever dropping.  ``naive=True`` preserves the
+original sequential per-packet path as the differential-testing reference
+the oracle shadows; both paths produce identical verdicts (property-tested
+fault-free — under faults, coalescing legitimately consumes fewer identd
+attempts than per-packet retry loops).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.kernel.errors import NoSuchEntity
 from repro.kernel.users import UserDB
+from repro.monitor.events import EventKind
 from repro.net.firewall import Packet, Verdict
 from repro.net.ident import (
     IdentReply,
@@ -100,15 +91,10 @@ from repro.net.ident import (
     remote_ident_query,
 )
 from repro.net.stack import Fabric, HostStack
-from repro.net.ubf_columnar import (
-    NO_ID,
-    V_ACCEPT,
-    V_DROP,
-    V_MISS,
-    ColumnarVerdictCache,
-    FlowBatch,
-    in_sorted,
-)
+
+#: decisions kept in :attr:`UBFDaemon.log` (the newest win); the daemon
+#: lives as long as its host, so an unbounded log is a leak
+DECISION_LOG_MAX = 1024
 
 
 class DecisionReason(enum.Enum):
@@ -133,86 +119,6 @@ class DecisionReason(enum.Enum):
     #: the remote identd's answer contradicts the kernel-stamped uid on
     #: the packet — a forged/compromised responder; always a DROP
     IDENT_MISMATCH = "ident-mismatch"
-
-
-class ShardedVerdictCache:
-    """Decision cache split into shards by an arithmetic key hash.
-
-    The shard function mixes the three small ints of the cache key with
-    fixed primes instead of relying on ``hash()``, so shard assignment (and
-    therefore iteration order, sizes, and any perf characteristics) is
-    identical under every ``PYTHONHASHSEED`` — CI runs two seeds to enforce
-    exactly this kind of determinism.
-
-    Bounded: ``capacity`` (None = unbounded) is split evenly across shards
-    and each shard LRU-evicts independently (its dict doubles as the LRU
-    list via move-to-end).  ``ttl`` (logical ticks, None = never) expires
-    entries at read time.  Both eviction kinds are counted under
-    ``ubf_cache_evictions_total{reason=}`` when *metrics* is attached.
-    """
-
-    def __init__(self, shards: int = 8, capacity: int | None = None,
-                 metrics=None, ttl: int | None = None):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.n = shards
-        self.capacity = capacity
-        self.metrics = metrics
-        self.ttl = ttl
-        self.evictions = 0
-        self._shards: list[
-            OrderedDict[tuple[int, int, int], tuple[Verdict, int]]] = [
-            OrderedDict() for _ in range(shards)
-        ]
-
-    def _shard(self, key: tuple[int, int, int]) -> OrderedDict:
-        a, b, c = key
-        return self._shards[(a * 1_000_003 + b * 8_191 + c) % self.n]
-
-    def _count_eviction(self, reason: str) -> None:
-        self.evictions += 1
-        if self.metrics is not None:
-            self.metrics.counter("ubf_cache_evictions_total",
-                                 reason=reason).inc()
-
-    def get(self, key: tuple[int, int, int], now: int = 0) -> Verdict | None:
-        shard = self._shard(key)
-        entry = shard.get(key)
-        if entry is None:
-            return None
-        verdict, stamp = entry
-        if self.ttl is not None and now - stamp > self.ttl:
-            del shard[key]
-            self._count_eviction("ttl")
-            return None
-        shard.move_to_end(key)  # LRU touch
-        return verdict
-
-    def put(self, key: tuple[int, int, int], verdict: Verdict,
-            now: int = 0) -> None:
-        shard = self._shard(key)
-        if self.capacity is not None and key not in shard:
-            bound = max(1, self.capacity // self.n)
-            while len(shard) >= bound:
-                shard.popitem(last=False)
-                self._count_eviction("lru")
-        shard[key] = (verdict, now)
-        shard.move_to_end(key)
-
-    def pop(self, key: tuple[int, int, int]) -> Verdict | None:
-        """Remove and return *key*'s verdict (None if absent)."""
-        entry = self._shard(key).pop(key, None)
-        return None if entry is None else entry[0]
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(s) for s in self._shards]
 
 
 @dataclass
@@ -251,61 +157,42 @@ class UBFDaemon:
     #: verdicts are recorded with causal attribution (denies reach the
     #: trail through the security-event stream).  None = zero cost.
     audit: object | None = field(default=None, repr=False)
-    #: original sequential/unsharded reference path for differential testing.
+    #: security event log (repro.monitor); when set, DROPs are reported as
+    #: NET_DENY and degraded verdicts as DEGRADED.  None = zero cost.
+    events: object | None = field(default=None, repr=False)
+    #: original sequential per-packet reference path for differential testing.
     naive: bool = False
-    cache_shards: int = 8
-    #: decision-cache entry bound shared by all cache variants; None =
-    #: unbounded (the columnar cache falls back to its own default bound)
+    #: decision-cache entry bound, read at every insert; None = unbounded
     cache_capacity: int | None = 65_536
-    #: max cached-verdict age in decision ticks; None = no expiry.  Set by
-    #: the strict zone posture (repro.net.zones), uniform across variants
-    #: so differential verdict identity holds.
+    #: max cached-verdict age in decision ticks, read at every lookup;
+    #: None = no expiry.  Set by the strict zone posture (repro.net.zones).
     cache_ttl: int | None = None
     #: data-sensitivity posture label applied by repro.net.zones
     tier: str = "standard"
-    log: list[UBFDecisionLog] = field(default_factory=list)
+    log: deque[UBFDecisionLog] = field(
+        default_factory=lambda: deque(maxlen=DECISION_LOG_MAX))
     alive: bool = True
+    #: the one decision cache, shared by the naive and fast paths:
+    #: key -> (verdict, tick stored), in LRU order (oldest first)
     _cache: OrderedDict[tuple[int, int, int], tuple[Verdict, int]] = field(
-        default_factory=OrderedDict)
-    _sharded: ShardedVerdictCache | None = field(default=None, repr=False)
-    #: columnar decision cache, created lazily on the first decide_columns
-    #: call (a 4096-node sim must not pay ~2 MB of arrays per idle daemon)
-    _columnar: ColumnarVerdictCache | None = field(default=None, repr=False)
+        default_factory=OrderedDict, repr=False)
     #: initiating host -> cache keys its flows created, so a dead host's
     #: cached identity decisions can be purged without a full flush
     _keys_by_host: dict[str, set[tuple[int, int, int]]] = field(
         default_factory=dict, repr=False)
     _allow_sets: dict[int, frozenset[int]] = field(default_factory=dict,
                                                    repr=False)
-    #: sorted int64 mirrors of _allow_sets for vectorized membership
-    _allow_arrays: dict[int, np.ndarray] = field(default_factory=dict,
-                                                 repr=False)
     _allow_gen: int = field(default=-1, repr=False)
     #: logical decision clock: one tick per decided flow (cache TTL unit)
     _tick: int = field(default=0, repr=False)
-    #: account-database generation the decision caches were filled under;
-    #: a mismatch at decide time flushes them (see _revalidate_generation)
+    #: account-database generation the decision cache was filled under;
+    #: a mismatch at decide time flushes it (see _revalidate_generation)
     _cache_gen: int = field(default=-1, repr=False)
-    _crashed_handler: object | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self._sharded is None:
-            self._sharded = ShardedVerdictCache(
-                self.cache_shards, capacity=self.cache_capacity,
-                metrics=self.fabric.metrics, ttl=self.cache_ttl)
 
     def install(self) -> "UBFDaemon":
         self.stack.firewall.bind_nfqueue(self.decide)
         self.stack.firewall.bind_nfqueue_batch(self.decide_batch)
         return self
-
-    def apply_cache_posture(self) -> None:
-        """Propagate ``cache_capacity``/``cache_ttl`` to the live cache
-        objects; called by zone-tier application after mutating the knobs."""
-        self._sharded.capacity = self.cache_capacity
-        self._sharded.ttl = self.cache_ttl
-        if self._columnar is not None:
-            self._columnar.ttl = self.cache_ttl
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -318,25 +205,22 @@ class UBFDaemon:
         """
         if not self.alive:
             return
-        self._crashed_handler = self.stack.firewall.unbind_nfqueue()
+        self.stack.firewall.unbind_nfqueue()
         self.alive = False
         self.fabric.metrics.counter("ubf_crashes").inc()
 
     def restart(self) -> None:
         """Restart after a crash: rebind, flush the cache, re-sync.
 
-        Rebinds the *same* handler that was detached, so any monitoring
-        wrapper installed around ``decide`` survives the bounce.  The
-        decision cache is dropped (identity state from before the crash is
-        stale); the conntrack table is *kept* — established flows never
-        noticed the outage and need no manual flush.
+        Monitoring rides the ``events`` sink rather than a wrapper around
+        the handler, so rebinding through :meth:`install` loses nothing.
+        The decision cache is dropped (identity state from before the
+        crash is stale); the conntrack table is *kept* — established flows
+        never noticed the outage and need no manual flush.
         """
         if self.alive:
             return
-        handler = self._crashed_handler or self.decide
-        self._crashed_handler = None
-        self.stack.firewall.bind_nfqueue(handler)
-        self.stack.firewall.bind_nfqueue_batch(self.decide_batch)
+        self.install()
         self.resync(reason="restart")
         self.alive = True
         self.fabric.metrics.counter("ubf_restarts").inc()
@@ -344,22 +228,19 @@ class UBFDaemon:
             len(self.stack.firewall.conntrack))
 
     def resync(self, *, reason: str) -> int:
-        """Drop every cached verdict and pin caches to the *current*
+        """Drop every cached verdict and pin the cache to the *current*
         account-database generation; returns the number purged.
 
         ``flush_cache`` alone leaves the generation markers at ``-1``,
         deferring the re-pin to the next decide's revalidation — which is
         correct only if the generation moved.  After a control-plane
         recovery the replayed database lands numerically *equal* to the
-        pre-crash generation, so an un-resynced daemon (standard,
-        sharded, and columnar caches alike) would pass the equality check
-        and keep serving pre-crash verdicts.  Recovery bumps the
-        generation past every value any daemon ever saw and then calls
-        this on each one.
+        pre-crash generation, so an un-resynced daemon would pass the
+        equality check and keep serving pre-crash verdicts.  Recovery
+        bumps the generation past every value any daemon ever saw and
+        then calls this on each one.
         """
-        purged = len(self._cache) + len(self._sharded)
-        if self._columnar is not None:
-            purged += len(self._columnar)
+        purged = len(self._cache)
         self.flush_cache()
         gen = self.userdb.generation
         self._cache_gen = gen
@@ -402,32 +283,27 @@ class UBFDaemon:
             return self._degraded(pkt, listener, exc)
         return self._conclude(pkt, listener, initiator)
 
-    # -- decision cache (naive-path storage with the shared bound/TTL) ----------
+    # -- the decision cache -----------------------------------------------------
 
     def _cache_get(self, key: tuple[int, int, int]) -> Verdict | None:
-        if self.naive:
-            entry = self._cache.get(key)
-            if entry is None:
-                return None
-            verdict, stamp = entry
-            if self.cache_ttl is not None and self._tick - stamp > self.cache_ttl:
-                del self._cache[key]
-                self._count_cache_eviction("ttl")
-                return None
-            self._cache.move_to_end(key)
-            return verdict
-        return self._sharded.get(key, now=self._tick)
+        entry = self._cache.get(key)
+        if entry is None:
+            return None
+        verdict, stamp = entry
+        if self.cache_ttl is not None and self._tick - stamp > self.cache_ttl:
+            del self._cache[key]
+            self._count_cache_eviction("ttl")
+            return None
+        self._cache.move_to_end(key)  # LRU touch
+        return verdict
 
     def _cache_put(self, key: tuple[int, int, int], verdict: Verdict) -> None:
-        if self.naive:
-            if self.cache_capacity is not None and key not in self._cache:
-                while len(self._cache) >= self.cache_capacity:
-                    self._cache.popitem(last=False)
-                    self._count_cache_eviction("lru")
-            self._cache[key] = (verdict, self._tick)
-            self._cache.move_to_end(key)
-        else:
-            self._sharded.put(key, verdict, now=self._tick)
+        if self.cache_capacity is not None and key not in self._cache:
+            while len(self._cache) >= self.cache_capacity:
+                self._cache.popitem(last=False)
+                self._count_cache_eviction("lru")
+        self._cache[key] = (verdict, self._tick)
+        self._cache.move_to_end(key)
 
     def _count_cache_eviction(self, reason: str) -> None:
         self.fabric.metrics.counter("ubf_cache_evictions_total",
@@ -441,20 +317,15 @@ class UBFDaemon:
         uid removed from a project group keeps replaying its pre-revocation
         cross-user ACCEPT out of the decision cache for as long as the
         entry lives (indefinitely in the standard tier, which has no TTL).
-        One integer compare per decide call; on a generation change every
-        decision-cache variant is dropped and the purge is counted under
+        One integer compare per decide call; on a generation change the
+        cache is dropped and the purge is counted under
         ``ubf_cache_purged_total{reason="membership-change"}``.
         """
         gen = self.userdb.generation
         if gen == self._cache_gen:
             return
-        purged = len(self._cache) + len(self._sharded)
-        if self._columnar is not None:
-            purged += len(self._columnar)
+        purged = len(self._cache)
         self._cache.clear()
-        self._sharded.clear()
-        if self._columnar is not None:
-            self._columnar.clear()
         self._keys_by_host.clear()
         self._cache_gen = gen
         if purged:
@@ -617,282 +488,6 @@ class UBFDaemon:
                     uid=initiator.uid if initiator is not None else -1)
         return results
 
-    # -- columnar hot path (E27) ------------------------------------------------
-
-    def columns_from_packets(self, pkts: list[Packet],
-                             batch: FlowBatch | None = None) -> FlowBatch:
-        """Fill a :class:`FlowBatch` from packets, resolving each distinct
-        (proto, dst-port) listener exactly once.
-
-        The translation itself is per-object Python — callers on the true
-        hot path keep long-lived column arrays and skip it; this is the
-        convenience bridge (and what the benchmark uses to prepare its
-        packet pool once, outside the timed region).
-        """
-        n = len(pkts)
-        if batch is None:
-            batch = FlowBatch(max(1, n))
-        elif n > batch.capacity:
-            raise ValueError(f"batch of {n} exceeds capacity {batch.capacity}")
-        batch.reset()
-        local_ident = IdentService(self.stack)
-        listeners: dict[tuple, tuple[int, int]] = {}
-        su, lu = batch.src_uid, batch.listener_uid
-        lg, fl = batch.listener_egid, batch.flow_id
-        for i, pkt in enumerate(pkts):
-            flow = pkt.flow
-            port_key = (flow.proto, flow.dst_port)
-            ids = listeners.get(port_key)
-            if ids is None:
-                reply = local_ident.query_local(*port_key)
-                ids = (NO_ID, NO_ID) if reply is None else (reply.uid,
-                                                            reply.egid)
-                listeners[port_key] = ids
-            lu[i], lg[i] = ids
-            su[i] = NO_ID if pkt.src_uid is None else pkt.src_uid
-            fl[i] = i
-        batch.n = n
-        batch.verdict[:n] = V_MISS
-        return batch
-
-    def decide_columns(self, batch: FlowBatch,
-                       pkts: list[Packet] | None = None) -> np.ndarray:
-        """Vectorized burst decision into the batch's verdict bitmap.
-
-        Passes, in order: no-listener and root-listener short-circuits,
-        columnar cache probe (stamped rows), then — only for rows still
-        undecided — per-process ident coalescing identical to
-        ``decide_batch`` followed by vectorized rule evaluation (root
-        initiator, same-uid, sorted allow-set membership, snapshot
-        fallback).  *pkts* is required only if some rows need the ident
-        exchange; a fully cached/short-circuited batch never touches it.
-
-        Returns the decided slice of the bitmap (``V_ACCEPT``/``V_DROP``).
-        Metric counters are exact (bulk-incremented per closed reason);
-        per-row decision-log/audit records are intentionally skipped.
-        """
-        n = batch.n
-        out = batch.verdict[:n]
-        if n == 0:
-            return out
-        metrics = self.fabric.metrics
-        if self.cache_enabled:
-            self._revalidate_generation()
-        if self._columnar is None:
-            self._columnar = ColumnarVerdictCache(
-                self.cache_capacity if self.cache_capacity is not None
-                else 1 << 20,
-                metrics=metrics, ttl=self.cache_ttl)
-        now = self._tick + n
-        self._tick = now
-        su = batch.src_uid[:n]
-        lu = batch.listener_uid[:n]
-        lg = batch.listener_egid[:n]
-        out.fill(V_MISS)
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span("ubf.decide_columns",
-                                          host=self.stack.hostname, n=n)
-        try:
-            counts = self._decide_columns(batch, pkts, out, su, lu, lg,
-                                          now, span)
-        except Exception as exc:
-            if span is not None:
-                self.tracer.finish(span, status="error",
-                                   error=type(exc).__name__)
-            raise
-        drops = int((out == V_DROP).sum())
-        if drops:
-            metrics.counter("ubf_denials").inc(drops)
-        for (verdict, code), cnt in counts.items():
-            if cnt:
-                metrics.counter("ubf_verdicts_total", verdict=verdict,
-                                reason=code.value).inc(cnt)
-        if span is not None:
-            self.tracer.finish(
-                span, accepts=n - drops, drops=drops,
-                cache_hits=counts.get(("accept", DecisionReason.CACHED), 0)
-                + counts.get(("drop", DecisionReason.CACHED), 0))
-        return out
-
-    def _decide_columns(self, batch: FlowBatch, pkts, out, su, lu, lg,
-                        now: int, span) -> dict:
-        metrics = self.fabric.metrics
-        counts: dict[tuple[str, DecisionReason], int] = {}
-
-        def count(verdict: str, code: DecisionReason, n: int) -> None:
-            if n:
-                counts[(verdict, code)] = counts.get((verdict, code), 0) + n
-
-        # pass 1: short-circuits that need no identity at all
-        no_listener = lu < 0
-        out[no_listener] = V_ACCEPT
-        count("accept", DecisionReason.NO_LISTENER, int(no_listener.sum()))
-        root_service = lu == 0
-        out[root_service] = V_ACCEPT
-        count("accept", DecisionReason.ROOT_SERVICE, int(root_service.sum()))
-
-        # pass 2: columnar cache probe for rows with a kernel uid stamp
-        if self.cache_enabled:
-            rows = np.nonzero((out == V_MISS) & (su >= 0))[0]
-            if rows.size:
-                got = self._columnar.lookup(su[rows], lu[rows], lg[rows],
-                                            now)
-                hit = got != V_MISS
-                hrows = rows[hit]
-                if hrows.size:
-                    out[hrows] = got[hit]
-                    metrics.counter("ubf_cache_hits").inc(int(hrows.size))
-                    n_acc = int((got[hit] == V_ACCEPT).sum())
-                    count("accept", DecisionReason.CACHED, n_acc)
-                    count("drop", DecisionReason.CACHED,
-                          int(hrows.size) - n_acc)
-                    if self.oracle is not None:
-                        for r in hrows:
-                            self.oracle.check_ubf_cached(
-                                self,
-                                (int(su[r]), int(lu[r]), int(lg[r])),
-                                Verdict.ACCEPT if out[r] == V_ACCEPT
-                                else Verdict.DROP)
-
-        pending = np.nonzero(out == V_MISS)[0]
-        if pending.size == 0:
-            return counts
-        if pkts is None:
-            raise ValueError("decide_columns needs pkts for rows that "
-                             "require an ident exchange")
-
-        # pass 3: coalesce the remaining rows per initiating process and
-        # run the ident exchanges (same grouping as decide_batch)
-        waiters: dict[tuple, list[int]] = {}
-        for r in pending:
-            flow = pkts[r].flow
-            waiters.setdefault((flow.src_host, flow.proto, flow.src_port),
-                               []).append(int(r))
-        coalesced = metrics.counter("ident_coalesced")
-        id_rows: list[int] = []
-        id_uid: list[int] = []
-        id_reply: list[IdentReply] = []
-        degraded_policy = "fail-open" if self.fail_open else "fail-closed"
-        degraded_bit = V_ACCEPT if self.fail_open else V_DROP
-        degraded_verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
-        n_degraded = n_unident = n_mismatch = 0
-        for gkey, parked in waiters.items():
-            if len(parked) > 1:
-                coalesced.inc(len(parked) - 1)
-            child = None
-            if span is not None:
-                child = self.tracer.start_span(
-                    "ubf.ident_group", parent=span,
-                    src=f"{gkey[0]}:{gkey[2]}", proto=gkey[1].value,
-                    waiters=len(parked))
-            try:
-                initiator = self._remote_ident(pkts[parked[0]].flow)
-            except IdentUnavailable as exc:
-                for r in parked:
-                    out[r] = degraded_bit
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_degraded(self, degraded_verdict)
-                n_degraded += len(parked)
-                metrics.counter("ubf_degraded_verdicts",
-                                policy=degraded_policy).inc(len(parked))
-                if child is not None:
-                    self.tracer.finish(child, status="degraded",
-                                       error=type(exc).__name__)
-                continue
-            if initiator is None:
-                for r in parked:
-                    out[r] = V_DROP
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_conclude(
-                            self, pkts[r], self._listener_reply(lu, lg, r),
-                            None, Verdict.DROP)
-                n_unident += len(parked)
-                if child is not None:
-                    self.tracer.finish(child, status="unidentifiable",
-                                       uid=-1)
-                continue
-            for r in parked:
-                # local half of the paper's double check, same as
-                # _conclude: a reply contradicting the kernel-stamped uid
-                # is forged — treat the row as unidentifiable (DROP)
-                if su[r] != NO_ID and initiator.uid != int(su[r]):
-                    out[r] = V_DROP
-                    n_mismatch += 1
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_conclude(
-                            self, pkts[r], self._listener_reply(lu, lg, r),
-                            None, Verdict.DROP)
-                    continue
-                id_rows.append(r)
-                id_uid.append(initiator.uid)
-                id_reply.append(initiator)
-            if child is not None:
-                self.tracer.finish(child, status="ok", uid=initiator.uid)
-        count(degraded_verdict.value, DecisionReason.DEGRADED, n_degraded)
-        count("drop", DecisionReason.UNIDENTIFIABLE, n_unident)
-        count("drop", DecisionReason.IDENT_MISMATCH, n_mismatch)
-        if n_mismatch:
-            metrics.counter("ubf_ident_mismatches").inc(n_mismatch)
-        if not id_rows:
-            return counts
-
-        # pass 4: vectorized rule over the identified rows
-        rows = np.asarray(id_rows, dtype=np.intp)
-        iu = np.asarray(id_uid, dtype=np.int64)
-        rlu = lu[rows]
-        rlg = lg[rows]
-        acc_root = iu == 0
-        acc_same = (~acc_root) & (iu == rlu)
-        grp = np.zeros(rows.size, dtype=bool)
-        undecided = np.nonzero(~(acc_root | acc_same))[0]
-        if undecided.size:
-            for egid in np.unique(rlg[undecided]):
-                members = self._egid_members_sorted(int(egid))
-                sel = undecided[rlg[undecided] == egid]
-                if members.size:
-                    grp[sel] = in_sorted(iu[sel], members)
-            # credential-snapshot fallback, same contract as _rule_indexed:
-            # no connection the naive rule accepts is ever refused
-            fallbacks = metrics.counter("ubf_allowset_fallbacks")
-            for j in undecided[~grp[undecided]]:
-                if int(rlg[j]) in id_reply[j].groups:
-                    grp[j] = True
-                    fallbacks.inc()
-        accept = acc_root | acc_same | grp
-        out[rows[accept]] = V_ACCEPT
-        out[rows[~accept]] = V_DROP
-        count("accept", DecisionReason.ROOT_INITIATOR, int(acc_root.sum()))
-        count("accept", DecisionReason.SAME_USER, int(acc_same.sum()))
-        count("accept", DecisionReason.GROUP_MEMBER, int(grp.sum()))
-        count("drop", DecisionReason.CROSS_USER, int((~accept).sum()))
-        metrics.counter("ubf_full_decisions").inc(int(rows.size))
-        if self.cache_enabled:
-            cache = self._columnar
-            keys_by_host = self._keys_by_host
-            for j in range(rows.size):
-                r = int(rows[j])
-                key = (int(iu[j]), int(rlu[j]), int(rlg[j]))
-                cache.insert(key[0], key[1], key[2],
-                             V_ACCEPT if accept[j] else V_DROP, now)
-                keys_by_host.setdefault(pkts[r].flow.src_host,
-                                        set()).add(key)
-        if self.oracle is not None:
-            self.oracle.check_ubf_batch(
-                self,
-                ((pkts[int(rows[j])],
-                  self._listener_reply(lu, lg, int(rows[j])),
-                  id_reply[j],
-                  Verdict.ACCEPT if accept[j] else Verdict.DROP)
-                 for j in range(rows.size)))
-        return counts
-
-    @staticmethod
-    def _listener_reply(lu: np.ndarray, lg: np.ndarray, r: int) -> IdentReply:
-        """Reconstitute a listener IdentReply from columns (oracle hooks)."""
-        return IdentReply(uid=int(lu[r]), egid=int(lg[r]),
-                          groups=frozenset((int(lg[r]),)))
-
     def _remote_ident(self, flow) -> IdentReply | None:
         """One authoritative ident exchange, with retry + backoff.
 
@@ -985,7 +580,6 @@ class UBFDaemon:
         database's generation moves (any membership mutation invalidates)."""
         if self._allow_gen != self.userdb.generation:
             self._allow_sets.clear()
-            self._allow_arrays.clear()
             self._allow_gen = self.userdb.generation
         members = self._allow_sets.get(egid)
         if members is None:
@@ -996,27 +590,13 @@ class UBFDaemon:
             self._allow_sets[egid] = members
         return members
 
-    def _egid_members_sorted(self, egid: int) -> np.ndarray:
-        """The same allow-set as a sorted int64 array, for ``in_sorted``
-        membership over whole uid columns; shares the generation
-        invalidation of :meth:`_egid_members`."""
-        if self._allow_gen != self.userdb.generation:
-            self._allow_sets.clear()
-            self._allow_arrays.clear()
-            self._allow_gen = self.userdb.generation
-        arr = self._allow_arrays.get(egid)
-        if arr is None:
-            members = self._egid_members(egid)
-            arr = np.fromiter(members, dtype=np.int64, count=len(members))
-            arr.sort()
-            self._allow_arrays[egid] = arr
-        return arr
-
     def _log(self, pkt: Packet, iu, lu, lg, verdict: Verdict,
              reason: str, code: DecisionReason) -> Verdict:
+        """Record one verdict; every decision path ends here."""
+        flow = pkt.flow
         self.log.append(UBFDecisionLog(
-            flow=(f"{pkt.flow.proto.value} {pkt.flow.src_host}:"
-                  f"{pkt.flow.src_port}->{pkt.flow.dst_host}:{pkt.flow.dst_port}"),
+            flow=(f"{flow.proto.value} {flow.src_host}:"
+                  f"{flow.src_port}->{flow.dst_host}:{flow.dst_port}"),
             initiator_uid=iu, listener_uid=lu, listener_egid=lg,
             verdict=verdict, reason=reason))
         self.fabric.metrics.counter("ubf_verdicts_total",
@@ -1026,10 +606,31 @@ class UBFDaemon:
             self.fabric.metrics.counter("ubf_denials").inc()
         elif self.audit is not None and iu is not None:
             self.audit.ubf_verdict(
-                uid=iu, node=pkt.flow.src_host,
-                target=f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
+                uid=iu, node=flow.src_host,
+                target=f"{flow.dst_host}:{flow.dst_port}",
                 verdict=verdict.value, reason=reason)
+        if self.events is not None and (verdict is Verdict.DROP
+                                        or code is DecisionReason.DEGRADED):
+            self._report(flow, iu, verdict, reason, code)
         return verdict
+
+    def _report(self, flow, iu, verdict: Verdict, reason: str,
+                code: DecisionReason) -> None:
+        """Emit a DROP or degraded verdict to the ``events`` sink, stamped
+        with the host's simulation clock.
+
+        A degraded verdict is an infrastructure fault, not a principal's
+        denial: it is recorded as DEGRADED (whatever the policy decided)
+        so posture and probe views never blame the user for it.
+        """
+        if code is DecisionReason.DEGRADED:
+            kind, detail = EventKind.DEGRADED, f"{verdict.value}: {reason}"
+        else:
+            kind, detail = EventKind.NET_DENY, reason
+        self.events.emit(self.stack.node.vfs.clock(), kind,
+                         -1 if iu is None else iu,
+                         f"{flow.dst_host}:{flow.dst_port}", detail,
+                         node=flow.src_host)
 
     def purge_host(self, host: str) -> int:
         """Drop every cached verdict whose deciding flow came from *host*.
@@ -1044,16 +645,7 @@ class UBFDaemon:
         keys = self._keys_by_host.pop(host, None)
         if not keys:
             return 0
-        purged = 0
-        for key in keys:
-            hit = self._cache.pop(key, None) is not None
-            if self._sharded.pop(key) is not None:
-                hit = True
-            if (self._columnar is not None
-                    and self._columnar.pop(*key) is not None):
-                hit = True
-            if hit:
-                purged += 1
+        purged = sum(self._cache.pop(key, None) is not None for key in keys)
         if purged:
             self.fabric.metrics.counter(
                 "ubf_cache_purged_total", reason="dead-host").inc(purged)
@@ -1061,12 +653,8 @@ class UBFDaemon:
 
     def flush_cache(self) -> None:
         self._cache.clear()
-        self._sharded.clear()
-        if self._columnar is not None:
-            self._columnar.clear()
         self._keys_by_host.clear()
         self._allow_sets.clear()
-        self._allow_arrays.clear()
         self._allow_gen = -1
         self._cache_gen = -1
 

@@ -369,21 +369,6 @@ class SeparationOracle:
         except NoSuchEntity:
             return frozenset()
 
-    def check_ubf_batch(self, daemon, rows) -> None:
-        """I2 over a columnar burst: every full (post-ident) decision of a
-        ``decide_columns`` batch re-derived against the appendix rule.
-
-        *rows* yields ``(pkt, listener, initiator, verdict)`` tuples;
-        each delegates to :meth:`check_ubf_conclude`, so the columnar fast
-        path is held to exactly the same reference — and the same sampling
-        and fail-fast posture — as the per-object paths.
-        """
-        if self._busy:
-            return
-        for pkt, listener, initiator, verdict in rows:
-            self.check_ubf_conclude(daemon, pkt, listener, initiator,
-                                    verdict)
-
     def check_ubf_cached(self, daemon, key, verdict) -> None:
         """A cached verdict answered ``key = (src_uid, l_uid, l_egid)``.
 

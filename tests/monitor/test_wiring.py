@@ -10,6 +10,7 @@ from repro.monitor import (
     audited_session,
     instrument_cluster,
 )
+from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
 from repro.obs import attach_telemetry
 
 
@@ -70,6 +71,42 @@ class TestRoundTrips:
         audited_seepid(cluster, cluster.login("sam"))
         (e,) = log.by_kind(EventKind.ADMIN)
         assert e.subject_uid == cluster.user("sam").uid
+
+
+def _alice_listener(cluster, port=5000):
+    job = cluster.submit("alice", duration=100.0)
+    cluster.run(until=1.0)
+    shell = cluster.job_session(job)
+    shell.node.net.listen(shell.node.net.bind(shell.process, port))
+    return shell.node.name
+
+
+class TestUbfEvents:
+    """UBF daemons report through the log themselves — burst path
+    included — instead of having their nfqueue handler rebound."""
+
+    def test_burst_drop_emits_one_net_deny(self, cluster, log):
+        host = _alice_listener(cluster)
+        bob = cluster.login("bob")
+        sock = bob.node.net.bind_ephemeral(bob.process, Proto.TCP)
+        burst = [Packet(FiveTuple(Proto.TCP, bob.node.name, sock.port,
+                                  host, 5000),
+                        ConnState.NEW, src_uid=bob.user.uid)]
+        fw = cluster.fabric.host(host).firewall
+        assert fw.evaluate_batch(burst) == [Verdict.DROP]
+        (e,) = log.by_kind(EventKind.NET_DENY)
+        assert e.subject_uid == bob.user.uid
+        assert e.target == f"{host}:5000"
+
+    def test_crashed_daemon_still_fails_closed_after_instrumenting(
+            self, cluster):
+        host = _alice_listener(cluster)
+        daemon = cluster.ubf_daemons[host]
+        daemon.crash()
+        instrument_cluster(cluster)
+        with pytest.raises(TimedOut):  # nobody to ask: NEW flows DROP
+            cluster.login("alice").socket().connect(host, 5000)
+        assert not daemon.alive
 
 
 class TestGpuDeny:

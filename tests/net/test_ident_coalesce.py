@@ -1,18 +1,17 @@
-"""UBF batch decisions: ident coalescing, sharded cache, allow-sets (E24).
+"""UBF batch decisions: ident coalescing, the decision cache, allow-sets (E24).
 
 ``decide_batch`` parks all packets from the same initiating process on one
 upstream ident exchange.  These tests pin the coalescing contract — one
 query per initiator, every waiter receives the verdict derived from its
 answer (or the degradation policy when the fault injector eats it), and
-degraded verdicts still never reach the cache — plus the determinism of
-the sharded cache and the generation-invalidated egid allow-sets.
+degraded verdicts still never reach the cache — plus the
+generation-invalidated egid allow-sets.
 """
 
 from __future__ import annotations
 
 from repro.faults import FaultKind
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
-from repro.net.ubf import ShardedVerdictCache
 
 from tests.net.conftest import build_fabric, proc_on
 
@@ -121,7 +120,7 @@ class TestCoalescingUnderFaults:
         fault = fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
         daemons["c2"].decide_batch(
             [pkt(40000, 5000, src_uid=alice.creds.uid)] * 2)
-        assert len(daemons["c2"]._sharded) == 0
+        assert len(daemons["c2"]._cache) == 0
         fabric.faults.clear(fault)
         verdicts = daemons["c2"].decide_batch(
             [pkt(40000, 5000, src_uid=alice.creds.uid)])
@@ -173,33 +172,6 @@ class TestBatchMatchesNaive:
         assert scenario(naive=False) == scenario(naive=True)
 
 
-class TestShardedCache:
-    def test_shard_assignment_is_arithmetic_and_stable(self):
-        cache = ShardedVerdictCache(shards=4)
-        key = (1007, 1003, 1003)
-        cache.put(key, Verdict.ACCEPT)
-        assert cache.get(key) is Verdict.ACCEPT
-        expected = (1007 * 1_000_003 + 1003 * 8_191 + 1003) % 4
-        sizes = cache.shard_sizes()
-        assert sizes[expected] == 1
-        assert sum(sizes) == len(cache) == 1
-
-    def test_keys_spread_over_shards(self):
-        cache = ShardedVerdictCache(shards=8)
-        for uid in range(1000, 1256):
-            cache.put((uid, 2000, 2000), Verdict.ACCEPT)
-        sizes = cache.shard_sizes()
-        assert len(cache) == 256
-        assert all(s > 0 for s in sizes)
-
-    def test_clear_empties_every_shard(self):
-        cache = ShardedVerdictCache(shards=2)
-        cache.put((1, 2, 3), Verdict.DROP)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get((1, 2, 3)) is None
-
-
 class TestAllowSets:
     def test_membership_change_invalidates_via_generation(self, userdb):
         fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"], ubf=True,
@@ -229,4 +201,4 @@ class TestAllowSets:
         daemons["c2"].decide_batch([pkt(40001, 5000)])
         daemons["c2"].flush_cache()
         assert daemons["c2"]._allow_sets == {}
-        assert len(daemons["c2"]._sharded) == 0
+        assert len(daemons["c2"]._cache) == 0

@@ -4,11 +4,11 @@
    (``FaultKind.IDENT_SPOOF``) claims the victim's identity; the receiving
    daemon must catch the contradiction against the kernel-stamped packet
    uid and DROP with ``DecisionReason.IDENT_MISMATCH``, on every decision
-   path (naive decide, coalesced batch, columnar).
+   path (naive decide, coalesced batch).
 
 2. **Generation cache invalidation** — a project revocation bumps
-   ``UserDB.generation``; every decision-cache variant must flush so a
-   revoked member's *fresh* session cannot replay the pre-revocation
+   ``UserDB.generation``; the decision cache must flush so a revoked
+   member's *fresh* session cannot replay the pre-revocation
    cross-user ACCEPT (the allow-sets were already generation-checked; the
    verdict caches were the hole).
 """
@@ -21,7 +21,6 @@ from repro.faults import FaultKind
 from repro.kernel.errors import TimedOut
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
 from repro.net.ubf import DecisionReason
-from repro.net.ubf_columnar import V_DROP
 
 from tests.net.conftest import build_fabric, proc_on
 
@@ -93,19 +92,6 @@ class TestIdentSpoofCrossCheck:
         assert verdicts == [Verdict.DROP]
         assert fabric.metrics.counter("ubf_ident_mismatches").value >= 1
 
-    def test_columnar_path_catches_forged_ident(self, ubf_fabric, userdb):
-        fabric, nodes, daemons = ubf_fabric
-        serve(nodes, userdb, "c2", "alice", 5000)
-        spoof_as(fabric, userdb, "c1", "alice")
-        bob = proc_on(nodes, "c1", userdb, "bob")
-        nodes["c1"].net.bind(bob, 40002)
-        daemon = daemons["c2"]
-        pkts = [pkt("c1", 40002, "c2", 5000, src_uid=bob.creds.uid)]
-        batch = daemon.columns_from_packets(pkts)
-        out = daemon.decide_columns(batch, pkts)
-        assert list(out) == [V_DROP]
-        assert fabric.metrics.counter("ubf_ident_mismatches").value >= 1
-
 
 class TestGenerationCacheFlush:
     def _warm_group_accept(self, nodes, daemons, userdb):
@@ -170,24 +156,3 @@ class TestGenerationCacheFlush:
         dave2 = proc_on(nodes, "c1", userdb, "dave")
         with pytest.raises(TimedOut):
             nodes["c1"].net.connect(dave2, "c2", 7000)
-
-    def test_columnar_cache_also_flushed(self, ubf_fabric, userdb):
-        fabric, nodes, daemons = ubf_fabric
-        daemon = daemons["c2"]
-        fusion = userdb.group("fusion").gid
-        carol = proc_on(nodes, "c2", userdb, "carol")
-        carol.creds = carol.creds.with_egid(fusion)
-        nodes["c2"].net.listen(nodes["c2"].net.bind(carol, 7000))
-        dave = proc_on(nodes, "c1", userdb, "dave")
-        nodes["c1"].net.bind(dave, 40003)
-        pkts = [pkt("c1", 40003, "c2", 7000, src_uid=dave.creds.uid)]
-        batch = daemon.columns_from_packets(pkts)
-        assert list(daemon.decide_columns(batch, pkts)) != [V_DROP]
-        assert len(daemon._columnar) >= 1  # the ACCEPT is cached
-        userdb.remove_from_project("fusion", userdb.user("dave"),
-                                   approver=userdb.user("carol"))
-        dave2 = proc_on(nodes, "c1", userdb, "dave")
-        nodes["c1"].net.bind(dave2, 40004)
-        pkts2 = [pkt("c1", 40004, "c2", 7000, src_uid=dave2.creds.uid)]
-        batch2 = daemon.columns_from_packets(pkts2)
-        assert list(daemon.decide_columns(batch2, pkts2)) == [V_DROP]
