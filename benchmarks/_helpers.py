@@ -1,11 +1,46 @@
-"""Shared table-printing / series-export helpers for the benchmarks."""
+"""Shared table-printing / result-export helpers for the benchmarks."""
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on (the affinity mask, not the machine)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def write_result(name: str, doc: dict, *, full: bool) -> str:
+    """Write an experiment's result document to
+    benchmarks/results/<name>.json, stamped with what ran and where.
+
+    The stamp is ``experiment`` (``E24`` for ``e24_scale``), ``mode``
+    (``full`` or ``smoke``; ``benchmarks/gate.py`` picks its rules by it)
+    and ``host`` (CPU count, Python version, ``PYTHONHASHSEED``, null when
+    unset).  Returns the path."""
+    stamped = {
+        "experiment": name.split("_")[0].upper(),
+        "mode": "full" if full else "smoke",
+        "host": {"cpus": cpu_count(),
+                 "python": platform.python_version(),
+                 "pythonhashseed": os.environ.get("PYTHONHASHSEED")},
+        **doc,
+    }
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(stamped, fh, indent=2)
+        fh.write("\n")
+    print(f"\n[{name.split('_')[0]}] results written to {path}")
+    return path
 
 
 def write_series_csv(name: str, header: list[str],

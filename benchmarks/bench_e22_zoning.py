@@ -48,6 +48,7 @@ def run_model(n_projects: int, *, zoned: bool, seed: int = 99,
             partitions[f"zone{i}"] = Partition(f"zone{i}", zone)
         partitions["normal"] = cluster.scheduler.partitions["normal"]
         cluster.scheduler.partitions = partitions
+        cluster.scheduler.reindex_partitions()
 
     rng = make_rng(seed)
     total_core_seconds = load * n_nodes * CORES * HORIZON

@@ -20,18 +20,20 @@ Differential guarantees asserted on every run: identical placements and
 start times for the scheduler sweep point, identical UBF verdict
 sequences, identical procfs views.
 
-Results land in ``benchmarks/results/e24_scale.json`` (the CI artifact;
-``check_e24.py`` gates regressions against ``e24_baseline.json``).  The
-smoke point runs under pytest; the full sweep — including the 1024-node /
-1e5-event point with its >=5x acceptance assertion — runs with
-``E24_FULL=1`` (or ``python benchmarks/bench_e24_scale.py``).
+Results land in ``benchmarks/results/e24_scale.json`` (scratch output and
+the CI artifact); ``python benchmarks/gate.py E24`` checks them against
+the rules in ``benchmarks/baselines/e24.json``.  The smoke point runs
+under pytest; the full sweep — including the 1024-node / 1e5-event point
+with its >=5x acceptance assertion — runs with ``E24_FULL=1`` (or
+``python benchmarks/bench_e24_scale.py``).
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import os
 import random
+import statistics
 import time
 
 import numpy as np
@@ -53,7 +55,7 @@ from repro.net import (
 from repro.sched import ComputeNode, JobSpec, NodeSharing, Scheduler, SchedulerConfig
 from repro.sim import Engine
 
-from _helpers import RESULTS_DIR, print_table
+from _helpers import print_table, write_result
 
 #: (n_nodes, target events).  The first point is the CI smoke; the
 #: 1024-node / 1e5-event point carries the acceptance assertion.
@@ -108,9 +110,10 @@ def _workload(n_nodes: int, n_events: int):
     return jobs
 
 
-def run_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
-                    collect_placements: bool = False, oracle=None,
-                    attribution=None):
+def build_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
+                      oracle=None, attribution=None):
+    """A fresh scheduler with the whole workload submitted: returns
+    ``(engine, sched)``, not yet stepped."""
     userdb = UserDB()
     users = [userdb.add_user(f"user{i}") for i in range(8)]
     engine = Engine()
@@ -135,6 +138,14 @@ def run_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
         sched.submit(JobSpec(user=users[u], name="j", ntasks=ntasks,
                              cores_per_task=cpt, mem_mb_per_task=500),
                      duration, at=at)
+    return engine, sched
+
+
+def run_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
+                    collect_placements: bool = False, oracle=None,
+                    attribution=None):
+    engine, sched = build_sched_trial(n_nodes, n_events, naive=naive,
+                                      oracle=oracle, attribution=attribution)
     dispatch_s: list[float] = []
     inner = sched._try_dispatch
 
@@ -314,6 +325,50 @@ def procfs_section():
 
 #: acceptance bound: oracle at sampling_rate=0.01 on the smoke point
 MAX_ORACLE_OVERHEAD = 0.10
+#: events each side of a lockstep overhead run advances per turn
+LOCKSTEP_EVENTS = 100
+#: lockstep runs behind the overhead estimate (their mean); even, so
+#: each side is built first equally often
+LOCKSTEP_RUNS = 4
+
+
+def lockstep_overhead(n_nodes: int, n_events: int, oracle, *,
+                      oracle_first: bool) -> float:
+    """Wall-clock cost of *oracle* on the scheduler trial, relative to the
+    same trial bare.
+
+    Both trials are built and warmed to steady state, then advanced in
+    turns of ``LOCKSTEP_EVENTS`` events over their identical event
+    streams, alternating which side goes first, with the garbage
+    collector off; each side's turns are summed.  A swing in host speed
+    longer than one turn (~10 ms) then hits both sides alike, where two
+    whole 0.7 s trials run back to back can differ by 30% on a shared
+    host.  The trial built second runs a few percent faster (fresher
+    heap), so callers alternate *oracle_first* and average.
+    """
+    engines = {}
+    for orc in ((oracle, None) if oracle_first else (None, oracle)):
+        engine, _ = build_sched_trial(n_nodes, n_events, naive=False,
+                                      oracle=orc)
+        while engine.events_processed < n_events // 5 and engine.step():
+            pass
+        engines[orc is None] = engine
+    sides = [engines[True], engines[False]]
+    spent, live = [0.0, 0.0], [True, True]
+    gc.collect()
+    gc.disable()
+    try:
+        turn = 0
+        while any(live):
+            for side in ((0, 1) if turn % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                live[side] = all(sides[side].step()
+                                 for _ in range(LOCKSTEP_EVENTS))
+                spent[side] += time.perf_counter() - t0
+            turn += 1
+    finally:
+        gc.enable()
+    return spent[1] / spent[0] - 1.0
 
 
 def oracle_section() -> dict:
@@ -323,8 +378,8 @@ def oracle_section() -> dict:
     decision checked and shadow-compared; any violation aborts the
     benchmark), and an **overhead pass** at the production
     ``sampling_rate=0.01`` against the bare scheduler trial, bounded by
-    ``MAX_ORACLE_OVERHEAD``.  Best-of-2 on each timed side so the ratio
-    reflects cost, not scheduler jitter.
+    ``MAX_ORACLE_OVERHEAD``: the mean of ``LOCKSTEP_RUNS``
+    :func:`lockstep_overhead` runs.
     """
     from repro.oracle import SeparationOracle
     n_nodes, n_events = SWEEP[0]
@@ -335,15 +390,10 @@ def oracle_section() -> dict:
     full.assert_clean()
 
     sampled = SeparationOracle(sampling_rate=0.01, fail_fast=True)
-    bare_eps = oracle_eps = 0.0
-    for _ in range(2):
-        bare = run_sched_trial(n_nodes, n_events, naive=False)
-        timed = run_sched_trial(n_nodes, n_events, naive=False,
-                                oracle=sampled)
-        bare_eps = max(bare_eps, bare["events_per_sec"])
-        oracle_eps = max(oracle_eps, timed["events_per_sec"])
+    runs = [lockstep_overhead(n_nodes, n_events, sampled,
+                              oracle_first=i % 2 == 1)
+            for i in range(LOCKSTEP_RUNS)]
     sampled.assert_clean()
-    overhead = bare_eps / oracle_eps - 1.0
     return {
         "full_sampling": {
             "checks": full.total_checks,
@@ -352,9 +402,8 @@ def oracle_section() -> dict:
             "per_invariant": {r["id"]: r["checks"] for r in full.summary()},
         },
         "sampling_rate": 0.01,
-        "bare_events_per_sec": bare_eps,
-        "oracle_events_per_sec": oracle_eps,
-        "overhead": round(overhead, 4),
+        "lockstep_runs": [round(r, 4) for r in runs],
+        "overhead": round(statistics.fmean(runs), 4),
     }
 
 
@@ -362,8 +411,6 @@ def oracle_section() -> dict:
 
 def run_e24(points) -> dict:
     results = {
-        "experiment": "E24",
-        "mode": "full" if len(points) > 1 else "smoke",
         "points": [],
         "ubf": ubf_section(),
         "procfs": procfs_section(),
@@ -373,11 +420,7 @@ def run_e24(points) -> dict:
         differential = i == 0  # full placement diff at the smallest point
         results["points"].append(
             sched_point(n_nodes, n_events, differential=differential))
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "e24_scale.json")
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2)
-    print(f"\n[e24] results written to {path}")
+    write_result("e24_scale", results, full=len(points) > 1)
     return results
 
 
@@ -412,9 +455,8 @@ def _report(results: dict) -> None:
           orc["full_sampling"]["shadow_checks"],
           orc["full_sampling"]["violations"], "-"],
          [f"sampled ({orc['sampling_rate']:g})", "-", "-", "-",
-          f"{orc['overhead'] * 100:.1f}% "
-          f"({orc['oracle_events_per_sec']:g} vs "
-          f"{orc['bare_events_per_sec']:g} ev/s)"]])
+          f"{orc['overhead'] * 100:.1f}% (mean of lockstep runs "
+          f"{orc['lockstep_runs']})"]])
 
 
 def test_e24_scale_smoke(benchmark):

@@ -26,7 +26,6 @@ the CI smoke under pytest, the full sweep with ``E25_FULL=1``.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -48,7 +47,7 @@ from repro.sched import (
 from repro.faults import FaultInjector, FaultKind
 from repro.sim import Engine
 
-from _helpers import RESULTS_DIR, print_table
+from _helpers import print_table, write_result
 
 #: (n_nodes, crashes in the storm).  First point is the CI smoke.
 SWEEP = [(64, 24), (256, 96), (1024, 384)]
@@ -190,9 +189,7 @@ def run_churn_trial(n_nodes: int, n_crashes: int, *, seed: int = 424242,
 
 def run_e25(points, *, seed: int = 424242) -> dict:
     oracle = SeparationOracle(sampling_rate=1.0, fail_fast=True)
-    results = {"experiment": "E25",
-               "mode": "full" if len(points) > 1 else "smoke",
-               "points": [run_churn_trial(n, c, seed=seed, oracle=oracle)
+    results = {"points": [run_churn_trial(n, c, seed=seed, oracle=oracle)
                           for n, c in points]}
     oracle.assert_clean()
     results["oracle"] = {
@@ -201,11 +198,7 @@ def run_e25(points, *, seed: int = 424242) -> dict:
         "i7_checks": next(r["checks"] for r in oracle.summary()
                           if r["id"] == "I7"),
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "e25_node_churn.json")
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2)
-    print(f"\n[e25] results written to {path}")
+    write_result("e25_node_churn", results, full=len(points) > 1)
     return results
 
 

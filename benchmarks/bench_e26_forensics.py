@@ -25,7 +25,6 @@ incident dump is exported to ``benchmarks/results/e26_flight_dump.json``
 from __future__ import annotations
 
 import gc
-import json
 import os
 
 from repro import Cluster, LLSC
@@ -36,7 +35,7 @@ from repro.obs.audit import AuditTrail
 from repro.obs.context import AttributionRegistry
 from repro.oracle import attach_oracle
 
-from _helpers import RESULTS_DIR, print_table
+from _helpers import RESULTS_DIR, print_table, write_result
 from bench_e24_scale import run_sched_trial
 
 SMOKE_POINT = (64, 10_000)
@@ -223,16 +222,10 @@ def completeness_section() -> dict:
 def run_e26(*, full: bool) -> dict:
     n_nodes, n_events = ACCEPTANCE_POINT if full else SMOKE_POINT
     results = {
-        "experiment": "E26",
-        "mode": "full" if full else "smoke",
         "overhead": overhead_section(n_nodes, n_events),
         "completeness": completeness_section(),
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "e26_forensics.json")
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2)
-    print(f"\n[e26] results written to {path}")
+    write_result("e26_forensics", results, full=full)
     return results
 
 

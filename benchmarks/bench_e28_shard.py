@@ -24,15 +24,16 @@ Three claims, each asserted:
   E24's capped-naive precedent.
 
 Results land in ``benchmarks/results/e28_shard.json`` (+ a rendered
-``e28_posture.md`` from :func:`repro.obs.dashboard.shard_posture`);
-``check_e28.py`` gates regressions against ``e28_baseline.json``.  The
-smoke point runs under pytest; the full 32k/102k sweep runs with
-``E28_FULL=1`` (or ``python benchmarks/bench_e28_shard.py``).
+``e28_posture.md`` from :func:`repro.obs.dashboard.shard_posture`), which
+is scratch output; ``python benchmarks/gate.py E28`` checks them against
+the rules in ``benchmarks/baselines/e28.json``.  The armed speedup is
+asserted here, not there.  The smoke point runs under pytest; the full
+32k/102k sweep runs with ``E28_FULL=1`` (or
+``python benchmarks/bench_e28_shard.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -40,7 +41,7 @@ from repro.obs import shard_posture
 from repro.sched import make_zone_factories
 from repro.sim import ShardedEngine
 
-from _helpers import RESULTS_DIR, print_table
+from _helpers import RESULTS_DIR, cpu_count, print_table, write_result
 
 #: epoch window (virtual seconds) = minimum cross-zone message latency
 WINDOW = 30.0
@@ -59,13 +60,6 @@ POINT_100K = {"name": "100k", "zones": 128, "nodes_per_zone": 800,
 MIN_SPEEDUP = 3.0          # 4 workers vs 1 process at the 32k point
 SPEEDUP_MIN_CPUS = 4       # the gate arms only with this many CPUs
 TARGET_EVENTS = 10_000_000
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _factories(pt: dict, oracle_rate: float = 0.0):
@@ -144,7 +138,7 @@ def point_32k_section() -> dict:
     """The acceptance point: 32,768 nodes / >=1e7 events, 1 process vs 4
     workers — identical digests, speedup recorded (gated on CPU count)."""
     pt = POINT_32K
-    cpus = _cpus()
+    cpus = cpu_count()
     engs, serial = _run(pt, n_shards=pt["zones"], workers=0,
                         oracle_rate=0.002)
     engm, mp4 = _run(pt, n_shards=pt["zones"], workers=4,
@@ -177,7 +171,7 @@ def point_100k_section() -> dict:
     """The headline scale point: 102,400 nodes / >=1e7 events in one run
     (4 workers where the host allows, 1 process otherwise — recorded)."""
     pt = POINT_100K
-    cpus = _cpus()
+    cpus = cpu_count()
     workers = 4 if cpus >= SPEEDUP_MIN_CPUS else 0
     eng, rep = _run(pt, n_shards=pt["zones"], workers=workers)
     assert rep.ok
@@ -193,20 +187,13 @@ def point_100k_section() -> dict:
 
 def run_e28(full: bool) -> dict:
     results = {
-        "experiment": "E28",
-        "mode": "full" if full else "smoke",
-        "cpus": _cpus(),
         "window": WINDOW,
         "smoke": smoke_section(),
     }
     if full:
         results["point_32k"] = point_32k_section()
         results["point_100k"] = point_100k_section()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, "e28_shard.json")
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2)
-    print(f"\n[e28] results written to {path}")
+    write_result("e28_shard", results, full=full)
     return results
 
 
@@ -249,7 +236,7 @@ def _report(results: dict) -> None:
          "barrier p95 (s)"], rows)
     print(f"identity: single==serial=="
           f"mp {smoke['identity_single_vs_serial']} · protocol overhead "
-          f"{smoke['protocol_overhead']}x · cpus {results['cpus']}")
+          f"{smoke['protocol_overhead']}x · cpus {cpu_count()}")
     p32 = results.get("point_32k")
     if p32:
         armed = "armed" if p32["speedup_gate_armed"] else \

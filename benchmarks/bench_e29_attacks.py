@@ -30,14 +30,13 @@ twice must produce row-identical outcomes (the byte-identical
 (or ``python benchmarks/bench_e29_attacks.py``) extends the check to the
 entire matrix and to the rendered report itself.
 
-Results land in ``benchmarks/results/e29_attacks.json`` (the CI
-artifact; ``check_e29.py`` gates regressions against
-``e29_baseline.json``).
+Results land in ``benchmarks/results/e29_attacks.json`` (scratch output
+and the CI artifact); ``python benchmarks/gate.py E29`` checks them
+against the rules in ``benchmarks/baselines/e29.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -45,7 +44,7 @@ import time
 from repro.attacks import ABLATIONS, CATALOG, run_campaign
 from repro.attacks.report import render_report
 
-from _helpers import RESULTS_DIR, print_table
+from _helpers import print_table, write_result
 
 
 def _campaign_section(preset_key: str) -> tuple[dict, list[dict]]:
@@ -75,7 +74,7 @@ def _flips(rows: list[dict]) -> list[str]:
 
 def run_e29(full: bool = False) -> dict:
     """Execute the campaign matrix; return the results document."""
-    results: dict = {"experiment": "E29", "mode": "full" if full else "smoke"}
+    results: dict = {}
 
     full_summary, full_rows = _campaign_section("full")
     results["full_campaign"] = full_summary
@@ -121,10 +120,7 @@ def run_e29(full: bool = False) -> dict:
         results["determinism"]["report_bytes_identical"] = \
             render_report() == render_report()
 
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "e29_attacks.json"), "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_result("e29_attacks", results, full=full)
     return results
 
 

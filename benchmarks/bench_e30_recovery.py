@@ -23,16 +23,16 @@ Three claims, each asserted:
   < ``MAX_OVERHEAD_PCT`` over the bare scheduler, best-of-3 paired runs.
 
 Results land in ``benchmarks/results/e30_recovery.json`` (+ a
-``e30_recovery_vs_scale.csv`` series for figures); ``check_e30.py``
-gates regressions against ``e30_baseline.json``.  The smoke point runs
-under pytest; the full scale sweep runs with ``E30_FULL=1`` (or
+``e30_recovery_vs_scale.csv`` series for figures), which is scratch
+output; ``python benchmarks/gate.py E30`` checks them against the rules
+in ``benchmarks/baselines/e30.json``.  The smoke point runs under
+pytest; the full scale sweep runs with ``E30_FULL=1`` (or
 ``python benchmarks/bench_e30_recovery.py``).
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import random
 import time
@@ -43,7 +43,7 @@ from repro.oracle import attach_oracle
 from repro.persist import MemoryRunStore, attach_persistence, state_digest
 from repro.sched.health import attach_health
 
-from _helpers import RESULTS_DIR, print_table, write_series_csv
+from _helpers import print_table, write_result, write_series_csv
 
 SEED = 424242
 
@@ -303,9 +303,7 @@ def run_e30(full: bool) -> dict:
             series.append(recovery_point(n, oracle_rate=0.05,
                                          churn=False))
     results["scale_series"] = series
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "e30_recovery.json"), "w") as fh:
-        json.dump(results, fh, indent=2)
+    write_result("e30_recovery", results, full=full)
     write_series_csv(
         "e30_recovery_vs_scale",
         ["n_nodes", "recovery_s", "replayed", "journal_seq"],

@@ -292,12 +292,10 @@ def recover_cluster(cluster) -> RecoveryReport:
     # still sitting in the queue list (the pass purges once, at its end).
     sched._queue = [j for j in sched._queue if j.state is JobState.PENDING]
 
-    # Rebuild the free-capacity index from the *live* node state (the
-    # PartitionIndex constructor reads every node), and clear the dispatch
-    # memos — both drain to empty between engine events anyway.
-    from repro.sched.dispatch_index import PartitionIndex
-    sched._pindex = {p.name: PartitionIndex(p, sched.nodes)
-                     for p in sched.partitions.values()}
+    # Rebuild the free-capacity index from the *live* node state, and
+    # clear the dispatch memos — both drain to empty between engine
+    # events anyway.
+    sched.reindex_partitions()
     sched._dirty_parts.clear()
     sched._fresh_jobs.clear()
     sched.crashed = False

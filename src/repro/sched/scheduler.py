@@ -139,14 +139,7 @@ class Scheduler:
         #: finish path never re-derives them from the allocation list
         self._core_charge: dict[int, tuple[int, int]] = {}
         self.total_cores = sum(n.total_cores for n in nodes)
-        # -- free-capacity index (see module docstring) -------------------
-        self._pindex: dict[str, PartitionIndex] = {
-            p.name: PartitionIndex(p, self.nodes)
-            for p in self.partitions.values()}
-        self._node_parts: dict[str, list[str]] = {}
-        for p in self.partitions.values():
-            for name in p.node_names:
-                self._node_parts.setdefault(name, []).append(p.name)
+        self.reindex_partitions()  # free-capacity index (module docstring)
         #: partitions where resources were freed since the last dispatch
         self._dirty_parts: set[str] = set()
         #: jobs that arrived/requeued since their partition was last scanned
@@ -344,6 +337,22 @@ class Scheduler:
             return any(n.idle and not n.failed for n in self.nodes.values())
         return any(not n.failed and n.free_cores > 0 and n.free_mem_mb > 0
                    for n in self.nodes.values())
+
+    def reindex_partitions(self) -> None:
+        """Rebuild the free-capacity index from :attr:`partitions` and the
+        live node state.
+
+        Call it after replacing or adding partitions, and after restoring
+        node state (recovery); dispatch only ever updates the index
+        incrementally, so it never sees a partition added behind its back.
+        """
+        self._pindex: dict[str, PartitionIndex] = {
+            p.name: PartitionIndex(p, self.nodes)
+            for p in self.partitions.values()}
+        self._node_parts: dict[str, list[str]] = {}
+        for p in self.partitions.values():
+            for name in p.node_names:
+                self._node_parts.setdefault(name, []).append(p.name)
 
     def _node_changed(self, node: ComputeNode, *, freed: bool) -> None:
         """Re-index one node; a *freed* change wakes its partitions up.

@@ -167,3 +167,13 @@ class TestDispatchBehaviour:
         assert not sched.user_has_job_on(bob, node)
         engine.run()
         assert not sched.user_has_job_on(alice, node)
+
+    def test_partition_added_after_construction_dispatches(self, userdb):
+        from repro.sched import Partition
+        engine, sched = build_sched(userdb, n_nodes=3)
+        sched.partitions["zone0"] = Partition("zone0", ("c3",))
+        sched.reindex_partitions()
+        job = sched.submit(spec(userdb, partition="zone0"), duration=10.0)
+        engine.run()
+        assert job.state is JobState.COMPLETED
+        assert job.nodes == ["c3"]
