@@ -129,11 +129,12 @@ def build_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
     sched = Scheduler(engine, cnodes,
                       SchedulerConfig(policy=NodeSharing.SHARED,
                                       naive=naive))
-    sched.oracle = oracle
+    if oracle is not None:
+        sched.observers.append(oracle)
     if attribution is not None:
         # E26 measures the forensic plane's cost on this exact trial:
         # `attribution` is a factory(engine) -> AttributionRegistry
-        sched.attribution = attribution(engine)
+        sched.observers.append(attribution(engine))
     for u, ntasks, cpt, duration, at in _workload(n_nodes, n_events):
         sched.submit(JobSpec(user=users[u], name="j", ntasks=ntasks,
                              cores_per_task=cpt, mem_mb_per_task=500),
@@ -231,7 +232,8 @@ def run_ubf_trial(*, naive: bool, n_listeners: int = 64,
         nodes[name] = node
         daemons[name] = UBFDaemon(node.net, fabric, userdb,
                                   naive=naive).install()
-        daemons[name].oracle = oracle
+        if oracle is not None:
+            daemons[name].observers.append(oracle)
     daemon = daemons["c2"]
     net2, net1 = nodes["c2"].net, nodes["c1"].net
     for i in range(n_listeners):
@@ -294,7 +296,8 @@ def run_procfs_trial(*, naive: bool, n_users: int = 50,
         creds = userdb.credentials_for(users[i % n_users])
         table.spawn(creds, ["app"], job_id=i % 97)
     fs = ProcFS(table, ProcMountOptions(hidepid=2), naive=naive)
-    fs.oracle = oracle
+    if oracle is not None:
+        fs.observers.append(oracle)
     viewer = userdb.credentials_for(users[0])
     t0 = time.perf_counter()
     for _ in range(iterations):

@@ -98,7 +98,8 @@ def run_churn_trial(n_nodes: int, n_crashes: int, *, seed: int = 424242,
     sched = Scheduler(engine, cnodes,
                       SchedulerConfig(policy=NodeSharing.SHARED,
                                       requeue_on_node_fail=True))
-    sched.oracle = oracle
+    if oracle is not None:
+        sched.observers.append(oracle)
     faults = FaultInjector(sched.metrics, seed=seed)
     mon = HealthMonitor(sched, engine, faults, sched.metrics,
                         **HEALTH).start()

@@ -30,6 +30,7 @@ import os
 from repro import Cluster, LLSC
 from repro.faults import FaultKind
 from repro.kernel.errors import KernelError
+from repro.monitor import instrument_cluster
 from repro.obs import attach_forensics, attach_telemetry
 from repro.obs.audit import AuditTrail
 from repro.obs.context import AttributionRegistry
@@ -134,6 +135,7 @@ def completeness_section() -> dict:
     """One chaos scenario, every capture guarantee asserted."""
     cluster = Cluster.build(LLSC, n_compute=8, gpus_per_node=1,
                             users=USERS, staff=("sam",))
+    instrument_cluster(cluster)  # denials reach the trail as events
     bundle = attach_forensics(cluster)
     attach_telemetry(cluster)  # spans join the flight recorder
     oracle = attach_oracle(cluster, fail_fast=False)

@@ -215,7 +215,7 @@ def _measure_writer_us(cluster) -> dict:
     writers = {
         "submit": lambda j_: j_.job_submitted(job),
         "arrive": lambda j_: j_.job_arrived(job),
-        "dispatch": lambda j_: j_.job_dispatched(job, 8, 8),
+        "dispatch": lambda j_: j_.job_started(job, 8, 8),
         "finish": lambda j_: j_.job_finished(job, JobState.COMPLETED),
         "requeue": lambda j_: j_.job_requeued(job),
         "cancel": lambda j_: j_.job_cancelled(job),

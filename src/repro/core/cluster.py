@@ -114,6 +114,8 @@ class Cluster:
     #: present, every mutating control-plane operation is journaled and
     #: :meth:`recover` can rebuild the control plane after a crash.
     persist: "object | None" = None
+    #: every plane subscribed so far (:meth:`subscribe`), in order
+    observers: list = field(default_factory=list)
 
     # ------------------------------------------------------------------ build
 
@@ -308,6 +310,24 @@ class Cluster:
                 ppath = f"/home/proj/{pname}"
                 v.mkdir(ppath, ROOT_CREDS, mode=0o2770)
                 v.chown(ppath, ROOT_CREDS, gid=grp.gid)
+
+    # ------------------------------------------------------------- planes
+
+    def subscribe(self, observer) -> None:
+        """Add *observer* (a :class:`repro.observer.Observer`) to every
+        enforcement point; a health monitor attached later starts from
+        :attr:`observers`."""
+        self.observers.append(observer)
+        points = [self.scheduler, self.userdb, self.portal, self.fabric.faults,
+                  *self.ubf_daemons.values(),
+                  *(g for cn in self.compute_nodes for g in cn.gpus)]
+        for node in (self.login_nodes + self.dtn_nodes + [self.portal_node]
+                     + [cn.node for cn in self.compute_nodes]):
+            points += (node.procfs, node.vfs, node.pam)
+        if self.health is not None:
+            points.append(self.health)
+        for point in points:
+            point.observers.append(observer)
 
     # ------------------------------------------------------------------ chaos
 

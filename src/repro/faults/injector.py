@@ -95,9 +95,8 @@ class FaultInjector:
         self._rng = make_rng(seed)
         self._ids = itertools.count(1)
         self._active: list[Fault] = []
-        #: optional hook called with each freshly injected Fault — the
-        #: flight recorder snapshots the moment of injection through it
-        self.on_inject = None
+        #: optional planes (repro.observer) told of each fresh injection
+        self.observers: list = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -106,8 +105,8 @@ class FaultInjector:
         self._active.append(fault)
         self.metrics.counter("faults_injected_total", kind=kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
-        if self.on_inject is not None:
-            self.on_inject(fault)
+        for o in self.observers:
+            o.fault_injected(fault)
         return fault
 
     def clear(self, fault: Fault) -> None:

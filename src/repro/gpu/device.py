@@ -16,7 +16,6 @@ steps the LLSC epilog runs) clears it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -31,13 +30,11 @@ class GPUDevice:
     registers: np.ndarray = field(init=False)
     last_user_uid: int | None = None
     scrub_count: int = 0
-    #: observability hook: called as ``(creds, path)`` when the VFS refuses
-    #: an open of this device's /dev file (wired by
-    #: :func:`repro.monitor.wiring.instrument_cluster` to emit GPU_DENY)
-    deny_hook: Callable | None = field(default=None, repr=False,
-                                       compare=False)
-    #: separation oracle (repro.oracle); None = zero-cost hooks
-    oracle: object | None = field(default=None, repr=False, compare=False)
+    #: name of the node the device is installed in
+    host: str = ""
+    #: optional planes (repro.observer) told of reads and refused opens
+    observers: list = field(default_factory=list, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.memory = np.zeros(self.mem_bytes, dtype=np.uint8)
@@ -57,18 +54,18 @@ class GPUDevice:
     def dev_read(self, creds) -> bytes:
         """Map device memory: returns whatever is resident — including a
         previous user's data if nobody scrubbed."""
-        if self.oracle is not None:
-            self.oracle.check_gpu_read(self, creds)
+        for o in self.observers:
+            o.gpu_read(self, creds)
         return self.memory.tobytes()
 
     def on_access_denied(self, creds, path: str) -> None:
         """VFS callback: DAC refused an open of this device's /dev file.
 
         Purely observational — the refusal has already been decided; this
-        only forwards it to whatever monitoring is attached.
+        only forwards it to the observers.
         """
-        if self.deny_hook is not None:
-            self.deny_hook(creds, path)
+        for o in self.observers:
+            o.gpu_denied(self, creds, path)
 
     # -- direct (driver-level) operations ------------------------------------
 

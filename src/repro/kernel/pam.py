@@ -100,6 +100,8 @@ class PamStack:
     """Ordered module list evaluated at every login / job launch."""
 
     modules: list[PamModule] = field(default_factory=lambda: [PamUnix()])
+    #: optional planes (repro.observer) told every verdict
+    observers: list = field(default_factory=list, repr=False)
 
     def open_session(self, user: User, node_name: str,
                      base_creds: Credentials) -> Credentials:
@@ -109,8 +111,15 @@ class PamStack:
         returns the final session credentials.
         """
         for mod in self.modules:
-            mod.account(user, node_name)
+            try:
+                mod.account(user, node_name)
+            except AccessDenied:
+                for o in self.observers:
+                    o.pam_session(user, node_name, mod)
+                raise
         creds = base_creds
         for mod in self.modules:
             creds = mod.session(user, node_name, creds)
+        for o in self.observers:
+            o.pam_session(user, node_name, None)
         return creds

@@ -72,8 +72,8 @@ class ProcFS:
         self.table = table
         self.options = options
         self.naive = naive
-        #: separation oracle (repro.oracle); None = zero-cost hooks
-        self.oracle = None
+        #: optional planes (repro.observer) shown every listing and read
+        self.observers: list = []
 
     # -- visibility predicates ----------------------------------------------
 
@@ -106,8 +106,8 @@ class ProcFS:
         else:
             procs = [p for p in self.table.processes()
                      if self.pid_visible(viewer, p)]
-        if self.oracle is not None:
-            self.oracle.check_procfs_view(self, viewer, procs, "list_pids")
+        for o in self.observers:
+            o.procfs_viewed(self, viewer, procs, "list_pids")
         return [p.pid for p in procs]
 
     def _lookup(self, viewer: Credentials, pid: int) -> Process:
@@ -127,16 +127,16 @@ class ProcFS:
         proc = self._lookup(viewer, pid)
         if not self.pid_readable(viewer, proc):
             raise AccessDenied(f"/proc/{pid}/cmdline")
-        if self.oracle is not None:
-            self.oracle.check_procfs_view(self, viewer, [proc], "read")
+        for o in self.observers:
+            o.procfs_viewed(self, viewer, [proc], "read")
         return proc.cmdline
 
     def read_status(self, viewer: Credentials, pid: int) -> dict[str, object]:
         proc = self._lookup(viewer, pid)
         if not self.pid_readable(viewer, proc):
             raise AccessDenied(f"/proc/{pid}/status")
-        if self.oracle is not None:
-            self.oracle.check_procfs_view(self, viewer, [proc], "read")
+        for o in self.observers:
+            o.procfs_viewed(self, viewer, [proc], "read")
         return {
             "Name": proc.comm,
             "Pid": proc.pid,
@@ -161,8 +161,8 @@ class ProcFS:
             procs = [p for p in self.table.processes()
                      if self.pid_visible(viewer, p)
                      and self.pid_readable(viewer, p)]
-        if self.oracle is not None:
-            self.oracle.check_procfs_view(self, viewer, procs, "ps")
+        for o in self.observers:
+            o.procfs_viewed(self, viewer, procs, "ps")
         return [PsEntry(pid=proc.pid, uid=proc.creds.uid,
                         comm=proc.comm, cmdline=proc.cmdline,
                         state=proc.state.value, rss_mb=proc.rss_mb)
@@ -176,9 +176,8 @@ class ProcFS:
             uids = {viewer.uid} if self.table.of_user(viewer.uid) else set()
         else:
             uids = {p.uid for p in self.ps(viewer)}
-        if self.oracle is not None:
-            self.oracle.check_procfs_view(self, viewer, (),
-                                          "visible_users", uids=uids)
+        for o in self.observers:
+            o.procfs_viewed(self, viewer, (), "visible_users", uids=uids)
         return uids
 
     # -- aggregate files (hidepid does NOT hide these) ------------------------

@@ -145,9 +145,8 @@ class UserDB:
         #: bumped on every membership-affecting mutation; consumers caching
         #: derived views (e.g. the UBF's per-egid allow-sets) key on it.
         self.generation = 0
-        #: optional write-ahead journal (repro.persist); every account
-        #: mutation appends a record when set.  None = zero-cost hooks.
-        self.journal = None
+        #: optional planes (repro.observer) told every account mutation
+        self.observers: list = []
         self._users: dict[str, User] = {}
         self._users_by_uid: dict[int, User] = {}
         self._groups: dict[str, Group] = {}
@@ -190,8 +189,8 @@ class UserDB:
         self._users[name] = user
         self._users_by_uid[uid] = user
         self.generation += 1
-        if self.journal is not None:
-            self.journal.user_added(user, self.generation)
+        for o in self.observers:
+            o.user_added(user, self.generation)
         return user
 
     def add_project_group(self, name: str, steward: User) -> Group:
@@ -206,8 +205,8 @@ class UserDB:
         grp = Group(name, gid, members={steward.uid}, stewards={steward.uid})
         self.generation += 1
         self._register_group(grp)
-        if self.journal is not None:
-            self.journal.project_group_added(grp, self.generation)
+        for o in self.observers:
+            o.project_group_added(grp, self.generation)
         return grp
 
     def add_to_project(self, group: Group | str, user: User, *, approver: User) -> None:
@@ -221,8 +220,8 @@ class UserDB:
             )
         grp.members.add(user.uid)
         self.generation += 1
-        if self.journal is not None:
-            self.journal.member_added(grp, user.uid, self.generation)
+        for o in self.observers:
+            o.member_added(grp, user.uid, self.generation)
 
     def remove_from_project(self, group: Group | str, user: User, *, approver: User) -> None:
         grp = self.group(group) if isinstance(group, str) else group
@@ -234,8 +233,8 @@ class UserDB:
             )
         grp.members.discard(user.uid)
         self.generation += 1
-        if self.journal is not None:
-            self.journal.member_removed(grp, user.uid, self.generation)
+        for o in self.observers:
+            o.member_removed(grp, user.uid, self.generation)
 
     def add_system_group(self, name: str, members: set[int] | None = None) -> Group:
         """Create a plain system group (e.g. the hidepid exemption group)."""
@@ -243,8 +242,8 @@ class UserDB:
         self._next_gid += 1
         self.generation += 1
         grp = self._register_group(Group(name, gid, members=set(members or ())))
-        if self.journal is not None:
-            self.journal.system_group_added(grp, self.generation)
+        for o in self.observers:
+            o.system_group_added(grp, self.generation)
         return grp
 
     # -- lookup ------------------------------------------------------------

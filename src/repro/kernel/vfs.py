@@ -246,8 +246,8 @@ class VFS:
         # timestamp source for mtime/atime; the cluster wires this to the
         # simulation engine's clock
         self.clock: Callable[[], float] = lambda: 0.0
-        #: separation oracle (repro.oracle); None = zero-cost hooks
-        self.oracle = None
+        #: optional planes (repro.observer) shown every stored mode and ACL
+        self.observers: list = []
         self._mounts: dict[str, Mount] = {"/": Mount("/", self.rootfs)}
 
     # -- mounts ------------------------------------------------------------
@@ -389,8 +389,9 @@ class VFS:
         if kind is FileKind.DIR and parent.setgid:
             eff |= S_ISGID  # setgid propagates to subdirectories
         inode = fs.alloc_inode(kind, creds.uid, gid, eff)
-        if self.oracle is not None and fs.honors_smask:
-            self.oracle.check_vfs_mode(self, path, creds, eff, "create")
+        if fs.honors_smask:
+            for o in self.observers:
+                o.vfs_mode_set(self, path, creds, eff, "create")
         inode.mtime = inode.atime = self.clock()
         if data:
             inode.data.extend(data)
@@ -622,9 +623,8 @@ class VFS:
         if not creds.is_root and creds.uid != inode.uid:
             raise PermissionError_(f"chmod {path!r}: not owner")
         inode.mode = self.handler.effective_mode(mode, creds)
-        if self.oracle is not None:
-            self.oracle.check_vfs_mode(self, path, creds, inode.mode,
-                                       "chmod")
+        for o in self.observers:
+            o.vfs_mode_set(self, path, creds, inode.mode, "chmod")
         return inode.mode
 
     def chown(self, path: str, creds: Credentials, *, uid: int | None = None,
@@ -661,8 +661,8 @@ class VFS:
         inode.acl = [e for e in inode.acl
                      if (e.tag, e.qualifier) != (entry.tag, entry.qualifier)]
         inode.acl.append(entry)
-        if self.oracle is not None:
-            self.oracle.check_vfs_acl(self, path, creds, entry)
+        for o in self.observers:
+            o.vfs_acl_set(self, path, creds, entry)
 
     def getfacl(self, path: str, creds: Credentials) -> list[AclEntry]:
         return list(self.resolve(path, creds).acl)

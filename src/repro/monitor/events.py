@@ -4,13 +4,19 @@ The paper's systems don't just *block* cross-user actions — operations
 staff watch the blocks ("system monitoring" is one of the SuperCloud
 cross-ecosystem innovations the introduction lists, and the UBF/PAM logs
 are what made the CVE-2020-27746 week legible).  This module gives every
-enforcement point a common structured sink:
+enforcement point a common structured record.  Subscribed to a cluster
+(:func:`~repro.monitor.wiring.instrument_cluster`), the
+:class:`SecurityEventLog` observes the enforcement decisions and records
+the ones that are security events:
 
-* the UBF daemon reports connection denials,
-* pam_slurm reports refused compute-node logins,
-* the syscall façade (when wrapped with :func:`audited`) reports
-  EACCES/EPERM filesystem denials,
-* the scheduler reports refused cancels.
+* UBF DROPs and degraded verdicts,
+* pam_slurm refusals of compute-node logins,
+* refused opens of GPU ``/dev`` files and refused portal requests,
+* node-lifecycle transitions, oracle violations and fired alerts;
+
+the syscall façade (when wrapped with
+:func:`~repro.monitor.wiring.audited_session`) adds EACCES/EPERM
+filesystem and ``/proc`` denials.
 
 :func:`detect_probe_patterns` is the simple operations heuristic layered on
 top: a principal accumulating many *distinct-target* denials in a short
@@ -22,6 +28,11 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
+
+from repro.net.firewall import Verdict
+from repro.net.ubf import DecisionReason
+from repro.observer import Observer
 
 
 class EventKind(enum.Enum):
@@ -64,22 +75,27 @@ class SecurityEvent:
 
 
 @dataclass
-class SecurityEventLog:
+class SecurityEventLog(Observer):
     """Append-only in-memory event store with simple query methods.
 
-    ``subscribe`` registers a sink callable invoked with every event as it
-    is recorded — how the audit trail and flight recorder ride the stream
-    without the enforcement points knowing they exist.
+    As an :class:`~repro.observer.Observer` it turns the decisions that
+    are security events into records.  Each recorded event goes on to
+    every one of ``observers`` (:meth:`~repro.observer.Observer.
+    observe_event`) — a cluster's log shares the cluster's own list, which
+    is how the audit trail, flight recorder, alerts and telemetry export
+    ride the stream without holding the log.
     """
 
     events: list[SecurityEvent] = field(default_factory=list)
-    #: sink callables fed each event at record time (order of subscription)
-    sinks: list = field(default_factory=list)
+    #: fed each event at record time, in order of subscription
+    observers: list = field(default_factory=list)
+    #: time of decisions that carry none (a cluster's sim clock)
+    clock: Callable[[], float] = staticmethod(lambda: 0.0)
 
     def record(self, event: SecurityEvent) -> None:
         self.events.append(event)
-        for sink in self.sinks:
-            sink(event)
+        for o in self.observers:
+            o.observe_event(event)
 
     def emit(self, time: float, kind: EventKind, subject_uid: int,
              target: str, detail: str = "", *, job_id: int | None = None,
@@ -87,10 +103,65 @@ class SecurityEventLog:
         self.record(SecurityEvent(time, kind, subject_uid, target, detail,
                                   job_id=job_id, node=node))
 
-    def subscribe(self, sink) -> None:
-        """Register *sink* (callable taking one event); idempotent."""
-        if sink not in self.sinks:
-            self.sinks.append(sink)
+    # -- the decisions that are security events ------------------------------
+
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        """A DROP is NET_DENY; a degraded verdict is DEGRADED whatever it
+        decided (an infrastructure fault, never the principal's denial)."""
+        if code is DecisionReason.DEGRADED:
+            kind, detail = EventKind.DEGRADED, f"{verdict.value}: {reason}"
+        elif verdict is Verdict.DROP:
+            kind, detail = EventKind.NET_DENY, reason
+        else:
+            return
+        self.emit(daemon.stack.node.vfs.clock(), kind,
+                  -1 if uid is None else uid,
+                  f"{flow.dst_host}:{flow.dst_port}", detail,
+                  node=flow.src_host)
+
+    def pam_session(self, user, node_name, refused_by):
+        if refused_by is not None and refused_by.name == "pam_slurm":
+            self.emit(self.clock(), EventKind.PAM_DENY, user.uid, node_name,
+                      "pam_slurm refusal", node=node_name)
+
+    def gpu_denied(self, device, creds, path):
+        self.emit(self.clock(), EventKind.GPU_DENY, creds.uid,
+                  f"{device.host}:{path}", "gpu device open refused",
+                  node=device.host)
+
+    def portal_denied(self, portal, uid, app_id, detail):
+        self.emit(portal.clock(), EventKind.PORTAL_DENY, uid,
+                  f"portal:app/{app_id}", detail)
+
+    def hook_failed(self, which, job, node, exc):
+        self.emit(self.clock(), EventKind.NODE_LIFECYCLE, -1, node.name,
+                  f"{which} failed for job {job.job_id}: {exc!r}; "
+                  f"node drained pending remediation",
+                  job_id=job.job_id, node=node.name)
+
+    def node_fenced(self, node_name, lost):
+        self.emit(self.clock(), EventKind.NODE_LIFECYCLE, -1, node_name,
+                  f"fenced: {lost} running job(s) lost", node=node_name)
+
+    def node_remediated(self, scheduler, node, summary):
+        self.emit(self.clock(), EventKind.NODE_LIFECYCLE, -1, node.name,
+                  "remediated: " + ", ".join(
+                      f"{k}={v}" for k, v in sorted(summary.items())),
+                  node=node.name)
+
+    def node_lifecycle(self, time, target, detail, job_id=None, node=None):
+        self.emit(time, EventKind.NODE_LIFECYCLE, -1, target, detail,
+                  job_id=job_id, node=node)
+
+    def oracle_violation(self, violation, uid, job_id, node):
+        # attribution stamps: the audit plane chains it to its causal root
+        self.emit(violation.time, EventKind.ORACLE, uid, violation.subject,
+                  f"[{violation.invariant}] {violation.detail}",
+                  job_id=job_id, node=node)
+
+    def alert_fired(self, alert):
+        self.emit(alert.time, EventKind.ALERT, alert.subject, alert.rule,
+                  f"[{alert.severity}] {alert.detail}")
 
     # -- queries -------------------------------------------------------------
 

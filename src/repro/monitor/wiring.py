@@ -1,24 +1,30 @@
 """Wiring the security event log into a built cluster.
 
-``instrument_cluster`` attaches a :class:`SecurityEventLog` to an existing
-:class:`~repro.core.cluster.Cluster`:
+``instrument_cluster`` subscribes a :class:`SecurityEventLog` to an
+existing :class:`~repro.core.cluster.Cluster` (:meth:`~repro.core.cluster.
+Cluster.subscribe`), so it records the decisions that are security events
+at every enforcement point:
 
-* every UBF daemon emits :data:`EventKind.NET_DENY` for its DROPs and
+* :data:`EventKind.NET_DENY` for every UBF DROP and
   :data:`EventKind.DEGRADED` for verdicts issued under an identity fault;
-* every compute node's pam_slurm emits :data:`EventKind.PAM_DENY`;
-* an :class:`AuditedSyscalls` wrapper (handed out by
-  :func:`audited_session`) emits FS/PROC denials for the calls user code
-  makes through it;
-* the seepid/smask_relax tools emit ADMIN escalation records when invoked
-  through :func:`audited_seepid` / :func:`audited_smask_relax`;
-* every GPU device's deny hook emits :data:`EventKind.GPU_DENY` when the
-  VFS refuses an open of its ``/dev`` character file;
-* the portal emits :data:`EventKind.PORTAL_DENY` on refused requests.
+* :data:`EventKind.PAM_DENY` for every pam_slurm refusal;
+* :data:`EventKind.GPU_DENY` when the VFS refuses an open of a GPU's
+  ``/dev`` character file, :data:`EventKind.PORTAL_DENY` for refused
+  portal requests;
+* :data:`EventKind.NODE_LIFECYCLE` for fencing, remediation, hook
+  failures and health transitions, :data:`EventKind.ORACLE` for oracle
+  violations and :data:`EventKind.ALERT` for fired alerts, whichever of
+  those planes is attached before or after it.
+
+An :class:`AuditedSyscalls` wrapper (handed out by
+:func:`audited_session`) adds FS/PROC denials for the calls user code
+makes through it, and :func:`audited_seepid` / :func:`audited_smask_relax`
+add ADMIN escalation records.
 
 Instrumentation is additive — enforcement behaviour is unchanged; only
 observations are recorded.  ``instrument_cluster`` is idempotent: calling
-it again returns the already-attached log instead of double-wrapping the
-enforcement points (which would emit duplicate events).
+it again returns the already-attached log instead of subscribing a second
+one (which would record duplicate events).
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.kernel.errors import AccessDenied, KernelError, NoSuchProcess, PermissionError_
-from repro.kernel.pam import PamSlurm
 from repro.monitor.events import EventKind, SecurityEventLog
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
@@ -38,70 +43,16 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
 def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     """Attach a log; returns it (also stored as ``cluster.security_log``).
 
-    Idempotent: a second call returns the existing log unchanged, so the
-    PAM stacks are never wrapped twice.
+    Idempotent: a second call returns the existing log unchanged.  The
+    log passes every event it records on to the cluster's planes.
     """
     existing = getattr(cluster, "security_log", None)
     if existing is not None:
         return existing
-    log = SecurityEventLog()
+    log = SecurityEventLog(observers=cluster.observers,
+                           clock=lambda: cluster.engine.now)
     cluster.security_log = log  # type: ignore[attr-defined]
-
-    # An already-attached separation oracle starts emitting ORACLE events
-    # here (attach order is free, as with the telemetry spine).
-    oracle = getattr(cluster, "oracle", None)
-    if oracle is not None and oracle.events is None:
-        oracle.events = log
-
-    # Node-lifecycle transitions (fencing, hook failures, remediation,
-    # health-monitor state changes) share the same audit trail.
-    if cluster.scheduler.events is None:
-        cluster.scheduler.events = log
-    health = getattr(cluster, "health", None)
-    if health is not None and health.events is None:
-        health.events = log
-
-    # UBF denials and degraded verdicts: every daemon reports them from
-    # its one verdict chokepoint, single-packet and burst paths alike
-    for daemon in cluster.ubf_daemons.values():
-        if daemon.events is None:
-            daemon.events = log
-
-    # pam_slurm denials: wrap the account() of each stack's PamSlurm
-    for cn in cluster.compute_nodes:
-        for module in cn.node.pam.modules:
-            if isinstance(module, PamSlurm):
-                original_account = module.account
-
-                def account(user, node_name, _orig=original_account):
-                    try:
-                        return _orig(user, node_name)
-                    except AccessDenied:
-                        log.emit(cluster.engine.now, EventKind.PAM_DENY,
-                                 user.uid, node_name, "pam_slurm refusal",
-                                 node=node_name)
-                        raise
-
-                # dataclass instances: bind per-instance override
-                object.__setattr__(module, "account", account)
-
-    # GPU /dev denials: arm each device's deny hook (the VFS calls it when
-    # DAC refuses an open; see GPUDevice.on_access_denied)
-    for cn in cluster.compute_nodes:
-        for gpu in cn.gpus:
-            def gpu_deny(creds, path, _node=cn.node.name):
-                log.emit(cluster.engine.now, EventKind.GPU_DENY,
-                         creds.uid, f"{_node}:{path}",
-                         "gpu device open refused", node=_node)
-            gpu.deny_hook = gpu_deny
-
-    # portal denials: the gateway emits PORTAL_DENY through this log
-    cluster.portal.event_log = log
-
-    # an already-attached Telemetry gets the event stream too
-    telemetry = getattr(cluster, "telemetry", None)
-    if telemetry is not None and telemetry.events is None:
-        telemetry.events = log
+    cluster.subscribe(log)
     return log
 
 

@@ -53,12 +53,15 @@ conntrack keeps established flows alive.  ``restart()`` rebinds through
 restart) and re-syncs against the surviving conntrack table — no manual
 flush is ever needed.
 
-Security events: every verdict passes through one point, ``_log``.  With
-an ``events`` sink attached (``instrument_cluster`` sets it), a DROP is
-reported as ``NET_DENY`` and a degraded verdict as ``DEGRADED`` — on the
-single-packet and burst paths alike — so monitoring never has to wrap
-the nfqueue handler.  ``log`` keeps only the last
-:data:`DECISION_LOG_MAX` decisions.
+Observers: every verdict passes through one point, ``_log``, which
+reports it to the daemon's ``observers`` (:mod:`repro.observer`) on the
+single-packet and burst paths alike — the security-event log turns a
+DROP into ``NET_DENY`` and a degraded verdict into ``DEGRADED``, the
+audit trail records clean ACCEPTs — so nothing ever wraps the nfqueue
+handler.  Cache hits, full decisions and degraded verdicts are reported
+where they are made (the oracle checks each), and each ``decide`` call
+and ``decide_batch`` burst is reported as a whole (telemetry's spans).
+``log`` keeps only the last :data:`DECISION_LOG_MAX` decisions.
 
 Scale-out hot path (E24): ``decide_batch`` takes a burst of queued packets
 and **coalesces** ident queries — packets from the same remote (host, proto,
@@ -82,7 +85,6 @@ from dataclasses import dataclass, field
 
 from repro.kernel.errors import NoSuchEntity
 from repro.kernel.users import UserDB
-from repro.monitor.events import EventKind
 from repro.net.firewall import Packet, Verdict
 from repro.net.ident import (
     IdentReply,
@@ -149,17 +151,8 @@ class UBFDaemon:
     #: simulated exponential backoff (ident_backoff_us * 2^attempt).
     ident_retries: int = 2
     ident_backoff_us: float = 200.0
-    #: optional span source (repro.obs.trace.Tracer); None = no tracing cost
-    tracer: object | None = None
-    #: separation oracle (repro.oracle); None = zero-cost hooks
-    oracle: object | None = field(default=None, repr=False)
-    #: forensic audit trail (repro.obs.audit); when set, clean ACCEPT
-    #: verdicts are recorded with causal attribution (denies reach the
-    #: trail through the security-event stream).  None = zero cost.
-    audit: object | None = field(default=None, repr=False)
-    #: security event log (repro.monitor); when set, DROPs are reported as
-    #: NET_DENY and degraded verdicts as DEGRADED.  None = zero cost.
-    events: object | None = field(default=None, repr=False)
+    #: optional planes (repro.observer) told every verdict and decision
+    observers: list = field(default_factory=list, repr=False)
     #: original sequential per-packet reference path for differential testing.
     naive: bool = False
     #: decision-cache entry bound, read at every insert; None = unbounded
@@ -212,7 +205,7 @@ class UBFDaemon:
     def restart(self) -> None:
         """Restart after a crash: rebind, flush the cache, re-sync.
 
-        Monitoring rides the ``events`` sink rather than a wrapper around
+        Monitoring rides the ``observers`` rather than a wrapper around
         the handler, so rebinding through :meth:`install` loses nothing.
         The decision cache is dropped (identity state from before the
         crash is stale); the conntrack table is *kept* — established flows
@@ -255,22 +248,14 @@ class UBFDaemon:
     # -- decision ---------------------------------------------------------------
 
     def decide(self, pkt: Packet) -> Verdict:
-        if self.tracer is None:
-            return self._decide(pkt)
-        span = self.tracer.start_span(
-            "ubf.decide", host=self.stack.hostname,
-            src=f"{pkt.flow.src_host}:{pkt.flow.src_port}",
-            dst=f"{pkt.flow.dst_host}:{pkt.flow.dst_port}")
         try:
             verdict = self._decide(pkt)
         except Exception as exc:
-            # The span must finish even when the decision path blows up,
-            # or the tracer leaks an open span per failed decision.
-            self.tracer.finish(span, status="error",
-                               error=type(exc).__name__)
+            for o in self.observers:
+                o.ubf_decided(self, pkt, None, exc)
             raise
-        self.tracer.finish(span, verdict=verdict.value,
-                           reason=self.log[-1].reason if self.log else "")
+        for o in self.observers:
+            o.ubf_decided(self, pkt, verdict, None)
         return verdict
 
     def _decide(self, pkt: Packet) -> Verdict:
@@ -363,8 +348,8 @@ class UBFDaemon:
             cached = self._cache_get(key)
             if cached is not None:
                 self.fabric.metrics.counter("ubf_cache_hits").inc()
-                if self.oracle is not None:
-                    self.oracle.check_ubf_cached(self, key, cached)
+                for o in self.observers:
+                    o.ubf_cached(self, key, cached)
                 return self._log(pkt, pkt.src_uid, listener.uid,
                                  listener.egid, cached, "cached",
                                  DecisionReason.CACHED), listener
@@ -374,9 +359,8 @@ class UBFDaemon:
                   initiator: IdentReply | None) -> Verdict:
         """The post-ident phase: rule, cache store, full-decision metrics."""
         if initiator is None:
-            if self.oracle is not None:
-                self.oracle.check_ubf_conclude(self, pkt, listener, None,
-                                               Verdict.DROP)
+            for o in self.observers:
+                o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
             return self._log(pkt, None, listener.uid, listener.egid,
                              Verdict.DROP, "initiator unidentifiable",
                              DecisionReason.UNIDENTIFIABLE)
@@ -387,9 +371,8 @@ class UBFDaemon:
             # compromised — the claimed identity is worthless, so the flow
             # is treated as unidentifiable (never cached, always DROP).
             self.fabric.metrics.counter("ubf_ident_mismatches").inc()
-            if self.oracle is not None:
-                self.oracle.check_ubf_conclude(self, pkt, listener, None,
-                                               Verdict.DROP)
+            for o in self.observers:
+                o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
             return self._log(
                 pkt, None, listener.uid, listener.egid, Verdict.DROP,
                 f"ident reply uid {initiator.uid} contradicts "
@@ -398,9 +381,8 @@ class UBFDaemon:
         rule = self._rule if self.naive else self._rule_indexed
         verdict, reason, code = rule(initiator.uid, initiator.groups,
                                      listener.uid, listener.egid)
-        if self.oracle is not None:
-            self.oracle.check_ubf_conclude(self, pkt, listener, initiator,
-                                           verdict)
+        for o in self.observers:
+            o.ubf_concluded(self, pkt, listener, initiator, verdict)
         if self.cache_enabled:
             key = (initiator.uid, listener.uid, listener.egid)
             self._cache_put(key, verdict)
@@ -420,35 +402,26 @@ class UBFDaemon:
         one upstream ident exchange whose answer (or failure) concludes
         every waiter.  ``ident_coalesced`` counts the queries saved.
 
-        When a tracer is attached the whole burst is one ``ubf.decide_batch``
-        span with a child ``ubf.ident_group`` span per coalesced exchange —
-        previously the batch path bypassed ``decide()``'s span entirely and
-        coalesced decisions were invisible to traces and the flight
-        recorder.
+        Observers see the burst start and end and each coalesced
+        exchange in between (telemetry's ``ubf.decide_batch`` span and
+        its ``ubf.ident_group`` children).
         """
         pkts = list(pkts)
         if self.naive:
             return [self.decide(p) for p in pkts]
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span("ubf.decide_batch",
-                                          host=self.stack.hostname,
-                                          n=len(pkts))
+        for o in self.observers:
+            o.ubf_batch_started(self, pkts)
         try:
-            results = self._decide_batch(pkts, span)
+            results = self._decide_batch(pkts)
         except Exception as exc:
-            if span is not None:
-                self.tracer.finish(span, status="error",
-                                   error=type(exc).__name__)
+            for o in self.observers:
+                o.ubf_batch_finished(self, None, exc)
             raise
-        if span is not None:
-            drops = sum(1 for v in results if v is Verdict.DROP)
-            self.tracer.finish(span, accepts=len(results) - drops,
-                               drops=drops)
+        for o in self.observers:
+            o.ubf_batch_finished(self, results, None)
         return results
 
-    def _decide_batch(self, pkts: list[Packet],
-                      span: object | None) -> list[Verdict]:
+    def _decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
         local_ident = IdentService(self.stack)
         results: list[Verdict | None] = [None] * len(pkts)
         waiters: dict[tuple, list[tuple[int, IdentReply]]] = {}
@@ -464,28 +437,18 @@ class UBFDaemon:
         for gkey, parked in waiters.items():
             if len(parked) > 1:
                 coalesced.inc(len(parked) - 1)
-            child = None
-            if span is not None:
-                child = self.tracer.start_span(
-                    "ubf.ident_group", parent=span,
-                    src=f"{gkey[0]}:{gkey[2]}", proto=gkey[1].value,
-                    waiters=len(parked))
             try:
                 initiator = self._remote_ident(pkts[parked[0][0]].flow)
             except IdentUnavailable as exc:
                 for i, listener in parked:
                     results[i] = self._degraded(pkts[i], listener, exc)
-                if child is not None:
-                    self.tracer.finish(child, status="degraded",
-                                       error=type(exc).__name__)
+                for o in self.observers:
+                    o.ubf_ident_group(self, gkey, len(parked), None, exc)
                 continue
             for i, listener in parked:
                 results[i] = self._conclude(pkts[i], listener, initiator)
-            if child is not None:
-                self.tracer.finish(
-                    child,
-                    status="ok" if initiator is not None else "unidentifiable",
-                    uid=initiator.uid if initiator is not None else -1)
+            for o in self.observers:
+                o.ubf_ident_group(self, gkey, len(parked), initiator, None)
         return results
 
     def _remote_ident(self, flow) -> IdentReply | None:
@@ -526,8 +489,8 @@ class UBFDaemon:
         """
         policy = "fail-open" if self.fail_open else "fail-closed"
         verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
-        if self.oracle is not None:
-            self.oracle.check_ubf_degraded(self, verdict)
+        for o in self.observers:
+            o.ubf_degraded(self, verdict)
         self.fabric.metrics.counter("ubf_degraded_verdicts",
                                     policy=policy).inc()
         return self._log(pkt, None, listener.uid, listener.egid, verdict,
@@ -604,33 +567,9 @@ class UBFDaemon:
                                     reason=code.value).inc()
         if verdict is Verdict.DROP:
             self.fabric.metrics.counter("ubf_denials").inc()
-        elif self.audit is not None and iu is not None:
-            self.audit.ubf_verdict(
-                uid=iu, node=flow.src_host,
-                target=f"{flow.dst_host}:{flow.dst_port}",
-                verdict=verdict.value, reason=reason)
-        if self.events is not None and (verdict is Verdict.DROP
-                                        or code is DecisionReason.DEGRADED):
-            self._report(flow, iu, verdict, reason, code)
+        for o in self.observers:
+            o.ubf_verdict(self, flow, iu, verdict, reason, code)
         return verdict
-
-    def _report(self, flow, iu, verdict: Verdict, reason: str,
-                code: DecisionReason) -> None:
-        """Emit a DROP or degraded verdict to the ``events`` sink, stamped
-        with the host's simulation clock.
-
-        A degraded verdict is an infrastructure fault, not a principal's
-        denial: it is recorded as DEGRADED (whatever the policy decided)
-        so posture and probe views never blame the user for it.
-        """
-        if code is DecisionReason.DEGRADED:
-            kind, detail = EventKind.DEGRADED, f"{verdict.value}: {reason}"
-        else:
-            kind, detail = EventKind.NET_DENY, reason
-        self.events.emit(self.stack.node.vfs.clock(), kind,
-                         -1 if iu is None else iu,
-                         f"{flow.dst_host}:{flow.dst_port}", detail,
-                         node=flow.src_host)
 
     def purge_host(self, host: str) -> int:
         """Drop every cached verdict whose deciding flow came from *host*.

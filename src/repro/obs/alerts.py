@@ -13,8 +13,10 @@ Three rule kinds (:class:`RuleKind`):
 * **THRESHOLD** — a metric family's summed value crosses a comparison
   (``oracle_violations_total > 0``).
 * **RATE** — more than *value* matching security events in the trailing
-  ``window`` of virtual seconds, optionally per subject uid (the
-  per-tenant deny-spike rule).
+  half-open ``[now - window, now)`` of virtual seconds, optionally per
+  subject uid (the per-tenant deny-spike rule).  Each rule keeps only the
+  matching events still inside its window, so an evaluation costs the
+  window, not the run's history.
 * **ABSENCE** — a metric family stops changing for ``window`` seconds
   while an optional gate metric says it *should* be moving (heartbeats
   absent while faults are active).
@@ -27,10 +29,12 @@ breach produces one record, not one per evaluation tick.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.monitor.events import EventKind, SecurityEventLog
+from repro.monitor.events import EventKind, SecurityEvent
+from repro.observer import Observer
 
 #: Every denial kind the per-tenant spike rule counts.
 DENY_KINDS = (
@@ -94,37 +98,55 @@ class Alert:
     detail: str
 
 
-class AlertEngine:
+class AlertEngine(Observer):
     """Evaluates a rule set against live metrics and the event stream.
 
     ``evaluate`` is meant to run periodically on the sim clock
     (:meth:`arm` schedules that); each call checks every rule and fires
     edge-triggered :class:`Alert` records.  Fired alerts are appended to
-    ``alerts``, counted in ``alerts_fired_total{rule=...}``, and — when an
-    event ``sink`` is attached — emitted as ``ALERT`` security events, so
+    ``alerts``, counted in ``alerts_fired_total{rule=...}``, and reported
+    to ``observers`` (:meth:`~repro.observer.Observer.alert_fired`) — a
+    cluster's security-event log records each as an ``ALERT`` event, so
     they land in the same audit trail and flight recorder as the denials
     that caused them.
+
+    Events reach the RATE rules through :meth:`observe_event`, as one of a
+    log's ``observers``.  Events and evaluations arrive in sim-clock
+    order, which is what lets each rule drop an event for good once it
+    leaves the window.
     """
 
-    def __init__(self, metrics, *, events: SecurityEventLog | None = None,
+    def __init__(self, metrics, *,
                  clock: Callable[[], float] | None = None,
-                 rules: tuple[AlertRule, ...] = (), sink=None):
+                 rules: tuple[AlertRule, ...] = (), observers=None):
         self.metrics = metrics
-        self.events = events
         self.clock: Callable[[], float] = clock if clock is not None \
             else (lambda: 0.0)
-        self.rules: list[AlertRule] = list(rules)
-        #: SecurityEventLog that receives one ALERT event per firing
-        self.sink = sink
+        self.rules: list[AlertRule] = []
+        #: told of every firing (a cluster's engine shares its planes)
+        self.observers = [] if observers is None else observers
         self.alerts: list[Alert] = []
         #: (rule name, subject) pairs currently in breach (edge trigger)
         self._active: set[tuple[str, int]] = set()
         #: ABSENCE bookkeeping: rule name → (last value, last change time)
         self._absence: dict[str, tuple[float, float]] = {}
+        #: RATE rule → its matching events not yet out of the window
+        self._windows: dict[AlertRule, deque[SecurityEvent]] = {}
+        for rule in rules:
+            self.add_rule(rule)
 
     def add_rule(self, rule: AlertRule) -> None:
-        """Append *rule* to the evaluated set."""
+        """Append *rule* to the evaluated set (a RATE rule counts the
+        events observed from now on)."""
         self.rules.append(rule)
+        if rule.kind is RuleKind.RATE:
+            self._windows.setdefault(rule, deque())
+
+    def observe_event(self, event: SecurityEvent) -> None:
+        """Keep *event* for every RATE rule whose kinds it matches."""
+        for rule, window in self._windows.items():
+            if event.kind in rule.event_kinds:
+                window.append(event)
 
     def _family_sum(self, family: str) -> float:
         return float(sum(m.value for m in self.metrics.family(family)))
@@ -135,9 +157,8 @@ class AlertEngine:
                       value=value, severity=rule.severity, detail=detail)
         self.alerts.append(alert)
         self.metrics.counter("alerts_fired_total", rule=rule.name).inc()
-        if self.sink is not None:
-            self.sink.emit(now, EventKind.ALERT, subject, rule.name,
-                           f"[{rule.severity}] {detail}")
+        for o in self.observers:
+            o.alert_fired(alert)
 
     def _edge(self, rule: AlertRule, now: float, subject: int,
               breached: bool, value: float, detail: str) -> None:
@@ -157,10 +178,12 @@ class AlertEngine:
                    f"{rule.metric}={total:g} {rule.op} {rule.value:g}")
 
     def _eval_rate(self, rule: AlertRule, now: float) -> None:
-        if self.events is None:
-            return
-        window = [e for e in self.events.window(now - rule.window, now)
-                  if e.kind in rule.event_kinds]
+        kept = self._windows[rule]
+        start = now - rule.window
+        while kept and kept[0].time < start:
+            kept.popleft()
+        # half-open: events stamped `now` wait for a later evaluation
+        window = [e for e in kept if e.time < now]
         if rule.per_subject:
             counts: dict[int, int] = {}
             for e in window:

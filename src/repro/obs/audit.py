@@ -13,10 +13,10 @@ Records arrive from two directions and never overlap:
 
 * **Lifecycle roots** — the :class:`~repro.obs.context.AttributionRegistry`
   records submit/dispatch/finish/login directly (it knows the job).
-* **Enforcement verdicts** — the :class:`~repro.monitor.events.
-  SecurityEventLog` streams every event into :meth:`observe_event` via its
-  sink hook; ALLOW verdicts on the UBF hot path come through
-  :meth:`ubf_verdict` (accepts only — denies already arrive as events).
+* **Enforcement verdicts** — every event the :class:`~repro.monitor.
+  events.SecurityEventLog` records reaches :meth:`observe_event`; ALLOW
+  verdicts on the UBF hot path come through :meth:`ubf_verdict` (accepts
+  only — denies already arrive as events).
 
 The trail is append-only (records are frozen, ``seq`` is monotone) and
 exports versioned JSONL (:data:`AUDIT_SCHEMA_VERSION`) for golden-file
@@ -275,9 +275,9 @@ class AuditTrail:
         return self._records[-1]
 
     def observe_event(self, event: SecurityEvent) -> None:
-        """Event-log sink: derive one audit record from a security event.
+        """Derive one audit record from a recorded security event.
 
-        Registered via ``SecurityEventLog.subscribe``; the mapping from
+        The mapping from
         :class:`EventKind` to ``(mechanism, action)`` is :data:`_KIND_MAP`
         (unknown kinds fall back to ``(kind.value, "event")`` rather than
         dropping the record — the trail must not lose verdicts).
@@ -295,7 +295,7 @@ class AuditTrail:
         """Record an UBF ALLOW from the daemon's verdict chokepoint.
 
         Only clean accepts are stored here — denies and degraded verdicts
-        already reach the trail through the event-log sink, and recording
+        already reach the trail as security events, and recording
         them twice would double-count the denial posture.
         """
         if verdict.lower() != "accept" or reason.startswith("degraded"):

@@ -10,10 +10,10 @@ the job (or session) whose processes acted there.
 
 The :class:`AttributionRegistry` is the scheduler-facing half of the
 forensic audit plane (:mod:`repro.obs.audit` stores the records,
-:func:`repro.obs.forensics.attach_forensics` wires both).  It plugs into
-``Scheduler.attribution`` with the same optional-attribute pattern as the
-tracer and oracle: ``None`` costs one attribute test on the dispatch hot
-path, and the E26 benchmark holds the armed overhead under 5%.
+:func:`repro.obs.forensics.attach_forensics` wires both).  It is an
+:class:`~repro.observer.Observer` of the scheduler's job lifecycle, like
+telemetry and the oracle; the E26 benchmark holds the armed overhead
+under 5%.
 
 Determinism: context trace ids are monotone counters (``a000001``), no
 randomness and no wall-clock — two identical runs produce byte-identical
@@ -27,6 +27,7 @@ from typing import Callable
 
 from repro.obs.audit import (_OP_DISPATCH, _OP_FINISH, _OP_GPU, _OP_LOGIN,
                              _OP_REQUEUE, _OP_SUBMIT)
+from repro.observer import Observer
 
 #: Index-journal opcodes: the live ``(uid, node) → jobs`` index is not
 #: maintained eagerly — lifecycle hooks append ``(op, uid, jid, nodes_csv)``
@@ -95,11 +96,11 @@ class AttributionContext:
         return f"AttributionContext({self.trace_id} uid={self.uid} {who})"
 
 
-class AttributionRegistry:
+class AttributionRegistry(Observer):
     """Live index from ``(uid, node)`` to the responsible context.
 
-    Plugs into ``Scheduler.attribution`` (``job_submitted`` /
-    ``job_started`` / ``job_finished`` / ``job_requeued``) and
+    Observes the scheduler (``job_submitted`` / ``job_started`` /
+    ``job_finished`` / ``job_requeued``) and is called by
     ``Cluster._open_session`` (``session_opened``); enforcement-side
     consumers call :meth:`resolve`.  When an :class:`~repro.obs.audit.
     AuditTrail` is attached (``registry.audit``), every lifecycle step is
@@ -152,8 +153,9 @@ class AttributionRegistry:
                 audit._n += 1
         return ctx
 
-    def job_started(self, job) -> None:
-        """Dispatch succeeded: journal the nodes, record GPU grants."""
+    def job_started(self, job, charged=None, useful=None) -> None:
+        """Dispatch succeeded: journal the nodes, record GPU grants (the
+        core charges are not part of the causal record)."""
         jid, uid = job.job_id, job.uid
         ctx = self.jobs.get(jid) or self.job_submitted(job)
         ctx.closed_at = None

@@ -9,11 +9,11 @@ tracer's newest spans, automatically snapshotted into a
 :class:`ForensicDump` the moment something forensically interesting
 happens — an oracle violation, a node fence, an injected fault.
 
-The recorder rides the :class:`~repro.monitor.events.SecurityEventLog`
-sink stream (it never touches the enforcement points) and takes its span
-window from :meth:`Tracer.tail <repro.obs.trace.Tracer.tail>`, so open
-spans appear in dumps tagged ``"open": true`` — an in-flight dispatch at
-fence time is precisely the evidence an investigator wants.
+The recorder is fed the :class:`~repro.monitor.events.SecurityEventLog`
+stream and every span telemetry opens (it never touches the enforcement
+points), so open spans appear in dumps tagged ``"open": true`` — an
+in-flight dispatch at fence time is precisely the evidence an
+investigator wants.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable
 
 from repro.monitor.events import EventKind, SecurityEvent
 from repro.obs.export import event_to_dict, span_to_dict
+from repro.observer import Observer
 
 #: Version stamped into every dump; bump on shape changes.
 FLIGHT_SCHEMA_VERSION = 1
@@ -76,7 +77,7 @@ class ForensicDump:
             fh.write("\n")
 
 
-class FlightRecorder:
+class FlightRecorder(Observer):
     """Bounded ring of recent events/spans with automatic incident dumps.
 
     ``capacity`` bounds each ring (the global event window, each node's
@@ -87,8 +88,8 @@ class FlightRecorder:
     * an ``ORACLE`` event → ``oracle-violation`` dump,
     * a ``NODE_LIFECYCLE`` event whose detail starts with ``"fenced:"``
       (the scheduler's fence record) → ``node-fenced`` dump,
-    * :meth:`on_fault` (wired to ``FaultInjector.on_inject``) →
-      ``fault-injected`` dump.
+    * :meth:`fault_injected` (each injected fault) → ``fault-injected``
+      dump.
 
     Dumps accumulate in ``dumps``; :meth:`snapshot` also serves manual
     capture.  The optional ``metrics`` set counts
@@ -96,7 +97,7 @@ class FlightRecorder:
     """
 
     def __init__(self, clock: Callable[[], float] | None = None, *,
-                 capacity: int = 256, tracer=None, faults=None,
+                 capacity: int = 256, faults=None,
                  metrics=None, gpu_state: Callable[[], list[dict]] | None
                  = None):
         if capacity < 1:
@@ -104,8 +105,6 @@ class FlightRecorder:
         self.clock: Callable[[], float] = clock if clock is not None \
             else (lambda: 0.0)
         self.capacity = capacity
-        #: optional Tracer whose newest spans join each dump
-        self.tracer = tracer
         #: optional FaultInjector queried for active faults at dump time
         self.faults = faults
         #: optional MetricSet counting flight_dumps_total{trigger=}
@@ -115,16 +114,17 @@ class FlightRecorder:
         self._ids = itertools.count(1)
         self._ring: deque[SecurityEvent] = deque(maxlen=capacity)
         self._node_rings: dict[str, deque[SecurityEvent]] = {}
+        #: the newest spans opened (:meth:`span_started`), open ones too
+        self._spans: deque = deque(maxlen=capacity)
         self.dumps: list[ForensicDump] = []
 
     # -- ingest -------------------------------------------------------------
 
     def observe_event(self, event: SecurityEvent) -> None:
-        """Event-log sink: record the event, snapshot when it triggers.
+        """Record a security event, snapshot when it triggers.
 
-        Registered via ``SecurityEventLog.subscribe``.  The event enters
-        the rings *before* any trigger fires, so the triggering event is
-        always the last entry of its own dump's window.
+        The event enters the rings *before* any trigger fires, so the
+        triggering event is always the last entry of its own dump's window.
         """
         self._ring.append(event)
         if event.node is not None:
@@ -141,8 +141,12 @@ class FlightRecorder:
             self.snapshot("node-fenced", node=event.node or event.target,
                           detail=event.detail)
 
-    def on_fault(self, fault) -> None:
-        """Fault-injector hook: snapshot the moment a fault is injected."""
+    def span_started(self, span) -> None:
+        """Keep *span* in the window (its end and tags fill in later)."""
+        self._spans.append(span)
+
+    def fault_injected(self, fault) -> None:
+        """Snapshot the moment a fault is injected."""
         self.snapshot("fault-injected", node=fault.host,
                       detail=fault.describe())
 
@@ -158,8 +162,8 @@ class FlightRecorder:
 
         ``node`` scopes the per-node window (empty when the node has no
         retained events).  Faults and GPU state are sampled live at
-        snapshot time; spans come from ``tracer.tail(capacity)`` and
-        include open ones.
+        snapshot time; spans are the newest ``capacity`` started, open
+        ones included.
         """
         dump = ForensicDump(
             dump_id=f"fd{next(self._ids):06d}",
@@ -171,9 +175,7 @@ class FlightRecorder:
             node_events=[event_to_dict(e)
                          for e in self._node_rings.get(node, ())]
             if node is not None else [],
-            spans=[span_to_dict(s)
-                   for s in self.tracer.tail(self.capacity)]
-            if self.tracer is not None else [],
+            spans=[span_to_dict(s) for s in self._spans],
             faults=[{"kind": f.kind.value, "host": f.host,
                      "detail": f.describe()}
                     for f in self.faults.active()]

@@ -5,59 +5,93 @@
 :class:`~repro.obs.audit.AuditTrail` (per-tenant append-only trail),
 :class:`~repro.obs.flight.FlightRecorder` (bounded recent history with
 incident dumps), and :class:`~repro.obs.alerts.AlertEngine` (declarative
-rules) — and wires them into an existing
-:class:`~repro.core.cluster.Cluster` through the same additive hooks the
-rest of the observability spine uses: the security-event log's sink
-stream, the scheduler's optional ``attribution`` attribute, the UBF
-daemons' and portal's optional ``audit`` attributes, and the fault
-injector's ``on_inject`` hook.
+rules) — and subscribes it to an existing
+:class:`~repro.core.cluster.Cluster` (:mod:`repro.observer`): the registry
+observes the job lifecycle, the :class:`Forensics` bundle clean UBF and
+portal verdicts, faults, control-plane crashes, spans and security events.
 
 Like :func:`~repro.monitor.wiring.instrument_cluster` and
 :func:`~repro.obs.telemetry.attach_telemetry`, attachment is **idempotent**
-(a second call returns the existing :class:`Forensics` bundle) and
-**order-free** with respect to the other spines — it instruments the
-event log itself if nobody has, and picks up the tracer later if
-telemetry attaches afterwards (``attach_telemetry`` completes the
-handshake).
+(a second call returns the existing bundle) and **order-free**: events and
+spans reach the plane over the cluster's own observer list, from whichever
+log and telemetry are attached before or after it.  Denials reach the
+trail only through the security-event log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.monitor.events import SecurityEventLog
-from repro.monitor.wiring import instrument_cluster
+from repro.net.firewall import Verdict
 from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.audit import AuditTrail
 from repro.obs.context import AttributionRegistry
 from repro.obs.flight import FlightRecorder
+from repro.observer import Observer
 
 
 @dataclass
-class Forensics:
+class Forensics(Observer):
     """The attached forensic plane: one handle per component.
 
     Stored as ``cluster.forensics`` by :func:`attach_forensics`; the
-    dashboard and benchmarks reach the components through it.
+    dashboard and benchmarks reach the components through it.  As an
+    observer it feeds the trail, the recorder and the alert engine.
     """
 
     registry: AttributionRegistry
     audit: AuditTrail
     flight: FlightRecorder
     alerts: AlertEngine
-    events: SecurityEventLog
+
+    def observe_event(self, event):
+        self.audit.observe_event(event)
+        self.flight.observe_event(event)
+        self.alerts.observe_event(event)
+
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        # clean ACCEPTs only: denies reach the trail as security events
+        if uid is not None and verdict is not Verdict.DROP:
+            self.audit.ubf_verdict(
+                uid=uid, node=flow.src_host,
+                target=f"{flow.dst_host}:{flow.dst_port}",
+                verdict=verdict.value, reason=reason)
+
+    def portal_forwarded(self, portal, user, creds, app):
+        self.audit.record(
+            mechanism="portal", action="allow", uid=user.uid,
+            node=app.node.name, target=f"portal:app/{app.app_id}",
+            detail=f"forwarded to {app.node.name}:{app.port}")
+
+    def fault_injected(self, fault):
+        self.flight.fault_injected(fault)
+
+    def span_started(self, span):
+        self.flight.span_started(span)
+
+    def control_plane_crashed(self, seq):
+        self.flight.snapshot("sched-crash", detail="control plane crashed")
+        self.audit.record(
+            mechanism="recovery", action="crash", uid=0, target="scheduler",
+            detail=f"control plane crashed at seq {seq}")
+
+    def control_plane_recovered(self, cluster, report):
+        self.audit.record(
+            mechanism="recovery", action="restore", uid=0,
+            target="scheduler",
+            detail=(f"replayed {report.replayed} records from seq "
+                    f"{report.snapshot_seq}; generation "
+                    f"{report.generation}; digest "
+                    f"{'intact' if report.identical else 'DIVERGED'}"))
+        self.flight.snapshot(
+            "recovery", detail=f"recovered at seq {report.journal_seq}")
 
 
 def _gpu_state(cluster):
     """Build the flight recorder's live GPU sampler for *cluster*."""
     def sample() -> list[dict]:
-        out = []
-        for cn in cluster.compute_nodes:
-            for gpu in cn.gpus:
-                summary = getattr(gpu, "forensic_summary", None)
-                if summary is not None:
-                    out.append({"node": cn.node.name, **summary()})
-        return out
+        return [{"node": gpu.host, **gpu.forensic_summary()}
+                for cn in cluster.compute_nodes for gpu in cn.gpus]
     return sample
 
 
@@ -66,63 +100,31 @@ def attach_forensics(cluster, *, capacity: int = 256,
     """Attach the forensic audit plane to *cluster*; returns the bundle.
 
     Idempotent: a second call returns the existing ``cluster.forensics``.
-    Ensures the security-event log exists (running
-    :func:`~repro.monitor.wiring.instrument_cluster` if needed), then:
-
-    * builds the registry + trail and replays any events recorded
-      *before* attachment into the trail (historical queryability — the
-      flight recorder deliberately starts empty, its rings model what a
-      node retains from now on);
-    * hooks the scheduler (``attribution``), every UBF daemon and the
-      portal (``audit``), the cluster's session opener, and the fault
-      injector (``on_inject``);
-    * subscribes the trail and the flight recorder to the live event
-      stream;
-    * stands up the alert engine with :func:`~repro.obs.alerts.
-      default_rules` (or *rules* when given) sinking ALERT events back
-      into the same log.
-
-    ``capacity`` bounds every flight-recorder ring.  The tracer joins the
-    recorder when telemetry is (or later becomes) attached.
+    Builds the registry, the trail and the flight recorder (which starts
+    empty: its rings model what a node retains from now on), stands up the
+    alert engine with :func:`~repro.obs.alerts.default_rules` (or *rules*
+    when given) firing to the cluster's planes, then subscribes the
+    registry and the bundle.  ``capacity`` bounds every flight-recorder
+    ring.
     """
     existing = getattr(cluster, "forensics", None)
     if existing is not None:
         return existing
-
-    log = instrument_cluster(cluster)
     clock = lambda: cluster.engine.now  # noqa: E731
 
     registry = AttributionRegistry(clock)
     audit = AuditTrail(clock, registry)
     registry.audit = audit
-    for event in log.events:          # replay pre-attachment history
-        audit.observe_event(event)
-
-    telemetry = getattr(cluster, "telemetry", None)
     flight = FlightRecorder(
-        clock, capacity=capacity,
-        tracer=telemetry.tracer if telemetry is not None else None,
-        faults=getattr(cluster.fabric, "faults", None),
-        metrics=cluster.metrics,
-        gpu_state=_gpu_state(cluster))
-
+        clock, capacity=capacity, faults=cluster.fabric.faults,
+        metrics=cluster.metrics, gpu_state=_gpu_state(cluster))
     alerts = AlertEngine(
-        cluster.metrics, events=log, clock=clock,
+        cluster.metrics, clock=clock,
         rules=default_rules() if rules is None else tuple(rules),
-        sink=log)
-
-    log.subscribe(audit.observe_event)
-    log.subscribe(flight.observe_event)
-
-    cluster.scheduler.attribution = registry
-    for daemon in cluster.ubf_daemons.values():
-        daemon.audit = audit
-    cluster.portal.audit = audit
-    faults = getattr(cluster.fabric, "faults", None)
-    if faults is not None:
-        faults.on_inject = flight.on_fault
-
+        observers=cluster.observers)
     bundle = Forensics(registry=registry, audit=audit, flight=flight,
-                       alerts=alerts, events=log)
+                       alerts=alerts)
     cluster.forensics = bundle  # type: ignore[attr-defined]
+    cluster.subscribe(registry)
+    cluster.subscribe(bundle)
     return bundle

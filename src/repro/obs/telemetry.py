@@ -1,17 +1,19 @@
 """The cluster-level telemetry registry.
 
 :func:`attach_telemetry` gives one built cluster a common observability
-spine: a :class:`~repro.obs.trace.Tracer` over the sim clock threaded into
-the scheduler (job lifecycle spans), every UBF daemon (per-decision spans)
-and the portal (per-request spans), plus labeled metrics at the remaining
-hot enforcement points:
+spine: a :class:`Telemetry` observer (:mod:`repro.observer`) subscribed to
+every enforcement point, which turns the scheduler's decisions into job
+lifecycle traces, every UBF decision and burst into spans, every portal
+request and PAM session into a span on a :class:`~repro.obs.trace.Tracer`
+over the sim clock, plus labeled metrics at the remaining hot enforcement
+points:
 
 * ``syscalls_total{result}`` — every call through a session's syscall
   façade, split allow/deny (the façade is wrapped by
   :class:`ObservedSyscalls`, a counting pass-through);
-* ``pam_decisions_total{result}`` — every PAM ``open_session`` evaluation;
-* ``gpu_grants_total`` / ``gpu_scrubs_total`` — prolog device assignments
-  and epilog scrubs.
+* ``pam_decisions_total{result}`` — every PAM verdict;
+* ``gpu_grants_total`` / ``gpu_scrubs_total`` — the GPU indices each
+  prolog grants and each epilog scrubs.
 
 The UBF (``ubf_verdicts_total{verdict,reason}``), scheduler
 (``sched_queue_depth``, ``sched_wait_seconds``) and portal
@@ -21,12 +23,12 @@ dict-lookup increments, cheap enough to always keep on.
 
 Everything here is additive: enforcement outcomes are identical with or
 without telemetry, and ``attach_telemetry`` is idempotent (a second call
-returns the existing registry without re-wrapping anything).
+returns the existing registry without subscribing it twice).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 from repro.kernel.errors import (
@@ -35,11 +37,11 @@ from repro.kernel.errors import (
     PermissionError_,
 )
 from repro.monitor.events import SecurityEventLog
+from repro.net.firewall import Verdict
 from repro.obs.export import export_jsonl, prometheus_text
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
+from repro.observer import Observer
 from repro.sim.metrics import MetricSet
-
-_WRAPPED_FLAG = "_telemetry_wrapped"
 
 
 class ObservedSyscalls:
@@ -90,19 +92,36 @@ class ObservedSyscalls:
 
 
 @dataclass
-class Telemetry:
-    """One cluster's observability handles, grouped.
+class Telemetry(Observer):
+    """One cluster's observability handles, and the observer feeding them.
 
     ``metrics`` is the cluster's shared :class:`MetricSet` (the same object
-    the fabric and scheduler already write to); ``tracer`` collects spans;
-    ``events`` is the :class:`SecurityEventLog` once
-    :func:`repro.monitor.wiring.instrument_cluster` has attached one
-    (either order of attachment works).
+    the fabric and scheduler already write to); ``tracer`` collects spans
+    (each passed on to ``observers``, the cluster's planes) and ``events``
+    every security event recorded while telemetry was attached.
+    ``scrub_on_epilog``: the cluster's epilog scrubs each GPU it releases.
     """
 
     metrics: MetricSet
     tracer: Tracer
-    events: SecurityEventLog | None = None
+    events: SecurityEventLog = field(default_factory=SecurityEventLog)
+    observers: list = field(default_factory=list)
+    tracing: bool = True
+    scrub_on_epilog: bool = True
+    #: job id -> its open trace: root, queue and run spans
+    _job_spans: dict = field(default_factory=dict)
+    #: the open ``ubf.decide_batch`` span (bursts do not nest)
+    _batch: Span | None = None
+    #: the open ``portal.connect`` span (requests do not nest)
+    _request: Span | None = None
+
+    def __post_init__(self):
+        # the series exist (at 0) from attachment on, whatever happens
+        counter = self.metrics.counter
+        self._pam = {r: counter("pam_decisions_total", result=r)
+                     for r in ("allow", "deny")}
+        self._grants = counter("gpu_grants_total")
+        self._scrubs = counter("gpu_scrubs_total")
 
     def prometheus(self) -> str:
         """The run's metrics in Prometheus text exposition format."""
@@ -113,100 +132,169 @@ class Telemetry:
         file object), merged chronologically.  Returns lines written."""
         return export_jsonl(sink, events=self.events, tracer=self.tracer)
 
+    def _span(self, name: str, parent: Span | None = None,
+              **tags) -> Span:
+        span = self.tracer.start_span(name, parent=parent, **tags)
+        for o in self.observers:
+            o.span_started(span)
+        return span
 
-def _wrap_pam(node, metrics: MetricSet, tracer: Tracer | None) -> None:
-    stack = node.pam
-    original = stack.open_session
-    if getattr(original, _WRAPPED_FLAG, False):
-        return
+    # -- job traces: submit -> queue -> prolog -> run -> epilog --------------
 
-    allow = metrics.counter("pam_decisions_total", result="allow")
-    deny = metrics.counter("pam_decisions_total", result="deny")
+    def job_arrived(self, job):
+        if not self.tracing:
+            return
+        root = self._span("job", job_id=job.job_id, user=job.spec.user.name,
+                          partition=job.spec.partition,
+                          ntasks=job.spec.ntasks, attempt=job.attempt)
+        self._job_spans[job.job_id] = {
+            "root": root, "queue": self._span("sched.queue", parent=root)}
 
-    def open_session(user, node_name, base_creds, _orig=original):
-        span = (tracer.start_span("pam.open_session", user=user.name,
-                                  node=node_name)
-                if tracer is not None else None)
-        try:
-            creds = _orig(user, node_name, base_creds)
-        except AccessDenied:
-            deny.inc()
-            if span is not None:
-                tracer.finish(span, result="deny")
-            raise
-        allow.inc()
-        if span is not None:
-            tracer.finish(span, result="allow")
-        return creds
+    # each attempt gets its own trace (the failed one closed NODE_FAIL)
+    job_requeued = job_arrived
 
-    setattr(open_session, _WRAPPED_FLAG, True)
-    stack.open_session = open_session
+    def job_finished(self, job, state=None):
+        spans = self._job_spans.pop(job.job_id, None)
+        if spans is None:
+            return
+        state = job.state.name.lower()
+        for key in ("queue", "run"):
+            span = spans.get(key)
+            if span is not None and span.end is None:
+                self.tracer.finish(span, state=state)
+        self.tracer.finish(spans["root"], state=state)
 
+    job_cancelled = job_finished
 
-def _wrap_gpu_hooks(scheduler, metrics: MetricSet) -> None:
-    """Count GPU device grants (prolog) and scrubs (epilog)."""
-    prolog, epilog = scheduler.prolog, scheduler.epilog
-    if prolog is not None and not getattr(prolog, _WRAPPED_FLAG, False):
-        grants = metrics.counter("gpu_grants_total")
+    def _hook_span(self, which: str, job, node) -> None:
+        spans = self._job_spans.get(job.job_id)
+        if spans is not None:
+            self.tracer.finish(self._span(f"sched.{which}",
+                                          parent=spans["root"],
+                                          node=node.name))
 
-        def counted_prolog(job, node, _orig=prolog):
-            _orig(job, node)
-            alloc = node.allocations.get(job.job_id)
-            if alloc is not None and alloc.gpu_indices:
-                grants.inc(len(alloc.gpu_indices))
+    def job_starting(self, scheduler, job, plan):
+        spans = self._job_spans.get(job.job_id)
+        if spans is not None:
+            self.tracer.finish(spans["queue"],
+                               waited=self.tracer.clock() - job.submit_time)
 
-        setattr(counted_prolog, _WRAPPED_FLAG, True)
-        scheduler.prolog = counted_prolog
-    if epilog is not None and not getattr(epilog, _WRAPPED_FLAG, False):
-        scrubs = metrics.counter("gpu_scrubs_total")
+    def job_started(self, job, charged, useful):
+        spans = self._job_spans.get(job.job_id)
+        if spans is not None:
+            spans["run"] = self._span(
+                "job.run", parent=spans["root"],
+                nodes=",".join(sorted({a.node for a in job.allocations})))
 
-        def counted_epilog(job, node, _orig=epilog):
-            alloc = node.allocations.get(job.job_id)
-            gpus = [node.gpu(i) for i in alloc.gpu_indices] \
-                if alloc is not None else []
-            before = sum(g.scrub_count for g in gpus)
-            _orig(job, node)
-            after = sum(g.scrub_count for g in gpus)
-            if after > before:
-                scrubs.inc(after - before)
+    def prolog_ran(self, job, node, gpus):
+        self._hook_span("prolog", job, node)
+        if gpus:
+            self._grants.inc(len(gpus))
 
-        setattr(counted_epilog, _WRAPPED_FLAG, True)
-        scheduler.epilog = counted_epilog
+    def epilog_ran(self, job, node, gpus):
+        self._hook_span("epilog", job, node)
+        if gpus and self.scrub_on_epilog:
+            self._scrubs.inc(len(gpus))
+
+    def hook_failed(self, which, job, node, exc):
+        self._hook_span(which, job, node)
+
+    def control_plane_crashed(self, seq):
+        # the dead scheduler's in-flight traces are lost with its tables
+        self._job_spans.clear()
+
+    # -- PAM, UBF, portal ----------------------------------------------------
+
+    def pam_session(self, user, node_name, refused_by):
+        result = "allow" if refused_by is None else "deny"
+        self._pam[result].inc()
+        if self.tracing:
+            self.tracer.finish(self._span("pam.open_session",
+                                          user=user.name, node=node_name),
+                               result=result)
+
+    def ubf_decided(self, daemon, pkt, verdict, exc):
+        if not self.tracing:
+            return
+        flow = pkt.flow
+        span = self._span("ubf.decide", host=daemon.stack.hostname,
+                          src=f"{flow.src_host}:{flow.src_port}",
+                          dst=f"{flow.dst_host}:{flow.dst_port}")
+        if exc is not None:
+            self.tracer.finish(span, status="error",
+                               error=type(exc).__name__)
+        else:
+            self.tracer.finish(span, verdict=verdict.value,
+                               reason=daemon.log[-1].reason
+                               if daemon.log else "")
+
+    def ubf_batch_started(self, daemon, pkts):
+        if self.tracing:
+            self._batch = self._span("ubf.decide_batch",
+                                     host=daemon.stack.hostname,
+                                     n=len(pkts))
+
+    def ubf_ident_group(self, daemon, key, waiters, initiator, exc):
+        if self._batch is None:
+            return
+        child = self._span("ubf.ident_group", parent=self._batch,
+                           src=f"{key[0]}:{key[2]}", proto=key[1].value,
+                           waiters=waiters)
+        if exc is not None:
+            self.tracer.finish(child, status="degraded",
+                               error=type(exc).__name__)
+        else:
+            self.tracer.finish(
+                child,
+                status="ok" if initiator is not None else "unidentifiable",
+                uid=initiator.uid if initiator is not None else -1)
+
+    def ubf_batch_finished(self, daemon, verdicts, exc):
+        span, self._batch = self._batch, None
+        if span is None:
+            return
+        if exc is not None:
+            self.tracer.finish(span, status="error",
+                               error=type(exc).__name__)
+        else:
+            drops = sum(1 for v in verdicts if v is Verdict.DROP)
+            self.tracer.finish(span, accepts=len(verdicts) - drops,
+                               drops=drops)
+
+    def portal_request(self, portal, app_id):
+        if self.tracing:
+            self._request = self._span("portal.connect", app_id=app_id)
+
+    def portal_response(self, portal, app_id, user, exc):
+        span, self._request = self._request, None
+        if span is None:
+            return
+        if user is not None:
+            span.set_tag("user", user.name)
+        if exc is not None:
+            self.tracer.finish(span, error=type(exc).__name__)
+        else:
+            self.tracer.finish(span, outcome="ok")
+
+    def observe_event(self, event):
+        self.events.record(event)
 
 
 def attach_telemetry(cluster, *, tracing: bool = True) -> Telemetry:
-    """Attach a :class:`Telemetry` registry to a built cluster.
+    """Subscribe a :class:`Telemetry` observer to a built cluster.
 
     Returns the registry (also stored as ``cluster.telemetry``).  With
-    ``tracing`` disabled only the metric instrumentation is wired — the
+    ``tracing`` disabled only the metric instrumentation runs — the
     cheapest configuration for pure-throughput benchmark runs.  Idempotent.
     """
     existing = getattr(cluster, "telemetry", None)
     if existing is not None:
         return existing
-    tracer = Tracer(clock=lambda: cluster.engine.now)
     telemetry = Telemetry(
-        metrics=cluster.metrics, tracer=tracer,
-        events=getattr(cluster, "security_log", None))
+        metrics=cluster.metrics,
+        tracer=Tracer(clock=lambda: cluster.engine.now),
+        observers=cluster.observers, tracing=tracing,
+        scrub_on_epilog=cluster.config.gpu_scrub)
     cluster.telemetry = telemetry
-
-    if tracing:
-        cluster.scheduler.tracer = tracer
-        for daemon in cluster.ubf_daemons.values():
-            daemon.tracer = tracer
-        cluster.portal.tracer = tracer
-
-    all_nodes = (cluster.login_nodes + cluster.dtn_nodes
-                 + [cluster.portal_node]
-                 + [cn.node for cn in cluster.compute_nodes])
-    for node in all_nodes:
-        _wrap_pam(node, cluster.metrics, tracer if tracing else None)
-    _wrap_gpu_hooks(cluster.scheduler, cluster.metrics)
-
-    # either-order handshake with the forensic plane: a flight recorder
-    # attached before telemetry had no tracer — give it ours so dumps
-    # carry the span window too
-    forensics = getattr(cluster, "forensics", None)
-    if forensics is not None and forensics.flight.tracer is None:
-        forensics.flight.tracer = tracer
+    cluster.subscribe(telemetry)
     return telemetry

@@ -104,10 +104,9 @@ class Tracer:
     ``spans`` in start order.
 
     ``retention`` caps the store: when set, ``spans`` becomes a bounded
-    ring keeping only the newest *retention* spans — what the flight
-    recorder and the 1e6-event E24 runs need so a long run's tracer does
-    not grow without bound.  The default stays unbounded (full-history
-    queries, golden exports).
+    ring keeping only the newest *retention* spans, so a long run's
+    tracer does not grow without bound.  The default stays unbounded
+    (full-history queries, golden exports).
     """
 
     def __init__(self, clock: Callable[[], float] | None = None, *,
@@ -154,19 +153,6 @@ class Tracer:
             self.finish(s)
 
     # -- queries -----------------------------------------------------------
-
-    def tail(self, n: int) -> list[Span]:
-        """The newest *n* spans (open ones included), oldest first.
-
-        Works for both the unbounded list and the bounded ring (deques do
-        not slice); the flight recorder reads its span window through this.
-        """
-        if n <= 0:
-            return []
-        if isinstance(self.spans, deque):
-            return list(itertools.islice(
-                self.spans, max(0, len(self.spans) - n), None))
-        return self.spans[-n:]
 
     def finished_spans(self) -> list[Span]:
         return [s for s in self.spans if s.end is not None]

@@ -1,0 +1,151 @@
+"""The enforcement-event seam: one observer list per enforcement point.
+
+Every enforcement object (``Scheduler``, ``HealthMonitor``, ``UserDB``,
+``ProcFS``, ``VFS``, ``PamStack``, ``GPUDevice``, ``UBFDaemon``,
+``Portal``, ``FaultInjector``) carries an ``observers`` list, empty by
+default, and at each decision calls the matching method of every
+observer in subscription order (``for o in self.observers:
+o.job_finished(job, state)``).  :class:`Observer` is the whole decision
+vocabulary: each method is a documented no-op, and an optional plane
+overrides only the decisions it consumes.  Decisions are method calls on
+the point's own arguments, so a point without observers allocates
+nothing.  :meth:`repro.core.cluster.Cluster.subscribe` adds one observer
+to every point of a cluster.  Observers watch; they never decide.
+
+The last group carries what planes derive from decisions to the other
+planes over the cluster's own list, so no plane holds another.
+"""
+
+from __future__ import annotations
+
+
+class Observer:
+    """No-op base of every optional plane (see the module docstring)."""
+
+    # -- scheduler (repro.sched.scheduler) ----------------------------------
+    def job_submitted(self, job):
+        """``submit`` accepted *job*; its arrival is still pending."""
+    def job_arrived(self, job):
+        """*job* entered the pending queue."""
+    def job_cancelled(self, job):
+        """*job* was cancelled while pending."""
+    def job_starting(self, scheduler, job, plan):
+        """*job* starts on *plan* ``[(node, tasks)]``; nothing allocated."""
+    def prolog_ran(self, job, node, gpus):
+        """The prolog prepared *node*, granting the job GPUs *gpus*."""
+    def job_start_failed(self, job):
+        """A prolog failed: *job* finishes FAILED without having run."""
+    def job_started(self, job, charged, useful):
+        """*job* runs on its nodes: *charged* cores, *useful* busy ones."""
+    def epilog_ran(self, job, node, gpus):
+        """The epilog cleaned *node* after *job*, releasing *gpus*."""
+    def hook_failed(self, which, job, node, exc):
+        """``"prolog"``/``"epilog"`` raised *exc*; *node* is drained."""
+    def job_finished(self, job, state):
+        """*job* left its nodes in *state*; accounting already has it."""
+    def job_requeued(self, job):
+        """A NODE_FAIL victim is back in the queue for its next attempt."""
+    def node_fenced(self, node_name, lost):
+        """*node_name* was fenced; its *lost* running jobs die NODE_FAIL."""
+    def node_drained(self, node_name):
+        """*node_name* takes no new work."""
+    def node_resumed(self, node_name):
+        """*node_name* is schedulable again."""
+    def node_remediated(self, scheduler, node, summary):
+        """*node* was cleaned (*summary*: counts by kind) to rejoin."""
+    def node_lifecycle(self, time, target, detail, job_id=None, node=None):
+        """Another lifecycle transition (health, residue, flaps, requeue)."""
+    def control_plane_crashed(self, seq):
+        """The control plane dies at journal *seq*; its tables go next."""
+    def control_plane_recovered(self, cluster, report):
+        """Recovery rebuilt the control plane (*report*: RecoveryReport)."""
+
+    # -- health monitor (repro.sched.health) --------------------------------
+    def heartbeat_state(self, lc):
+        """A node's lifecycle record *lc* changed."""
+    def residue_recorded(self, residue):
+        """Fencing recorded what a dead node leaves behind."""
+    def residue_cleared(self, node_name):
+        """*node_name* rejoined; its recorded residue is gone."""
+    def tick_armed(self, fire_t):
+        """The heartbeat tick will fire at *fire_t*."""
+    def tick_fired(self):
+        """The heartbeat tick fired."""
+    def host_unreachable(self, host, since):
+        """*host* has been unreachable since *since*."""
+    def host_reachable(self, host):
+        """*host* answers again."""
+    def dead_host_purged(self, host):
+        """Peers' state about *host* was purged after its TTL."""
+
+    # -- account database (repro.kernel.users) ------------------------------
+    def user_added(self, user, generation):
+        """A user (and its private group) was created."""
+    def project_group_added(self, group, generation):
+        """An approved project group was created."""
+    def member_added(self, group, uid, generation):
+        """*uid* joined the project *group*."""
+    def member_removed(self, group, uid, generation):
+        """*uid* left the project *group*."""
+    def system_group_added(self, group, generation):
+        """A system group was created."""
+
+    # -- kernel: /proc, VFS, PAM --------------------------------------------
+    def procfs_viewed(self, fs, viewer, procs, op, uids=None):
+        """A ``/proc`` *op* showed *procs* (or the uid set *uids*)."""
+    def vfs_mode_set(self, vfs, path, creds, mode, op):
+        """*op* (``create``/``chmod``) stored *mode* on *path*."""
+    def vfs_acl_set(self, vfs, path, creds, entry):
+        """``setfacl`` stored *entry* on *path*."""
+    def pam_session(self, user, node_name, refused_by):
+        """A PAM session opened, or the module *refused_by* refused it."""
+
+    # -- GPU devices (repro.gpu.device) -------------------------------------
+    def gpu_read(self, device, creds):
+        """A ``/dev`` read reached *device*'s memory."""
+    def gpu_denied(self, device, creds, path):
+        """The VFS refused an open of *device*'s ``/dev`` file."""
+
+    # -- UBF daemon (repro.net.ubf) -----------------------------------------
+    def ubf_cached(self, daemon, key, verdict):
+        """A cached *verdict* answered ``key = (uid, l_uid, l_egid)``."""
+    def ubf_concluded(self, daemon, pkt, listener, initiator, verdict):
+        """A full, post-ident decision reached *verdict*."""
+    def ubf_degraded(self, daemon, verdict):
+        """Identity was unavailable; the fault policy gave *verdict*."""
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        """Any verdict, on every path (*code*: its DecisionReason)."""
+    def ubf_decided(self, daemon, pkt, verdict, exc):
+        """One ``decide`` call returned *verdict* or raised *exc*."""
+    def ubf_batch_started(self, daemon, pkts):
+        """A ``decide_batch`` burst of *pkts* begins."""
+    def ubf_ident_group(self, daemon, key, waiters, initiator, exc):
+        """One coalesced ident exchange for *waiters* packets concluded."""
+    def ubf_batch_finished(self, daemon, verdicts, exc):
+        """The burst returned *verdicts* or raised *exc*."""
+
+    # -- portal (repro.portal.gateway) --------------------------------------
+    def portal_request(self, portal, app_id):
+        """A ``connect`` to app *app_id* begins."""
+    def portal_response(self, portal, app_id, user, exc):
+        """It ended: *user* if authenticated, *exc* if it raised."""
+    def portal_routes(self, portal, session, apps):
+        """The route listing for *session* returned *apps*."""
+    def portal_forwarded(self, portal, user, creds, app):
+        """A request reached *app* through a process with *creds*."""
+    def portal_denied(self, portal, uid, app_id, detail):
+        """A request was refused before forwarding."""
+
+    # -- faults (repro.faults.injector) -------------------------------------
+    def fault_injected(self, fault):
+        """*fault* was injected."""
+
+    # -- between planes -----------------------------------------------------
+    def observe_event(self, event):
+        """The security-event log recorded *event*."""
+    def oracle_violation(self, violation, uid, job_id, node):
+        """The oracle found *violation*, attributed to *uid*/*job_id*."""
+    def alert_fired(self, alert):
+        """An alert rule fired."""
+    def span_started(self, span):
+        """Telemetry opened *span*."""

@@ -10,19 +10,18 @@ sampling — how CI proves the whole tier-1 suite and the E23/E24 smoke
 points make zero violating decisions.
 """
 
-from repro.oracle.hooks import attach_oracle, wrap_gpu_hooks  # noqa: F401
+from repro.oracle.hooks import attach_oracle  # noqa: F401
 from repro.oracle.invariants import BY_ID, CATALOG, Invariant  # noqa: F401
 from repro.oracle.oracle import (  # noqa: F401
     DEFAULT_SEED,
     SeparationOracle,
     SeparationViolation,
     Violation,
-    reference_placement,
     reference_ubf_verdict,
 )
 
 __all__ = [
     "BY_ID", "CATALOG", "DEFAULT_SEED", "Invariant", "SeparationOracle",
     "SeparationViolation", "Violation", "attach_oracle",
-    "reference_placement", "reference_ubf_verdict", "wrap_gpu_hooks",
+    "reference_ubf_verdict",
 ]

@@ -5,7 +5,9 @@
 :func:`repro.monitor.wiring.instrument_cluster`: idempotent (a second call
 returns the existing oracle) and strictly additive (every enforcement
 outcome is identical with or without it — the oracle observes decisions,
-it never makes them).
+it never makes them).  It subscribes the oracle
+(:meth:`~repro.core.cluster.Cluster.subscribe`) to every enforcement
+point, and reports violations to the cluster's planes.
 
 Checks are armed *conditionally on the cluster's configuration*: a
 BASELINE or ablated cluster legitimately leaks through the mechanisms it
@@ -18,53 +20,12 @@ violations.
 
 Raw components outside a :class:`~repro.core.cluster.Cluster` (the E24
 benchmarks build schedulers, daemons, and ProcFS views directly) attach by
-assigning the ``oracle`` attribute themselves; only the GPU prolog/epilog
-verification needs the :func:`wrap_gpu_hooks` helper because the hooks are
-plain closures.
+appending the oracle to their ``observers`` themselves.
 """
 
 from __future__ import annotations
 
 from repro.oracle.oracle import DEFAULT_SEED, SeparationOracle
-
-_WRAPPED_FLAG = "_oracle_wrapped"
-
-
-def wrap_gpu_hooks(scheduler, oracle: SeparationOracle, *,
-                   assign_device_perms: bool,
-                   scrub_on_epilog: bool) -> None:
-    """Wrap the scheduler's prolog/epilog with post-condition checks.
-
-    The wrappers capture the allocation's GPU indices *before* delegating
-    (the epilog may run arbitrarily close to the release) and verify the
-    Section IV-F post-conditions afterwards.  Idempotent via the same
-    wrapped-flag idiom the telemetry spine uses, and composes with its
-    wrappers in either attach order.
-    """
-    prolog = scheduler.prolog
-    if (assign_device_perms and prolog is not None
-            and not getattr(prolog, _WRAPPED_FLAG, False)):
-        def checked_prolog(job, node, _inner=prolog):
-            _inner(job, node)
-            alloc = node.allocations.get(job.job_id)
-            if alloc is not None and alloc.gpu_indices:
-                oracle.check_gpu_assigned(node, job,
-                                          tuple(alloc.gpu_indices))
-        setattr(checked_prolog, _WRAPPED_FLAG, True)
-        scheduler.prolog = checked_prolog
-
-    epilog = scheduler.epilog
-    if ((assign_device_perms or scrub_on_epilog) and epilog is not None
-            and not getattr(epilog, _WRAPPED_FLAG, False)):
-        def checked_epilog(job, node, _inner=epilog):
-            alloc = node.allocations.get(job.job_id)
-            indices = tuple(alloc.gpu_indices) if alloc is not None else ()
-            _inner(job, node)
-            oracle.check_gpu_released(node, job, indices,
-                                      scrub_expected=scrub_on_epilog,
-                                      perms_expected=assign_device_perms)
-        setattr(checked_epilog, _WRAPPED_FLAG, True)
-        scheduler.epilog = checked_epilog
 
 
 def attach_oracle(cluster, *, sampling_rate: float = 1.0,
@@ -83,42 +44,14 @@ def attach_oracle(cluster, *, sampling_rate: float = 1.0,
     existing = getattr(cluster, "oracle", None)
     if existing is not None:
         return existing
-    config = cluster.config
     oracle = SeparationOracle(
         sampling_rate=sampling_rate, shadow_rate=shadow_rate,
         fail_fast=fail_fast, metrics=cluster.metrics,
-        events=getattr(cluster, "security_log", None),
+        observers=cluster.observers,
         clock=lambda: cluster.engine.now, seed=seed)
+    # I5 checks follow the measures this cluster's hooks enforce
+    oracle.gpu_perms = cluster.config.gpu_dev_assignment
+    oracle.gpu_scrub = cluster.config.gpu_scrub
     cluster.oracle = oracle
-
-    # I1 — every node's /proc view (login, compute, portal, dtn)
-    nodes = (cluster.login_nodes + cluster.dtn_nodes
-             + [cluster.portal_node]
-             + [cn.node for cn in cluster.compute_nodes])
-    for node in nodes:
-        node.procfs.oracle = oracle
-        # I3 — every VFS (the shared mounts route through each node's VFS)
-        node.vfs.oracle = oracle
-
-    # I2 — every UBF daemon
-    for daemon in cluster.ubf_daemons.values():
-        daemon.oracle = oracle
-
-    # I4 — the scheduler's start path
-    cluster.scheduler.oracle = oracle
-
-    # I5 — GPU prolog/epilog post-conditions and the residue read check.
-    # The dev-read check is only sound when both IV-F measures are active:
-    # without assignment the ablations *measure* the stranger-reads-residue
-    # gap, and without scrub residue is the documented baseline behaviour.
-    wrap_gpu_hooks(cluster.scheduler, oracle,
-                   assign_device_perms=config.gpu_dev_assignment,
-                   scrub_on_epilog=config.gpu_scrub)
-    if config.gpu_dev_assignment and config.gpu_scrub:
-        for cn in cluster.compute_nodes:
-            for gpu in cn.gpus:
-                gpu.oracle = oracle
-
-    # I6 — the portal (the checks self-disarm when require_auth is off)
-    cluster.portal.oracle = oracle
+    cluster.subscribe(oracle)
     return oracle

@@ -1,10 +1,10 @@
 """The separation oracle: online invariant checking at enforcement points.
 
-Every enforcement object (ProcFS, UBFDaemon, Scheduler, GPUDevice, VFS,
-Portal) carries an ``oracle`` attribute that defaults to ``None`` — the hot
-path pays one attribute test when the oracle is off.  When attached
-(:func:`repro.oracle.hooks.attach_oracle`), each decision calls the
-matching ``check_*`` method here, which
+The :class:`SeparationOracle` is an :class:`~repro.observer.Observer`:
+subscribed to the enforcement points (ProcFS, VFS, UBFDaemon, Scheduler,
+GPUDevice, Portal — :func:`repro.oracle.hooks.attach_oracle` subscribes it
+to a whole cluster), it hears each decision and calls the matching
+``check_*`` method here, which
 
 1. **samples**: a seeded :class:`random.Random` admits a
    ``sampling_rate`` fraction of decisions (1.0 in tests and CI, small in
@@ -13,18 +13,21 @@ matching ``check_*`` method here, which
    *independent* restatement of the paper rule — not by calling the code
    under test;
 3. **shadows**: on a ``shadow_rate`` fraction, recomputes the decision via
-   the retained naive reference path (full-partition first-fit scan, the
-   appendix UBF rule on the ident snapshot, filter-everything /proc scans)
-   and reports any divergence from the PR-3 indexed fast paths;
+   the retained naive reference path (the scheduler's full-partition
+   first-fit scan, the appendix UBF rule on the ident snapshot,
+   filter-everything /proc scans) and reports any divergence from the
+   indexed fast paths;
 4. **reports** violations as :class:`Violation` records, labeled
-   ``oracle_*`` metrics, and ``EventKind.ORACLE`` security events — and
-   raises :class:`SeparationViolation` when ``fail_fast`` is set (how the
-   CI oracle job turns any drift into a test failure).
+   ``oracle_*`` metrics, and :meth:`~repro.observer.Observer.
+   oracle_violation` to its ``observers`` (the security-event log records
+   an ``EventKind.ORACLE`` event) — and raises :class:`SeparationViolation`
+   when ``fail_fast`` is set (how the CI oracle job turns any drift into a
+   test failure).
 
 Checks never mutate enforcement state and never consume enforcement
-metrics (the scheduler shadow replans without touching
-``sched_dispatch_scan``), so an attached oracle is behaviour-preserving by
-construction; ``tests/oracle/`` pins additivity.
+metrics (the dispatch loops, not the placement scan the shadow replays,
+count ``sched_dispatch_scan``), so an attached oracle is
+behaviour-preserving by construction; ``tests/oracle/`` pins additivity.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.observer import Observer
 from repro.oracle.invariants import BY_ID, CATALOG, Invariant
 
 #: default seed for the sampling RNG — fixed so two identical runs sample
@@ -73,53 +77,13 @@ def reference_ubf_verdict(init_uid: int | None,
             or listen_egid in init_groups)
 
 
-def reference_placement(scheduler, job) -> list[tuple[str, int]] | None:
-    """Reference first-fit plan as [(node name, tasks)], or None.
-
-    Replays the greedy scan over the job's partition in declaration order —
-    the same algorithm as ``Scheduler._placement_for`` but standalone, so a
-    shadow replan cannot inflate the ``sched_dispatch_scan`` counter the
-    perf tests pin.
-    """
-    from repro.sched.policies import tasks_placeable
-    spec = job.spec
-    policy = scheduler._policy_for(job)
-    remaining = spec.ntasks
-    plan: list[tuple[str, int]] = []
-    for name in scheduler.partitions[spec.partition].node_names:
-        node = scheduler.nodes[name]
-        if node.failed or node.drained:
-            continue
-        n = tasks_placeable(
-            policy,
-            free_cores=node.free_cores,
-            free_mem_mb=node.free_mem_mb,
-            free_gpus=len(node.free_gpu_indices),
-            cores_per_task=spec.cores_per_task,
-            mem_mb_per_task=spec.mem_mb_per_task,
-            gpus_per_task=spec.gpus_per_task,
-            node_idle=node.idle,
-            node_uids=node.running_uids(),
-            job_uid=job.uid,
-            job_exclusive=spec.exclusive,
-        )
-        if n <= 0:
-            continue
-        take = min(n, remaining)
-        plan.append((name, take))
-        remaining -= take
-        if remaining == 0:
-            break
-    return plan if remaining == 0 else None
-
-
-class SeparationOracle:
+class SeparationOracle(Observer):
     """Always-on invariant checker shared by a cluster's choke points."""
 
     def __init__(self, *, sampling_rate: float = 1.0,
                  shadow_rate: float | None = None,
                  fail_fast: bool = False,
-                 metrics=None, events=None, clock=None,
+                 metrics=None, observers=None, clock=None,
                  seed: int = DEFAULT_SEED):
         if not 0.0 <= sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate {sampling_rate} not in [0, 1]")
@@ -132,8 +96,11 @@ class SeparationOracle:
             raise ValueError(f"shadow_rate {self.shadow_rate} not in [0, 1]")
         self.fail_fast = fail_fast
         self.metrics = metrics
-        #: optional SecurityEventLog; violations emit EventKind.ORACLE
-        self.events = events
+        #: told every violation (in a cluster: the cluster's planes)
+        self.observers = [] if observers is None else observers
+        #: the Section IV-F measures the cluster's prolog/epilog enforce
+        #: (GPU decisions go unchecked while both are off)
+        self.gpu_perms = self.gpu_scrub = False
         self.clock = clock or (lambda: 0.0)
         self.violations: list[Violation] = []
         self._rng = random.Random(seed)
@@ -241,21 +208,15 @@ class SeparationOracle:
                    job_id: int | None = None,
                    node: str | None = None) -> None:
         assert invariant_id in BY_ID
-        now = self.clock()
-        self.violations.append(
-            Violation(invariant=invariant_id, time=now, subject=subject,
-                      detail=detail, attack=self._attack))
+        violation = Violation(invariant=invariant_id, time=self.clock(),
+                              subject=subject, detail=detail,
+                              attack=self._attack)
+        self.violations.append(violation)
         if self.metrics is not None:
             self.metrics.counter("oracle_violations_total",
                                  invariant=invariant_id).inc()
-        if self.events is not None:
-            from repro.monitor.events import EventKind
-            # the attribution stamps (uid of the principal whose action
-            # surfaced the breach, job/node when known) let the forensic
-            # audit plane chain an ORACLE event to its causal root
-            self.events.emit(now, EventKind.ORACLE, uid, subject,
-                             f"[{invariant_id}] {detail}",
-                             job_id=job_id, node=node)
+        for o in self.observers:
+            o.oracle_violation(violation, uid, job_id, node)
         if self.fail_fast and self._attack is None:
             raise SeparationViolation(
                 f"[{invariant_id}] {subject}: {detail}")
@@ -474,7 +435,9 @@ class SeparationOracle:
                     uid=job.uid, job_id=job.job_id, node=node.name)
         if not scheduler.config.naive and self._shadowed():
             self._shadow_checks += 1
-            ref = reference_placement(scheduler, job)
+            ref, _ = scheduler._placement_for(job)
+            if ref is not None:
+                ref = [(node.name, take) for node, take in ref]
             got = [(node.name, take) for node, take in plan]
             if ref != got:
                 self._violation(
@@ -588,10 +551,10 @@ class SeparationOracle:
     def check_gpu_read(self, device, creds) -> None:
         """A /dev read reached the device: no cross-uid residue allowed.
 
-        Only armed (hooks.py) when both Section IV-F measures are on —
-        with assignment off a stranger's read of a dirty device is the
-        documented *configuration* gap the E12/E14 ablations measure, not
-        an enforcement failure.
+        Only run (:meth:`gpu_read`) when both Section IV-F measures are
+        on — with assignment off a stranger's read of a dirty device is
+        the documented *configuration* gap the E12/E14 ablations measure,
+        not an enforcement failure.
         """
         if self._busy or not self._sampled():
             return
@@ -792,3 +755,42 @@ class SeparationOracle:
                     f"granted-but-unscrubbed GPU(s) {gpus} belong to no "
                     f"live running job after recovery",
                     job_id=job_id, node=node_name)
+
+    # -- the decisions it checks (repro.observer) ---------------------------
+    def procfs_viewed(self, fs, viewer, procs, op, uids=None):
+        self.check_procfs_view(fs, viewer, procs, op, uids)
+    def vfs_mode_set(self, vfs, path, creds, mode, op):
+        self.check_vfs_mode(vfs, path, creds, mode, op)
+    def vfs_acl_set(self, vfs, path, creds, entry):
+        self.check_vfs_acl(vfs, path, creds, entry)
+    def ubf_cached(self, daemon, key, verdict):
+        self.check_ubf_cached(daemon, key, verdict)
+    def ubf_concluded(self, daemon, pkt, listener, initiator, verdict):
+        self.check_ubf_conclude(daemon, pkt, listener, initiator, verdict)
+    def ubf_degraded(self, daemon, verdict):
+        self.check_ubf_degraded(daemon, verdict)
+    def job_starting(self, scheduler, job, plan):
+        self.check_sched_start(scheduler, job, plan)
+    def node_remediated(self, scheduler, node, summary):
+        self.check_node_rejoin(scheduler, node)
+    def control_plane_recovered(self, cluster, report):
+        self.check_recovery(cluster, report)
+    def portal_routes(self, portal, session, apps):
+        self.check_portal_routes(portal, session, apps)
+    def portal_forwarded(self, portal, user, creds, app):
+        self.check_portal_forward(portal, user, creds, app)
+
+    # the GPU checks follow the Section IV-F measures the cluster enforces
+    def prolog_ran(self, job, node, gpus):
+        if self.gpu_perms:
+            self.check_gpu_assigned(node, job, tuple(gpus))
+
+    def epilog_ran(self, job, node, gpus):
+        if self.gpu_perms or self.gpu_scrub:
+            self.check_gpu_released(node, job, tuple(gpus),
+                                    scrub_expected=self.gpu_scrub,
+                                    perms_expected=self.gpu_perms)
+
+    def gpu_read(self, device, creds):
+        if self.gpu_perms and self.gpu_scrub:
+            self.check_gpu_read(device, creds)

@@ -2,8 +2,9 @@
 
 Every operation that changes scheduler, accounting, health, or account-
 database state appends one versioned record here *as part of the operation
-itself* (the enforcement objects carry a ``journal`` attribute defaulting
-to ``None``, so the unpersisted hot path pays one attribute test).  A
+itself*: the :class:`Journal` is an :class:`~repro.observer.Observer` of
+the scheduler, the health monitor and the account database, and its
+typed writers are the observer methods of the decisions it records.  A
 record is a flat JSON-able dict::
 
     {"v": 1, "seq": 184, "t": 120.5, "op": "dispatch", ...}
@@ -30,6 +31,8 @@ suffix a recovery must process.
 
 from __future__ import annotations
 
+from repro.observer import Observer
+
 #: schema version stamped on every journal record and snapshot; bump on
 #: any incompatible change to the record vocabulary or snapshot layout.
 PERSIST_SCHEMA_VERSION = 1
@@ -38,7 +41,7 @@ PERSIST_SCHEMA_VERSION = 1
 JOURNAL_STREAM = "journal"
 
 
-class Journal:
+class Journal(Observer):
     """Typed writer of control-plane journal records over a RunStore."""
 
     def __init__(self, store, clock, *, snapshot_every: int = 256):
@@ -105,7 +108,7 @@ class Journal:
     def job_cancelled(self, job) -> None:
         self._append({"op": "cancel", "job_id": job.job_id})
 
-    def job_dispatched(self, job, charged: int, useful: int) -> None:
+    def job_started(self, job, charged: int, useful: int) -> None:
         rows = []
         for a in job.allocations:
             rows.append((a.node, a.tasks, a.cores, a.mem_mb,
@@ -121,9 +124,13 @@ class Journal:
         self._append({"op": "requeue", "job_id": job.job_id,
                       "attempt": job.attempt})
 
+    def job_start_failed(self, job) -> None:
+        # zero-charge dispatch: replay rebuilds the same failed row
+        self.job_started(job, 0, 0)
+
     # -- node administration ------------------------------------------------
 
-    def node_fenced(self, node_name: str) -> None:
+    def node_fenced(self, node_name: str, lost: int) -> None:
         self.append("fence", node=node_name)
 
     def node_drained(self, node_name: str) -> None:
@@ -132,20 +139,20 @@ class Journal:
     def node_resumed(self, node_name: str) -> None:
         self.append("resume", node=node_name)
 
-    def node_remediated(self, node_name: str) -> None:
-        self.append("remediate", node=node_name)
+    def node_remediated(self, scheduler, node, summary) -> None:
+        self.append("remediate", node=node.name)
 
     # -- GPU custody (I8 evidence; replayed as no-ops) ----------------------
 
-    def gpu_granted(self, job, node_name: str,
-                    gpu_indices: list[int]) -> None:
-        self.append("gpu_grant", job_id=job.job_id, node=node_name,
-                    gpus=list(gpu_indices))
+    def prolog_ran(self, job, node, gpus) -> None:
+        if gpus:
+            self.append("gpu_grant", job_id=job.job_id, node=node.name,
+                        gpus=list(gpus))
 
-    def gpu_scrubbed(self, job, node_name: str,
-                     gpu_indices: list[int]) -> None:
-        self.append("gpu_scrub", job_id=job.job_id, node=node_name,
-                    gpus=list(gpu_indices))
+    def epilog_ran(self, job, node, gpus) -> None:
+        if gpus:
+            self.append("gpu_scrub", job_id=job.job_id, node=node.name,
+                        gpus=list(gpus))
 
     # -- account database ---------------------------------------------------
 

@@ -14,16 +14,18 @@ the crash cancelled, bump ``UserDB.generation`` past every value any UBF
 verdict cache ever saw, and :meth:`~repro.net.ubf.UBFDaemon.resync` every
 daemon so no pre-crash verdict survives into the recovered world.  Replay
 rebuilds **tables, not effects**: it never calls ``node.allocate``,
-prolog/epilog hooks, or audit/oracle/attribution callbacks — those ran
-(and were recorded) before the crash, and re-running them would corrupt
-the surviving data plane and double-count the evidence.
+prolog/epilog hooks, or the scheduler's observers — those ran (and were
+recorded) before the crash, and re-running them would corrupt the
+surviving data plane and double-count the evidence.  The scheduler object
+itself survives, observers included.
 
-Recovery is measured, attributed, and checked: every crash/recover cycle
-leaves an audit RECOVERY marker plus a flight-recorder dump on each side
-(so ``chain()`` causal attribution crosses the restart), returns a
-:class:`RecoveryReport` with before/after state digests, and — when the
-separation oracle is armed — runs invariant I8 ("recovery preserves
-separation") over the report and the journal itself.
+Recovery is measured, attributed, and checked: the crash and the
+recovery are each reported to the scheduler's observers
+(:mod:`repro.observer`), so the forensic plane leaves an audit RECOVERY
+marker plus a flight-recorder dump on each side (``chain()`` causal
+attribution crosses the restart), and — when the separation oracle is
+armed — invariant I8 ("recovery preserves separation") runs over the
+returned :class:`RecoveryReport` and the journal itself.
 """
 
 from __future__ import annotations
@@ -66,14 +68,12 @@ class RecoveryReport:
 # -- persistence spine -----------------------------------------------------
 
 class PersistSpine:
-    """Wires a :class:`Journal` into every mutating control-plane object.
+    """A :class:`Journal` plus the snapshots that bound its replay.
 
-    One per cluster (``cluster.persist``).  :meth:`wire` is idempotent and
-    re-runnable — recovery calls it again after rebuilding the control
-    plane, and re-wraps nothing twice (the GPU prolog/epilog wrappers
-    carry a ``_persist_wrapped`` flag, the same guard idiom the oracle's
-    hook wrappers use).  The health monitor needs no wiring at all: it
-    reads the journal through its scheduler reference.
+    One per cluster (``cluster.persist``); :func:`attach_persistence`
+    subscribes the journal to the cluster, so every mutating
+    control-plane decision — scheduler, UserDB, health monitor, GPU
+    custody — appends a record.
     """
 
     #: adaptive cadence floor, and the multiplier on the state-item count
@@ -118,47 +118,6 @@ class PersistSpine:
                 self.SNAPSHOT_FACTOR * self._state_items())
         return snap
 
-    def wire(self) -> None:
-        """(Re-)attach the journal to scheduler, UserDB, health, and the
-        GPU custody hooks."""
-        cluster = self.cluster
-        cluster.scheduler.journal = self.journal
-        cluster.userdb.journal = self.journal
-        # the health monitor reads the journal through its scheduler
-        # reference (a property), so it needs no wiring of its own
-        self._wrap_gpu_hooks(cluster.scheduler)
-
-    def _wrap_gpu_hooks(self, sched) -> None:
-        """Journal GPU grants/scrubs around the existing prolog/epilog."""
-        journal = self.journal
-
-        if sched.prolog is not None \
-                and not getattr(sched.prolog, "_persist_wrapped", False):
-            orig_prolog = sched.prolog
-
-            def prolog(job, node):
-                orig_prolog(job, node)
-                alloc = node.allocations.get(job.job_id)
-                if alloc is not None and alloc.gpu_indices:
-                    journal.gpu_granted(job, node.name, alloc.gpu_indices)
-
-            prolog._persist_wrapped = True
-            sched.prolog = prolog
-
-        if sched.epilog is not None \
-                and not getattr(sched.epilog, "_persist_wrapped", False):
-            orig_epilog = sched.epilog
-
-            def epilog(job, node):
-                alloc = node.allocations.get(job.job_id)
-                gpus = list(alloc.gpu_indices) if alloc is not None else []
-                orig_epilog(job, node)
-                if gpus:
-                    journal.gpu_scrubbed(job, node.name, gpus)
-
-            epilog._persist_wrapped = True
-            sched.epilog = epilog
-
 
 def attach_persistence(cluster, store: RunStore | None = None, *,
                        snapshot_every: int | None = None) -> PersistSpine:
@@ -179,7 +138,7 @@ def attach_persistence(cluster, store: RunStore | None = None, *,
                          else MemoryRunStore(),
                          snapshot_every=snapshot_every)
     cluster.persist = spine
-    spine.wire()
+    cluster.subscribe(spine.journal)
     spine.snapshot()
     return spine
 
@@ -204,14 +163,8 @@ def crash_control_plane(cluster) -> str:
     sched = cluster.scheduler
     if getattr(sched, "crashed", False):
         raise RuntimeError("control plane is already crashed")
-
-    forensics = getattr(cluster, "forensics", None)
-    if forensics is not None:
-        forensics.flight.snapshot("sched-crash",
-                                  detail="control plane crashed")
-        forensics.audit.record(
-            mechanism="recovery", action="crash", uid=0, target="scheduler",
-            detail=f"control plane crashed at seq {spine.journal.seq}")
+    for o in sched.observers:
+        o.control_plane_crashed(spine.journal.seq)
 
     digest = state_digest(cluster)
     spine.last_crash_digest = digest
@@ -230,7 +183,6 @@ def crash_control_plane(cluster) -> str:
     sched._queue = []
     sched._running = {}
     sched._core_charge = {}
-    sched._job_spans = {}
     sched._fresh_jobs = set()
     sched._dirty_parts = set()
     sched._next_jid = 1
@@ -318,10 +270,7 @@ def recover_cluster(cluster) -> RecoveryReport:
     for daemon in cluster.ubf_daemons.values():
         purged += daemon.resync(reason="recovery")
 
-    # Re-wire (idempotent — a health monitor attached after the original
-    # wiring starts journaling here) and clear the crash fault so posture
-    # reporting shows a healthy control plane again.
-    spine.wire()
+    # clear the crash fault: posture reporting shows a healthy plane again
     from repro.faults.injector import FaultKind
     injector = cluster.fabric.faults
     for fault in injector.active(FaultKind.SCHED_CRASH):
@@ -339,22 +288,8 @@ def recover_cluster(cluster) -> RecoveryReport:
     )
     spine.last_report = report
     cluster.metrics.counter("sched_recoveries_total").inc()
-
-    forensics = getattr(cluster, "forensics", None)
-    if forensics is not None:
-        forensics.audit.record(
-            mechanism="recovery", action="restore", uid=0,
-            target="scheduler",
-            detail=(f"replayed {report.replayed} records from seq "
-                    f"{report.snapshot_seq}; generation "
-                    f"{report.generation}; digest "
-                    f"{'intact' if report.identical else 'DIVERGED'}"))
-        forensics.flight.snapshot(
-            "recovery", detail=f"recovered at seq {report.journal_seq}")
-
-    oracle = getattr(cluster, "oracle", None)
-    if oracle is not None:
-        oracle.check_recovery(cluster, report)
+    for o in sched.observers:
+        o.control_plane_recovered(cluster, report)
 
     spine.snapshot()  # fresh restore point: bounds the next replay
     return report

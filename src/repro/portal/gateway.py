@@ -31,7 +31,6 @@ from typing import Callable
 from repro.kernel.errors import AccessDenied, NoSuchEntity, TimedOut
 from repro.kernel.node import LinuxNode
 from repro.kernel.users import User, UserDB
-from repro.monitor.events import EventKind
 from repro.net.stack import Fabric
 from repro.portal.webapp import WebApp
 
@@ -57,17 +56,8 @@ class Portal:
     session_ttl: float | None = None
     #: time source; the cluster wires this to the simulation clock
     clock: "Callable[[], float]" = staticmethod(lambda: 0.0)
-    #: observability (both optional, wired by repro.monitor / repro.obs):
-    #: denied requests are emitted here as EventKind.PORTAL_DENY
-    event_log: object | None = None
-    #: span source (repro.obs.trace.Tracer) for request forwarding
-    tracer: object | None = None
-    #: separation oracle (repro.oracle); None = zero-cost hooks
-    oracle: object | None = None
-    #: forensic audit trail (repro.obs.audit); successful forwards are
-    #: recorded with causal attribution (denies reach the trail through
-    #: the security-event stream).  None = zero cost.
-    audit: object | None = None
+    #: optional planes (repro.observer) told of every request
+    observers: list = field(default_factory=list, repr=False)
     _routes: dict[int, WebApp] = field(default_factory=dict)
     _sessions: dict[str, PortalSession] = field(default_factory=dict)
     _rng_counter: itertools.count = field(default_factory=lambda: itertools.count(1))
@@ -108,8 +98,8 @@ class Portal:
         """Apps the portal lists for this user: their own only."""
         apps = [a for a in self._routes.values()
                 if a.owner_uid == session.user.uid]
-        if self.oracle is not None:
-            self.oracle.check_portal_routes(self, session, apps)
+        for o in self.observers:
+            o.portal_routes(self, session, apps)
         return apps
 
     # -- forwarding ------------------------------------------------------------------
@@ -118,12 +108,6 @@ class Portal:
         self.fabric.metrics.counter("portal_requests_total",
                                     result=result).inc()
 
-    def _deny_event(self, subject_uid: int, app_id: int,
-                    detail: str) -> None:
-        if self.event_log is not None:
-            self.event_log.emit(self.clock(), EventKind.PORTAL_DENY,
-                                subject_uid, f"portal:app/{app_id}", detail)
-
     def connect(self, token: str | None, app_id: int) -> bytes:
         """Fetch the app's page through the portal.
 
@@ -131,34 +115,35 @@ class Portal:
         is required) and :class:`~repro.kernel.errors.TimedOut` when the
         UBF drops the forwarded hop (cross-user access attempt).
         """
-        span = (self.tracer.start_span("portal.connect", app_id=app_id)
-                if self.tracer is not None else None)
+        for o in self.observers:
+            o.portal_request(self, app_id)
+        user = exc = None
         try:
-            page = self._connect(token, app_id, span)
-        except BaseException as exc:
-            if span is not None:
-                self.tracer.finish(span, error=type(exc).__name__)
+            user = self._authenticate(token, app_id)
+            return self._forward(user, app_id)
+        except BaseException as raised:
+            exc = raised
             raise
-        if span is not None:
-            self.tracer.finish(span, outcome="ok")
-        return page
+        finally:
+            for o in self.observers:
+                o.portal_response(self, app_id, user, exc)
 
-    def _connect(self, token: str | None, app_id: int, span) -> bytes:
-        if self.require_auth:
-            session = self._session_valid(token) if token else None
-            if session is None:
-                self._count("deny-auth")
-                self._deny_event(-1, app_id, "authentication required "
-                                 "(missing, invalid, or expired token)")
-                raise AccessDenied("portal: authentication required "
-                                   "(missing, invalid, or expired token)")
-            user = session.user
-        else:
+    def _authenticate(self, token: str | None, app_id: int) -> User:
+        if not self.require_auth:
             # ad-hoc forwarding path: unauthenticated, runs as a generic
             # service identity (root daemon) — the insecure baseline
-            user = self.userdb.user("root")
-        if span is not None:
-            span.set_tag("user", user.name)
+            return self.userdb.user("root")
+        session = self._session_valid(token) if token else None
+        if session is None:
+            self._count("deny-auth")
+            detail = ("authentication required (missing, invalid, or "
+                      "expired token)")
+            for o in self.observers:
+                o.portal_denied(self, -1, app_id, detail)
+            raise AccessDenied(f"portal: {detail}")
+        return session.user
+
+    def _forward(self, user: User, app_id: int) -> bytes:
         try:
             app = self._routes[app_id]
         except KeyError:
@@ -174,13 +159,8 @@ class Portal:
             page = conn.recv()
             conn.close()
             self._count("allow")
-            if self.oracle is not None:
-                self.oracle.check_portal_forward(self, user, creds, app)
-            if self.audit is not None:
-                self.audit.record(
-                    mechanism="portal", action="allow", uid=user.uid,
-                    node=app.node.name, target=f"portal:app/{app_id}",
-                    detail=f"forwarded to {app.node.name}:{app.port}")
+            for o in self.observers:
+                o.portal_forwarded(self, user, creds, app)
             return page
         except TimedOut:
             # the forwarded hop was dropped by the destination's UBF; the

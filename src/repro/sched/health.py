@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 from repro.faults.injector import FaultInjector, FaultKind
 from repro.kernel.node import ROOT_CREDS
-from repro.monitor.events import EventKind
 from repro.sched.prolog_epilog import GPU_MODE_UNASSIGNED, gpu_dev_path
 
 
@@ -105,7 +104,7 @@ class HealthMonitor:
                  interval: float = 5.0, suspect_after: int = 1,
                  down_after: int = 3, flap_threshold: int = 3,
                  flap_window: float = 600.0, flap_hold: float = 120.0,
-                 dead_host_ttl: float = 60.0, events=None,
+                 dead_host_ttl: float = 60.0, observers=(),
                  purge_host=None):
         if suspect_after < 1 or down_after <= suspect_after:
             raise ValueError("need 1 <= suspect_after < down_after")
@@ -120,8 +119,8 @@ class HealthMonitor:
         self.flap_window = flap_window
         self.flap_hold = flap_hold
         self.dead_host_ttl = dead_host_ttl
-        #: optional SecurityEventLog (NODE_LIFECYCLE transitions)
-        self.events = events
+        #: optional planes (repro.observer) told every state change
+        self.observers: list = list(observers)
         #: optional callable(host) -> dict purging the dead host's
         #: conntrack/verdict-cache state on surviving hosts (wired by
         #: :func:`attach_health`; None in raw-scheduler scenarios)
@@ -137,14 +136,6 @@ class HealthMonitor:
         #: crash can cancel the tick and recovery can re-arm it on time
         self._tick_event = None
         self._tick_due: float | None = None
-
-    @property
-    def journal(self):
-        """The scheduler's write-ahead journal, or None when persistence
-        is not armed.  Resolved through the scheduler on every read so
-        the monitor journals regardless of attach order
-        (``attach_health`` before or after ``attach_persistence``)."""
-        return getattr(self.scheduler, "journal", None)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -172,8 +163,8 @@ class HealthMonitor:
         self._tick_armed = True
         self._tick_due = self.engine.now + self.interval
         self._tick_event = self.engine.at(self._tick_due, self._tick)
-        if self.journal is not None:
-            self.journal.tick_armed(self._tick_due)
+        for o in self.observers:
+            o.tick_armed(self._tick_due)
 
     def state_of(self, name: str) -> NodeHealth:
         return self.nodes[name].state
@@ -191,8 +182,8 @@ class HealthMonitor:
         self._tick_armed = False
         self._tick_event = None
         self._tick_due = None
-        if self.journal is not None:
-            self.journal.tick_fired()
+        for o in self.observers:
+            o.tick_fired()
         now = self.engine.now
         for lc in self.nodes.values():
             if self.faults.heartbeat_ok(lc.name):
@@ -227,9 +218,9 @@ class HealthMonitor:
         lc.transitions.append((now, state))
         self.metrics.counter("node_state_transitions_total",
                              state=state.value).inc()
-        if self.events is not None:
-            self.events.emit(now, EventKind.NODE_LIFECYCLE, -1, lc.name,
-                             f"{state.value}: {detail}", node=lc.name)
+        for o in self.observers:
+            o.node_lifecycle(now, lc.name, f"{state.value}: {detail}",
+                             node=lc.name)
 
     def _miss(self, lc: NodeLifecycle, now: float) -> None:
         lc.missed += 1
@@ -259,8 +250,8 @@ class HealthMonitor:
             self._journal_hb(lc)
 
     def _journal_hb(self, lc: NodeLifecycle) -> None:
-        if self.journal is not None:
-            self.journal.heartbeat_state(lc)
+        for o in self.observers:
+            o.heartbeat_state(lc)
 
     # -- fencing ------------------------------------------------------------
 
@@ -268,8 +259,8 @@ class HealthMonitor:
         """The node is DOWN: record residue, fence, requeue, purge peers."""
         node = self.scheduler.nodes[lc.name]
         lc.residue = self._record_residue(node, now)
-        if self.journal is not None:
-            self.journal.residue_recorded(lc.residue)
+        for o in self.observers:
+            o.residue_recorded(lc.residue)
         self.scheduler.fail_node(lc.name)
         for kind, count in (
                 ("orphan-procs", len(lc.residue.orphan_pids)),
@@ -282,10 +273,10 @@ class HealthMonitor:
         if self.purge_host is not None:
             self.purge_host(lc.name)
             lc.purged = True
-        if self.events is not None:
-            r = lc.residue
-            self.events.emit(
-                now, EventKind.NODE_LIFECYCLE, -1, lc.name,
+        r = lc.residue
+        for o in self.observers:
+            o.node_lifecycle(
+                now, lc.name,
                 f"fenced with residue: jobs={list(r.jobs)} "
                 f"orphans={len(r.orphan_pids)} dirty_gpus={len(r.dirty_gpus)} "
                 f"assigned_devs={len(r.assigned_devices)} "
@@ -330,9 +321,9 @@ class HealthMonitor:
             lc.quarantined_until = now + self.flap_hold
             lc.rejoin_times = recent
             self.metrics.counter("node_flap_quarantines_total").inc()
-            if self.events is not None:
-                self.events.emit(
-                    now, EventKind.NODE_LIFECYCLE, -1, lc.name,
+            for o in self.observers:
+                o.node_lifecycle(
+                    now, lc.name,
                     f"flap damping: {len(recent)} rejoins within "
                     f"{self.flap_window:g}s; quarantined "
                     f"{self.flap_hold:g}s", node=lc.name)
@@ -340,8 +331,8 @@ class HealthMonitor:
         lc.rejoin_times = recent + [now]
         self.scheduler.resume(lc.name)  # remediates before rescheduling
         lc.residue = None
-        if self.journal is not None:
-            self.journal.residue_cleared(lc.name)
+        for o in self.observers:
+            o.residue_cleared(lc.name)
         self._purged_hosts.discard(lc.name)
         lc.purged = False
         self._transition(lc, now, NodeHealth.UP,
@@ -365,14 +356,14 @@ class HealthMonitor:
         for host in affected:
             if host not in self._unreachable_since:
                 self._unreachable_since[host] = now
-                if self.journal is not None:
-                    self.journal.host_unreachable(host, now)
+                for o in self.observers:
+                    o.host_unreachable(host, now)
         for host in list(self._unreachable_since):
             if host not in affected:
                 del self._unreachable_since[host]
                 self._purged_hosts.discard(host)
-                if self.journal is not None:
-                    self.journal.host_reachable(host)
+                for o in self.observers:
+                    o.host_reachable(host)
                 continue
             since = self._unreachable_since[host]
             if (now - since >= self.dead_host_ttl
@@ -381,8 +372,8 @@ class HealthMonitor:
                 self.purge_host(host)
                 self._purged_hosts.add(host)
                 self.metrics.counter("dead_host_purges_total").inc()
-                if self.journal is not None:
-                    self.journal.dead_host_purged(host)
+                for o in self.observers:
+                    o.dead_host_purged(host)
 
 
 def attach_health(cluster, **kw) -> HealthMonitor:
@@ -390,9 +381,12 @@ def attach_health(cluster, **kw) -> HealthMonitor:
 
     Idempotent, like the telemetry/oracle/event-log spines: a second call
     returns the existing monitor.  Keyword arguments forward to the
-    :class:`HealthMonitor` constructor.  The dead-host purge closure spans
-    every surviving host's conntrack table and UBF decision cache; the
-    monitor still needs :meth:`HealthMonitor.start` to begin probing.
+    :class:`HealthMonitor` constructor.  The monitor starts with every
+    plane already subscribed to the cluster (later ones reach it through
+    :meth:`~repro.core.cluster.Cluster.subscribe`).  The dead-host purge
+    closure spans every surviving host's conntrack table and UBF decision
+    cache; the monitor still needs :meth:`HealthMonitor.start` to begin
+    probing.
     """
     existing = getattr(cluster, "health", None)
     if existing is not None:
@@ -418,9 +412,9 @@ def attach_health(cluster, **kw) -> HealthMonitor:
             if host in (flow.src_host, flow.dst_host))
 
     purge_host.count_peer_flows = count_peer_flows
-    kw.setdefault("events", getattr(cluster, "security_log", None))
     monitor = HealthMonitor(cluster.scheduler, cluster.engine,
                             cluster.fabric.faults, cluster.metrics,
+                            observers=cluster.observers,
                             purge_host=purge_host, **kw)
     cluster.health = monitor
     return monitor

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.kernel import LinuxNode, NodeSpec, UserDB
 from repro.kernel.errors import NoSuchEntity
+from repro.observer import Observer
 from repro.sched.accounting import AccountingDB
 from repro.sched.jobs import JobSpec, JobState
 from repro.sched.nodes import ComputeNode
@@ -90,7 +91,7 @@ class ZoneConfig:
     oracle_rate: float = 0.0
 
 
-class ZoneSim:
+class ZoneSim(Observer):
     """One zone of the multi-zone cluster, steppable under ShardedEngine.
 
     Construction is cheap (just the config); the heavy build — user
@@ -144,13 +145,14 @@ class ZoneSim:
                             requeue_on_node_fail=cfg.churn_per_chunk > 0))
         self.sched.accounting = AccountingDB(
             max_records=cfg.accounting_retention)
-        self.sched.on_finish = self._job_finished
         if cfg.oracle_rate > 0:
             from repro.oracle import SeparationOracle
             self.oracle = SeparationOracle(
                 sampling_rate=cfg.oracle_rate, fail_fast=True,
                 clock=lambda: engine.now)
-            self.sched.oracle = self.oracle
+            self.sched.observers.append(self.oracle)
+        # last, so pruning follows every other observer of a finish
+        self.sched.observers.append(self)
         rate = (cfg.n_nodes * cfg.cores / _MEAN_CORE_SECONDS) * cfg.load
         self._gap = 1.0 / rate
         self._jobs_left = cfg.n_jobs
@@ -310,9 +312,9 @@ class ZoneSim:
 
     # -- lifecycle hooks ---------------------------------------------------
 
-    def _job_finished(self, job, state: JobState) -> None:
-        """Scheduler ``on_finish``: fold the finish into the trace digest
-        and prune the job table so memory stays O(live jobs)."""
+    def job_finished(self, job, state: JobState) -> None:
+        """Observed finish: fold it into the trace digest and prune the
+        job table so memory stays O(live jobs) over 1e7-event runs."""
         self.finished += 1
         self._record("fin", job.job_id, job.uid, state.name,
                      job.submit_time, job.start_time, job.end_time,

@@ -67,7 +67,8 @@ class ComputeNode:
         """
         gpus = []
         for i in range(node.spec.gpus):
-            dev = GPUDevice(index=i, mem_bytes=gpu_mem_bytes)
+            dev = GPUDevice(index=i, mem_bytes=gpu_mem_bytes,
+                            host=node.name)
             install_gpu_device(node.vfs, ROOT_CREDS, i, dev, mode=gpu_dev_mode)
             gpus.append(dev)
         return cls(node=node, gpus=gpus)
@@ -114,7 +115,7 @@ class ComputeNode:
     def idle(self) -> bool:
         return not self.allocations
 
-    def running_uids(self, jobs_by_id: dict[int, Job] | None = None) -> set[int]:
+    def running_uids(self) -> set[int]:
         """Distinct uids with an allocation here (O(distinct uids))."""
         return set(self._uid_counts)
 

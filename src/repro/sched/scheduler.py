@@ -87,33 +87,13 @@ class Scheduler:
         self.prolog = prolog
         self.epilog = epilog
         self.accounting = AccountingDB()
-        #: optional span source (repro.obs.trace.Tracer); when set, every
-        #: job's submit → queue → prolog → run → epilog lifecycle becomes
-        #: one trace.  None (the default) costs nothing on the hot path.
-        self.tracer = None
-        #: separation oracle (repro.oracle); None = zero-cost hooks
-        self.oracle = None
+        #: optional planes (repro.observer) told every decision, in order
+        self.observers: list = []
         #: optional remediation hook run by :meth:`remediate` before a
         #: fenced node rejoins (GPU scrub + /dev perm reset; see
         #: :func:`repro.sched.prolog_epilog.make_remediator`).  None means
         #: only orphan-process reaping happens on remediation.
         self.remediator = None
-        #: optional SecurityEventLog; node-lifecycle transitions (fencing,
-        #: remediation, hook failures) are emitted here when wired
-        #: (``instrument_cluster`` does).  None = no event cost.
-        self.events = None
-        #: optional AttributionRegistry (repro.obs.context); when wired
-        #: (``attach_forensics`` does), every job lifecycle step opens/
-        #: updates a causal context so enforcement verdicts resolve back
-        #: to the submitting uid+job.  None = zero-cost hooks.
-        self.attribution = None
-        #: optional callable ``(job, state) -> None`` invoked at the very
-        #: end of every job finish (after accounting, before the dispatch
-        #: wakeup).  Long-horizon drivers (repro.sched.multizone) use it to
-        #: prune finished jobs from :attr:`jobs` so memory stays
-        #: proportional to *live* jobs over 1e7-event runs.  None = no cost.
-        self.on_finish = None
-        self._job_spans: dict[int, dict[str, object]] = {}
         #: per-job pending engine events (completion, oom) — cancelled at
         #: finish so a requeued job's stale timers cannot fire into its
         #: next attempt
@@ -121,9 +101,6 @@ class Scheduler:
         #: per-job pending *arrival* events (submitted, not yet queued) —
         #: cancelled on a control-plane crash, re-armed by recovery
         self._arrival_events: dict[int, object] = {}
-        #: optional write-ahead journal (repro.persist); every mutating
-        #: operation appends a record when set.  None = zero-cost hooks.
-        self.journal = None
         #: True between a control-plane crash and its recovery; submission
         #: is refused while the scheduler is dead.
         self.crashed = False
@@ -172,10 +149,8 @@ class Scheduler:
         self.jobs[job.job_id] = job
         arrival = self.engine.now if at is None else at
         job.submit_time = arrival
-        if self.attribution is not None:
-            self.attribution.job_submitted(job)
-        if self.journal is not None:
-            self.journal.job_submitted(job)
+        for o in self.observers:
+            o.job_submitted(job)
         self._arm_arrival(job, arrival)
         return job
 
@@ -208,36 +183,14 @@ class Scheduler:
     def _note_queue_depth(self) -> None:
         self.metrics.gauge("sched_queue_depth").set(len(self._queue))
 
-    def _open_job_trace(self, job: Job, *, attempt: int = 1) -> None:
-        """Root span + queue child for one (re)submission attempt."""
-        root = self.tracer.start_span(
-            "job", job_id=job.job_id, user=job.spec.user.name,
-            partition=job.spec.partition, ntasks=job.spec.ntasks,
-            attempt=attempt)
-        queue = self.tracer.start_span("sched.queue", parent=root)
-        self._job_spans[job.job_id] = {"root": root, "queue": queue,
-                                       "attempt": attempt}
-
-    def _close_job_trace(self, job: Job, state: JobState) -> None:
-        spans = self._job_spans.pop(job.job_id, None)
-        if spans is None:
-            return
-        for key in ("queue", "run"):
-            span = spans.get(key)
-            if span is not None and span.end is None:
-                self.tracer.finish(span, state=state.name.lower())
-        self.tracer.finish(spans["root"], state=state.name.lower())
-
     def _arrive(self, job: Job) -> None:
         if job.state is not JobState.PENDING:
             return  # cancelled before its arrival event fired
         self._queue.append(job)
         self._fresh_jobs.add(job.job_id)
         self.metrics.counter("jobs_submitted").inc()
-        if self.tracer is not None:
-            self._open_job_trace(job)
-        if self.journal is not None:
-            self.journal.job_arrived(job)
+        for o in self.observers:
+            o.job_arrived(job)
         self._note_queue_depth()
         self._try_dispatch()
 
@@ -254,10 +207,8 @@ class Scheduler:
             self._fresh_jobs.discard(job.job_id)
             job.state = JobState.CANCELLED
             job.end_time = self.engine.now
-            if self.tracer is not None:
-                self._close_job_trace(job, JobState.CANCELLED)
-            if self.journal is not None:
-                self.journal.job_cancelled(job)
+            for o in self.observers:
+                o.job_cancelled(job)
             self._note_queue_depth()
         elif job.state is JobState.RUNNING:
             self._finish(job, JobState.CANCELLED)
@@ -273,12 +224,13 @@ class Scheduler:
             yield self.nodes[name]
 
     def _plan_over(self, job: Job, nodes: Iterable[ComputeNode],
-                   ) -> list[tuple[ComputeNode, int]] | None:
-        """Greedy first-fit plan: [(node, tasks)] covering all tasks, or
-        None if the job cannot start now under the active policy.  The
-        caller chooses the node stream (full partition scan, or index
-        candidates); both streams are in partition declaration order, so
-        the plan is identical either way."""
+                   ) -> tuple[list[tuple[ComputeNode, int]] | None, int]:
+        """Greedy first-fit ``(plan, examined)``: [(node, tasks)] covering
+        all tasks (None if the job cannot start now under the active
+        policy) and the nodes looked at, which the dispatch loops count.
+        The caller chooses the node stream (full partition scan, or index
+        candidates); both are in partition declaration order, so the plan
+        is identical either way."""
         spec = job.spec
         policy = self._policy_for(job)
         remaining = spec.ntasks
@@ -297,7 +249,7 @@ class Scheduler:
                 mem_mb_per_task=spec.mem_mb_per_task,
                 gpus_per_task=spec.gpus_per_task,
                 node_idle=node.idle,
-                node_uids=node.running_uids(self.jobs),
+                node_uids=node.running_uids(),
                 job_uid=job.uid,
                 job_exclusive=spec.exclusive,
             )
@@ -308,15 +260,17 @@ class Scheduler:
             remaining -= take
             if remaining == 0:
                 break
-        self._scan_counter.inc(examined)
-        return plan if remaining == 0 else None
+        return (plan if remaining == 0 else None), examined
 
-    def _placement_for(self, job: Job) -> list[tuple[ComputeNode, int]] | None:
-        """Reference placement: scan every node of the job's partition."""
+    def _placement_for(self, job: Job
+                       ) -> tuple[list[tuple[ComputeNode, int]] | None, int]:
+        """Reference placement: scan every node of the job's partition.
+        The oracle's shadow replays it without touching the scan count."""
         return self._plan_over(job, self._nodes_for(job))
 
     def _placement_indexed(self, job: Job
-                           ) -> list[tuple[ComputeNode, int]] | None:
+                           ) -> tuple[list[tuple[ComputeNode, int]] | None,
+                                      int]:
         """Indexed placement: only nodes the free-capacity index says could
         accept this job are examined, in the same first-fit order."""
         index = self._pindex[job.spec.partition]
@@ -325,7 +279,7 @@ class Scheduler:
         names = index.candidates(policy=policy, whole=whole, uid=job.uid,
                                  cores_per_task=job.spec.cores_per_task)
         if not names:
-            return None
+            return None, 0
         return self._plan_over(job, (self.nodes[n] for n in names))
 
     def _any_node_open(self) -> bool:
@@ -391,7 +345,8 @@ class Scheduler:
                 # re-place
                 placed_ids.add(job.job_id)
                 continue
-            plan = self._placement_for(job)
+            plan, examined = self._placement_for(job)
+            self._scan_counter.inc(examined)
             if plan is None:
                 if not self.config.backfill:
                     break
@@ -451,7 +406,8 @@ class Scheduler:
                 # that already failed this pass, cannot place
                 if sig not in failed \
                         and self._pindex[spec.partition].any_open:
-                    plan = self._placement_indexed(job)
+                    plan, examined = self._placement_indexed(job)
+                    self._scan_counter.inc(examined)
                     if plan is None:
                         failed.add(sig)
             if plan is None:
@@ -466,34 +422,28 @@ class Scheduler:
             self._note_queue_depth()
 
     def _start(self, job: Job, plan: list[tuple[ComputeNode, int]]) -> None:
-        if self.oracle is not None:
-            # before any allocation mutates node state, so the oracle sees
-            # exactly the co-residence/capacity facts the dispatcher did
-            self.oracle.check_sched_start(self, job, plan)
+        # before any allocation mutates node state: observers (the oracle)
+        # see exactly the co-residence/capacity facts the dispatcher did
+        for o in self.observers:
+            o.job_starting(self, job, plan)
         now = self.engine.now
         job.state = JobState.RUNNING
         job.start_time = now
         self._running[job.job_id] = job
         self._fresh_jobs.discard(job.job_id)
-        spans = self._job_spans.get(job.job_id) if self.tracer else None
-        if spans is not None:
-            self.tracer.finish(spans["queue"],
-                               waited=now - job.submit_time)
         whole = (self._policy_for(job) is NodeSharing.EXCLUSIVE
                  or job.spec.exclusive)
         for node, tasks in plan:
             node.allocate(job, tasks, whole_node=whole)
             self._node_changed(node, freed=False)
             if self.prolog is not None and not self._run_hook(
-                    "prolog", self.prolog, job, node, spans):
+                    "prolog", self.prolog, job, node):
                 # The node can't be prepared (separation setup failed): the
                 # job fails rather than run without its controls, and
                 # _finish unwinds whatever was already allocated/spawned.
                 self._core_charge[job.job_id] = (0, 0)
-                if self.journal is not None:
-                    # zero-charge dispatch: replay rebuilds the same
-                    # started-then-immediately-failed accounting row
-                    self.journal.job_dispatched(job, 0, 0)
+                for o in self.observers:
+                    o.job_start_failed(job)
                 self._finish(job, JobState.FAILED)
                 return
             creds = node.node.userdb.credentials_for(job.spec.user)
@@ -501,10 +451,6 @@ class Scheduler:
                 node.node.procs.spawn(
                     creds, [job.spec.command], job_id=job.job_id,
                     cwd=job.spec.workdir, rss_mb=job.spec.mem_mb_per_task)
-        if spans is not None:
-            spans["run"] = self.tracer.start_span(
-                "job.run", parent=spans["root"],
-                nodes=",".join(sorted({n.name for n, _ in plan})))
         charged = sum(a.cores for a in job.allocations)
         useful = sum(a.tasks * job.spec.cores_per_task
                      for a in job.allocations)
@@ -515,12 +461,10 @@ class Scheduler:
         self.metrics.samples("wait_time").add(wait)
         self.metrics.histogram("sched_wait_seconds").observe(wait)
         self.metrics.counter("jobs_started").inc()
-        if self.attribution is not None:
-            self.attribution.job_started(job)
-        if self.journal is not None:
-            # after the core-charge/time-weighted updates, so a snapshot
-            # triggered by this append sees them consistently applied
-            self.journal.job_dispatched(job, charged, useful)
+        # after the core-charge/time-weighted updates, so a snapshot the
+        # journal takes here sees them consistently applied
+        for o in self.observers:
+            o.job_started(job, charged, useful)
         if job.spec.script is not None:
             self._run_batch_script(job, plan[0][0])
             if job.state is not JobState.RUNNING:
@@ -591,7 +535,6 @@ class Scheduler:
                  for a in job.allocations)))
         self._busy_cores.add(now, -charged)
         self._useful_cores.add(now, -useful)
-        spans = self._job_spans.get(job.job_id) if self.tracer else None
         for alloc in job.allocations:
             node = self.nodes[alloc.node]
             if node.fenced:
@@ -606,50 +549,41 @@ class Scheduler:
                 continue
             node.node.procs.kill_job(job.job_id)
             if self.epilog is not None:
-                self._run_hook("epilog", self.epilog, job, node, spans)
+                self._run_hook("epilog", self.epilog, job, node)
             node.release(job.job_id)
             self._node_changed(node, freed=True)
-        if self.tracer is not None:
-            self._close_job_trace(job, state)
-        if self.attribution is not None:
-            self.attribution.job_finished(job, state)
         self.accounting.record(job)
         self.metrics.counter(f"jobs_{state.name.lower()}").inc()
-        if self.journal is not None:
-            self.journal.job_finished(job, state)
-        if self.on_finish is not None:
-            self.on_finish(job, state)
+        for o in self.observers:
+            o.job_finished(job, state)
         self._try_dispatch()
 
-    def _run_hook(self, which: str, hook, job: Job, node: ComputeNode,
-                  spans) -> bool:
-        """Run a prolog/epilog hook, tracing when armed; True on success.
+    def _run_hook(self, which: str, hook, job: Job,
+                  node: ComputeNode) -> bool:
+        """Run a prolog/epilog hook; True on success.
 
         A hook exception is a *node* problem (separation setup or cleanup
         did not happen), so it drains the node for remediation via
         :meth:`_hook_failed` instead of propagating into — and wedging —
-        the dispatch loop.  Oracle verdicts are exempt: a
-        ``SeparationViolation`` raised by a fail-fast oracle wrapper must
-        stay fatal to the run that caused it.
+        the dispatch loop.  Oracle verdicts are exempt: a fail-fast
+        ``SeparationViolation`` must stay fatal to the run that caused it.
+        On success the observers learn the job's GPUs on the node.
         """
         try:
-            if spans is not None:
-                s = self.tracer.start_span(f"sched.{which}",
-                                           parent=spans["root"],
-                                           node=node.name)
-                try:
-                    hook(job, node)
-                finally:
-                    self.tracer.finish(s)
-            else:
-                hook(job, node)
-            return True
+            hook(job, node)
         except Exception as exc:
             from repro.oracle.oracle import SeparationViolation
             if isinstance(exc, SeparationViolation):
                 raise
             self._hook_failed(which, job, node, exc)
             return False
+        gpus = node.allocations[job.job_id].gpu_indices
+        for o in self.observers:
+            if which == "prolog":
+                o.prolog_ran(job, node, gpus)
+            else:
+                o.epilog_ran(job, node, gpus)
+        return True
 
     def _hook_failed(self, which: str, job: Job, node: ComputeNode,
                      exc: Exception) -> None:
@@ -663,13 +597,8 @@ class Scheduler:
         node.needs_remediation = True
         self._node_changed(node, freed=False)
         self.metrics.counter("hook_failures_total", hook=which).inc()
-        if self.events is not None:
-            from repro.monitor.events import EventKind
-            self.events.emit(
-                self.engine.now, EventKind.NODE_LIFECYCLE, -1, node.name,
-                f"{which} failed for job {job.job_id}: {exc!r}; "
-                f"node drained pending remediation",
-                job_id=job.job_id, node=node.name)
+        for o in self.observers:
+            o.hook_failed(which, job, node, exc)
 
     def _trigger_oom(self, job: Job) -> None:
         """The misbehaving job exhausts memory on each of its nodes; the
@@ -695,8 +624,8 @@ class Scheduler:
         node = self.nodes[node_name]
         node.drained = True
         self._node_changed(node, freed=False)
-        if self.journal is not None:
-            self.journal.node_drained(node_name)
+        for o in self.observers:
+            o.node_drained(node_name)
 
     def resume(self, node_name: str) -> None:
         """scontrol update state=RESUME; a fenced node remediates first.
@@ -712,8 +641,8 @@ class Scheduler:
         node.drained = False
         node.failed = False
         self._node_changed(node, freed=True)
-        if self.journal is not None:
-            self.journal.node_resumed(node_name)
+        for o in self.observers:
+            o.node_resumed(node_name)
         self._try_dispatch()
 
     def remediate(self, node_name: str) -> dict[str, int]:
@@ -738,17 +667,8 @@ class Scheduler:
         node.remediations += 1
         self._node_changed(node, freed=False)
         self.metrics.counter("node_remediations_total").inc()
-        if self.journal is not None:
-            self.journal.node_remediated(node_name)
-        if self.events is not None:
-            from repro.monitor.events import EventKind
-            self.events.emit(
-                self.engine.now, EventKind.NODE_LIFECYCLE, -1, node_name,
-                "remediated: " + ", ".join(
-                    f"{k}={v}" for k, v in sorted(summary.items())),
-                node=node_name)
-        if self.oracle is not None:
-            self.oracle.check_node_rejoin(self, node)
+        for o in self.observers:
+            o.node_remediated(self, node, summary)
         return summary
 
     def fail_node(self, node_name: str) -> list[Job]:
@@ -764,15 +684,9 @@ class Scheduler:
         node.needs_remediation = True
         self._node_changed(node, freed=False)
         self.metrics.counter("node_fencings_total").inc()
-        if self.journal is not None:
-            self.journal.node_fenced(node_name)
         victims = [self.jobs[jid] for jid in list(node.allocations)]
-        if self.events is not None:
-            from repro.monitor.events import EventKind
-            self.events.emit(
-                self.engine.now, EventKind.NODE_LIFECYCLE, -1, node_name,
-                f"fenced: {len(victims)} running job(s) lost",
-                node=node_name)
+        for o in self.observers:
+            o.node_fenced(node_name, len(victims))
         for job in victims:
             self._finish(job, JobState.NODE_FAIL)
             self._maybe_requeue(job)
@@ -791,11 +705,9 @@ class Scheduler:
             job.reason = (f"requeue limit exhausted after "
                           f"{job.attempt} attempts")
             self.metrics.counter("jobs_requeue_exhausted").inc()
-            if self.events is not None:
-                from repro.monitor.events import EventKind
-                self.events.emit(
-                    self.engine.now, EventKind.NODE_LIFECYCLE, -1,
-                    f"job{job.job_id}", job.reason, job_id=job.job_id)
+            for o in self.observers:
+                o.node_lifecycle(self.engine.now, f"job{job.job_id}",
+                                 job.reason, job_id=job.job_id)
             return False
         self._requeue(job)
         return True
@@ -809,16 +721,10 @@ class Scheduler:
         job.allocations = []
         job.reason = "requeued after node failure"
         self.metrics.counter("jobs_requeued").inc()
-        if self.attribution is not None:
-            self.attribution.job_requeued(job)
         self._queue.append(job)
         self._fresh_jobs.add(job.job_id)
-        if self.tracer is not None:
-            # the failed attempt's trace closed with NODE_FAIL; the retry
-            # gets a fresh trace so every attempt stays inspectable
-            self._open_job_trace(job, attempt=job.attempt)
-        if self.journal is not None:
-            self.journal.job_requeued(job)
+        for o in self.observers:
+            o.job_requeued(job)
         self._note_queue_depth()
         self._try_dispatch()
 

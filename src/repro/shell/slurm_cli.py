@@ -198,7 +198,7 @@ def scontrol_show_node(session: Session, node_name: str) -> str:
     ]
     view = cluster.scheduler_view
     if view._privileged(session.user) or not view.private.jobs:
-        uids = cn.running_uids(cluster.scheduler.jobs)
+        uids = cn.running_uids()
         users = ",".join(sorted(cluster.userdb.user(u).name for u in uids))
         lines.append(f"   AllocUsers={users or '(none)'}")
     return "\n".join(lines)

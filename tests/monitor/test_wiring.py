@@ -150,17 +150,23 @@ class TestPortalDeny:
 
 
 class TestTelemetryHandshake:
-    """instrument_cluster and attach_telemetry compose in either order."""
+    """instrument_cluster and attach_telemetry compose in either order:
+    telemetry's export sees every event the log records."""
 
     def test_instrument_then_attach(self, cluster):
         log = instrument_cluster(cluster)
-        assert attach_telemetry(cluster).events is log
+        tele = attach_telemetry(cluster)
+        with pytest.raises(AccessDenied):
+            cluster.ssh("bob", "c1")
+        assert tele.events.events == log.events != []
 
     def test_attach_then_instrument(self, cluster):
         tele = attach_telemetry(cluster)
-        assert tele.events is None
+        assert tele.events.events == []
         log = instrument_cluster(cluster)
-        assert tele.events is log
+        with pytest.raises(AccessDenied):
+            cluster.ssh("bob", "c1")
+        assert tele.events.events == log.events != []
 
     def test_probe_detection_unaffected_by_telemetry(self, cluster):
         attach_telemetry(cluster)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.kernel import LinuxNode
 from repro.net import Fabric, Firewall, HostStack, UBFDaemon, ubf_ruleset
+from repro.obs import Telemetry, Tracer
+from repro.sim.metrics import MetricSet
 
 
 def build_fabric(userdb, hostnames, *, ubf: bool, cache: bool = True,
@@ -24,6 +26,13 @@ def build_fabric(userdb, hostnames, *, ubf: bool, cache: bool = True,
             daemons[name] = UBFDaemon(stack, fabric, userdb,
                                       cache_enabled=cache).install()
     return fabric, nodes, daemons
+
+
+def traced(daemon) -> Tracer:
+    """Subscribe a telemetry plane to *daemon*; returns its tracer."""
+    telemetry = Telemetry(MetricSet(), Tracer(clock=lambda: 0.0))
+    daemon.observers.append(telemetry)
+    return telemetry.tracer
 
 
 @pytest.fixture

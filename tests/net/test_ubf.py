@@ -6,7 +6,7 @@ import pytest
 from repro.kernel.errors import ConnectionRefused, TimedOut
 from repro.net import Proto, Verdict, firewall_cost_us
 
-from tests.net.conftest import build_fabric, proc_on
+from tests.net.conftest import build_fabric, proc_on, traced
 
 
 def serve(nodes, userdb, host, user, port, proto=Proto.TCP):
@@ -279,12 +279,10 @@ class TestDecisionTracing:
     def test_span_finishes_when_decide_raises(self, userdb, monkeypatch):
         """Regression: a raising _decide used to leak the span open (the
         reason tag was read after the call, so finish was never reached)."""
-        from repro.obs.trace import Tracer
-
         fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"],
                                               ubf=True)
         daemon = daemons["c2"]
-        daemon.tracer = Tracer(clock=lambda: 0.0)
+        tracer = traced(daemon)
         monkeypatch.setattr(daemon, "_decide",
                             lambda pkt: (_ for _ in ()).throw(
                                 RuntimeError("boom")))
@@ -292,21 +290,19 @@ class TestDecisionTracing:
         with pytest.raises(RuntimeError):
             nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "alice"),
                                     "c2", 5000)
-        spans = [s for s in daemon.tracer.spans if s.name == "ubf.decide"]
+        spans = [s for s in tracer.spans if s.name == "ubf.decide"]
         assert spans and all(s.finished for s in spans)
         assert spans[-1].tags["status"] == "error"
         assert spans[-1].tags["error"] == "RuntimeError"
 
     def test_span_tags_verdict_and_reason(self, userdb):
-        from repro.obs.trace import Tracer
-
         fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"],
                                               ubf=True)
-        daemons["c2"].tracer = Tracer(clock=lambda: 0.0)
+        tracer = traced(daemons["c2"])
         serve(nodes, userdb, "c2", "alice", 5000)
         nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "alice"),
                                 "c2", 5000)
-        span = [s for s in daemons["c2"].tracer.finished_spans()
+        span = [s for s in tracer.finished_spans()
                 if s.name == "ubf.decide"][-1]
         assert span.tags["verdict"] == "accept"
         assert span.tags["reason"] == "same user"

@@ -19,9 +19,8 @@ from repro.faults import FaultKind
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
 from repro.net.ubf import DECISION_LOG_MAX
 from repro.net.zones import ZoneTier, apply_tier
-from repro.obs import Tracer
 
-from tests.net.conftest import build_fabric, proc_on
+from tests.net.conftest import build_fabric, proc_on, traced
 
 
 def listen_on(nodes, userdb, host, user, port):
@@ -244,7 +243,7 @@ class TestBatchNaiveProperty:
 class TestBatchTracing:
     def test_decide_batch_emits_batch_and_group_spans(self, userdb):
         fabric, nodes, daemon = build_scenario(userdb)
-        daemon.tracer = tracer = Tracer()
+        tracer = traced(daemon)
         daemon.decide_batch([pkt(40000, 5000), pkt(40000, 5001),
                              pkt(40001, 5000)])
         parent = tracer.by_name("ubf.decide_batch")[0]
@@ -259,7 +258,7 @@ class TestBatchTracing:
 
     def test_degraded_group_span_is_annotated(self, userdb):
         fabric, nodes, daemon = build_scenario(userdb)
-        daemon.tracer = tracer = Tracer()
+        tracer = traced(daemon)
         fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
         daemon.decide_batch([pkt(40000, 5000)])
         group = tracer.by_name("ubf.ident_group")[0]

@@ -13,10 +13,13 @@ from repro.sim.metrics import MetricSet
 
 
 def make_engine(rules, events=None, clock=None):
+    """An engine watching (and firing into) the log *events*, if any."""
     metrics = MetricSet()
-    return metrics, AlertEngine(metrics, events=events, clock=clock,
-                                rules=tuple(rules),
-                                sink=events)
+    engine = AlertEngine(metrics, clock=clock, rules=tuple(rules),
+                         observers=None if events is None else [events])
+    if events is not None:
+        events.observers.append(engine)
+    return metrics, engine
 
 
 class TestThreshold:

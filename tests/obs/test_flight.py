@@ -76,7 +76,7 @@ class TestTriggers:
         metrics = MetricSet()
         injector = FaultInjector(metrics)
         fr = FlightRecorder(faults=injector, metrics=metrics)
-        injector.on_inject = fr.on_fault
+        injector.observers.append(fr)
         injector.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
         (dump,) = fr.dumps
         assert dump.trigger == "fault-injected" and dump.node == "c1"
@@ -87,10 +87,11 @@ class TestTriggers:
 class TestSpanWindow:
     def test_spans_from_tracer_tail_include_open(self):
         tracer = Tracer()
+        fr = FlightRecorder(capacity=16)
         done = tracer.start_span("a")
+        fr.span_started(done)
         tracer.finish(done)
-        tracer.start_span("b")                   # left open
-        fr = FlightRecorder(capacity=16, tracer=tracer)
+        fr.span_started(tracer.start_span("b"))  # left open
         dump = fr.snapshot()
         assert [s["name"] for s in dump.spans] == ["a", "b"]
         assert "open" not in dump.spans[0]
@@ -98,9 +99,11 @@ class TestSpanWindow:
 
     def test_span_window_respects_capacity(self):
         tracer = Tracer()
+        fr = FlightRecorder(capacity=4)
         for i in range(10):
-            tracer.finish(tracer.start_span(f"s{i}"))
-        fr = FlightRecorder(capacity=4, tracer=tracer)
+            span = tracer.start_span(f"s{i}")
+            fr.span_started(span)
+            tracer.finish(span)
         dump = fr.snapshot()
         assert [s["name"] for s in dump.spans] == ["s6", "s7", "s8", "s9"]
 
@@ -130,7 +133,7 @@ class TestDumpShape:
     def test_event_log_subscription_integration(self):
         log = SecurityEventLog()
         fr = FlightRecorder()
-        log.subscribe(fr.observe_event)
+        log.observers.append(fr)
         log.emit(1.0, EventKind.ORACLE, 1000, "ubf:c1", "[I2] breach",
                  node="c1")
         assert len(fr.dumps) == 1

@@ -23,6 +23,7 @@ class TestIdempotency:
         assert cluster.forensics is bundle
 
     def test_audit_records_not_duplicated(self, cluster):
+        instrument_cluster(cluster)
         bundle = attach_forensics(cluster)
         attach_forensics(cluster)  # must not re-subscribe the sinks
         with pytest.raises(AccessDenied):
@@ -33,38 +34,54 @@ class TestIdempotency:
 class TestHandshakes:
     """attach_forensics composes with the other spines in either order."""
 
+    @staticmethod
+    def _span_ids(spans):
+        return [s["span_id"] if isinstance(s, dict) else s.span_id
+                for s in spans]
+
     def test_telemetry_first_shares_tracer(self, cluster):
         tele = attach_telemetry(cluster)
         bundle = attach_forensics(cluster)
-        assert bundle.flight.tracer is tele.tracer
+        cluster.submit("alice", duration=5.0)
+        cluster.run(until=1.0)
+        spans = bundle.flight.snapshot().spans
+        assert spans and self._span_ids(spans) == \
+            self._span_ids(tele.tracer.spans)
 
     def test_forensics_first_gets_tracer_later(self, cluster):
         bundle = attach_forensics(cluster)
-        assert bundle.flight.tracer is None
+        assert bundle.flight.snapshot().spans == []
         tele = attach_telemetry(cluster)
-        assert bundle.flight.tracer is tele.tracer
+        cluster.submit("alice", duration=5.0)
+        cluster.run(until=1.0)
+        spans = bundle.flight.snapshot().spans
+        assert spans and self._span_ids(spans) == \
+            self._span_ids(tele.tracer.spans)
 
-    def test_instrument_first_replays_history_into_audit(self, cluster):
+    def test_instrument_first_trail_starts_at_attachment(self, cluster):
         log = instrument_cluster(cluster)
         with pytest.raises(AccessDenied):
             cluster.ssh("mallory", "c2")  # recorded before attachment
         bundle = attach_forensics(cluster)
-        assert bundle.events is log
+        # like the flight recorder's rings, the trail models what the
+        # plane saw from attachment onward
+        assert bundle.audit.query(mechanism="pam", action="deny") == []
+        assert len(bundle.flight.snapshot().events) == 0
+        with pytest.raises(AccessDenied):
+            cluster.ssh("mallory", "c2")
         (rec,) = bundle.audit.query(mechanism="pam", action="deny")
         assert rec.uid == cluster.user("mallory").uid
-        # the flight recorder deliberately starts empty: its ring models
-        # what a node retains from attachment onward
-        assert len(bundle.flight.snapshot().events) == 0
+        assert len(log.by_kind(EventKind.PAM_DENY)) == 2
 
 
 class TestHooks:
     def test_all_hooks_point_at_the_bundle(self, cluster):
         bundle = attach_forensics(cluster)
-        assert cluster.scheduler.attribution is bundle.registry
+        assert bundle.registry in cluster.scheduler.observers
         for daemon in cluster.ubf_daemons.values():
-            assert daemon.audit is bundle.audit
-        assert cluster.portal.audit is bundle.audit
-        assert cluster.fabric.faults.on_inject == bundle.flight.on_fault
+            assert bundle in daemon.observers
+        assert bundle in cluster.portal.observers
+        assert bundle in cluster.fabric.faults.observers
         assert bundle.registry.audit is bundle.audit
 
     def test_login_opens_session_context(self, cluster):
@@ -85,6 +102,7 @@ class TestHooks:
 
 class TestEndToEnd:
     def test_gpu_deny_attributed_to_submitting_job(self, cluster):
+        instrument_cluster(cluster)
         bundle = attach_forensics(cluster)
         job = cluster.submit("bob", duration=100.0)  # no GPUs requested
         cluster.run(until=1.0)
@@ -98,6 +116,7 @@ class TestEndToEnd:
         assert res["resolved"] and res["root"].action == "submit"
 
     def test_node_fence_snapshots_flight_dump(self, cluster):
+        instrument_cluster(cluster)
         bundle = attach_forensics(cluster)
         cluster.submit("alice", duration=100.0)
         cluster.run(until=1.0)

@@ -50,7 +50,9 @@ class TestAttachment:
     def test_picks_up_existing_event_log(self, cluster):
         log = instrument_cluster(cluster)
         tele = attach_telemetry(cluster)
-        assert tele.events is log
+        with pytest.raises(AccessDenied):
+            cluster.ssh("bob", "c1")
+        assert tele.events.events == log.events != []
 
 
 class TestSyscallFacade:

@@ -120,15 +120,3 @@ class TestRetention:
     def test_retention_validated(self):
         with pytest.raises(ValueError):
             Tracer(retention=0)
-
-    def test_tail_works_on_list_and_ring(self):
-        unbounded, _ = make_tracer()
-        ring = Tracer(retention=5)
-        for t in (unbounded, ring):
-            for i in range(8):
-                t.finish(t.start_span(f"s{i}"))
-        assert [s.name for s in unbounded.tail(3)] == ["s5", "s6", "s7"]
-        assert [s.name for s in ring.tail(3)] == ["s5", "s6", "s7"]
-        assert [s.name for s in ring.tail(99)] == \
-            ["s3", "s4", "s5", "s6", "s7"]
-        assert unbounded.tail(0) == [] and ring.tail(0) == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro import BASELINE, LLSC, Cluster, ablate
 from repro.kernel.errors import KernelError
-from repro.monitor import instrument_cluster
+from repro.monitor import EventKind, instrument_cluster
 from repro.oracle import SeparationOracle, attach_oracle
 
 
@@ -45,9 +45,9 @@ class TestAttach:
         oracle = attach_oracle(c)
         assert isinstance(oracle, SeparationOracle)
         assert c.oracle is oracle
-        assert c.scheduler.oracle is oracle
-        assert all(d.oracle is oracle for d in c.ubf_daemons.values())
-        assert c.portal.oracle is oracle
+        assert oracle in c.scheduler.observers
+        assert all(oracle in d.observers for d in c.ubf_daemons.values())
+        assert oracle in c.portal.observers
 
     def test_idempotent(self):
         c = build()
@@ -60,27 +60,36 @@ class TestAttach:
         assert c.scheduler.epilog is epilog
 
     def test_gpu_read_check_armed_only_with_both_measures(self):
-        llsc = build()
-        attach_oracle(llsc)
-        assert all(g.oracle is not None
-                   for cn in llsc.compute_nodes for g in cn.gpus)
+        def read_checks(config):
+            c = build(config)
+            oracle = attach_oracle(c)
+            gpu = c.compute_nodes[0].gpus[0]
+            assert oracle in gpu.observers
+            before = oracle.checks_for("I5")
+            gpu.dev_read(c.userdb.credentials_for(c.user("bob")))
+            return oracle.checks_for("I5") - before
+
+        assert read_checks(LLSC) == 1
         for weakened in (BASELINE, ablate(LLSC, gpu_scrub=False),
                          ablate(LLSC, gpu_dev_assignment=False)):
-            c = build(weakened)
-            attach_oracle(c)
-            assert all(g.oracle is None
-                       for cn in c.compute_nodes for g in cn.gpus)
+            assert read_checks(weakened) == 0
 
     def test_event_log_linked_in_either_attach_order(self):
-        c1 = build()
-        attach_oracle(c1)
-        log1 = instrument_cluster(c1)
-        assert c1.oracle.events is log1
+        def oracle_events(log_first):
+            c = build()
+            if log_first:
+                log = instrument_cluster(c)
+                oracle = attach_oracle(c)
+            else:
+                oracle = attach_oracle(c)
+                log = instrument_cluster(c)
+            creds = c.userdb.credentials_for(c.user("alice"))
+            oracle.check_vfs_mode(c.login_nodes[0].vfs, "/f",
+                                  creds.with_smask(0o007), 0o777, "chmod")
+            return [e.kind for e in log.events]
 
-        c2 = build()
-        log2 = instrument_cluster(c2)
-        attach_oracle(c2)
-        assert c2.oracle.events is log2
+        assert oracle_events(True) == oracle_events(False) \
+            == [EventKind.ORACLE]
 
     def test_env_gate_attaches_at_build(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE", "1")
@@ -102,6 +111,22 @@ class TestAttach:
 
 
 class TestAdditivity:
+    def test_shadow_leaves_dispatch_scan_count_unchanged(self):
+        """The shadow replays the scheduler's reference placement; only
+        the dispatch loops count examined nodes."""
+        def scans(armed):
+            c = build(n_compute=4)
+            if armed:
+                oracle = attach_oracle(c, shadow_rate=1.0)
+            for user in ("alice", "bob") * 4:
+                c.submit(user, duration=5.0, ntasks=2)
+            c.run(until=60.0)
+            if armed:
+                assert oracle.shadow_checks >= 8
+            return c.metrics.counter("sched_dispatch_scan").value
+
+        assert scans(armed=True) == scans(armed=False) > 0
+
     def test_outcomes_identical_with_oracle(self):
         plain = exercise(build())
         observed = build()

@@ -357,7 +357,7 @@ class TestReporting:
         from repro.monitor.events import EventKind, SecurityEventLog
         from repro.sim.metrics import MetricSet
         metrics, log = MetricSet(), SecurityEventLog()
-        oracle = SeparationOracle(metrics=metrics, events=log,
+        oracle = SeparationOracle(metrics=metrics, observers=[log],
                                   clock=lambda: 42.0)
         alice = creds_of(userdb, "alice", smask=PAPER_SMASK)
         oracle.check_vfs_mode(llsc_node.vfs, "/f", alice, 0o777, "chmod")

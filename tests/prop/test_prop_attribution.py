@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import Cluster, LLSC
 from repro.faults import FaultKind
 from repro.kernel.errors import KernelError, TimedOut
+from repro.monitor import instrument_cluster
 from repro.monitor.events import EventKind
 from repro.obs import attach_forensics
 
@@ -102,6 +103,7 @@ def _drive(cluster, sessions, plan):
 def test_every_denial_resolves_to_job_or_session(plan):
     cluster = Cluster.build(LLSC, n_compute=3, gpus_per_node=1,
                             users=USERS, staff=("sam",))
+    log = instrument_cluster(cluster)
     bundle = attach_forensics(cluster)
     # every principal logs in first, so even a job-less probe has a
     # causal root (its interactive session) to resolve to
@@ -111,7 +113,7 @@ def test_every_denial_resolves_to_job_or_session(plan):
     denies = [r for r in bundle.audit.records
               if r.action == "deny" and r.uid >= 0]
     # every deny-kind *event* with a real uid landed in the trail ...
-    n_deny_events = sum(1 for e in bundle.events.events
+    n_deny_events = sum(1 for e in log.events
                         if e.kind in DENY_KINDS and e.subject_uid >= 0)
     assert len(denies) == n_deny_events
     # ... and 100% of them resolve through the query API to a causal root

@@ -79,7 +79,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     @invariant()
     def single_user_per_node(self):
         for node in self.cnodes:
-            uids = node.running_uids(self.sched.jobs)
+            uids = node.running_uids()
             assert len(uids) <= 1, uids
 
     @invariant()
