@@ -157,12 +157,12 @@ class Telemetry(Observer):
         spans = self._job_spans.pop(job.job_id, None)
         if spans is None:
             return
-        state = job.state.name.lower()
+        end = job.state.name.lower()  # a cancel passes no *state*
         for key in ("queue", "run"):
             span = spans.get(key)
             if span is not None and span.end is None:
-                self.tracer.finish(span, state=state)
-        self.tracer.finish(spans["root"], state=state)
+                self.tracer.finish(span, state=end)
+        self.tracer.finish(spans["root"], state=end)
 
     job_cancelled = job_finished
 

@@ -228,7 +228,7 @@ OPS = st.one_of(
 )
 
 
-@settings(max_examples=30)
+@settings(max_examples=50)
 @given(program=st.lists(OPS, min_size=1, max_size=14),
        order=st.permutations(sorted(PLANES)))
 def test_planes_never_change_outcomes_or_state(program, order):
