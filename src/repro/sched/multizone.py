@@ -27,7 +27,7 @@ observable step folds into a per-zone blake2b digest built from
 function of (seed, zone count) under any ``PYTHONHASHSEED``, shard count
 or worker count.  Long-horizon hygiene (the 1e7-event regime of E28):
 arrivals are generated in bounded chunks scheduled just-in-time, finished
-jobs are pruned from the scheduler's job table via its ``on_finish`` hook,
+jobs are pruned from the scheduler's job table by observing its finishes,
 and accounting retention is bounded (grand totals stay exact).
 """
 

@@ -2,7 +2,7 @@
 
 Pins the cluster-level determinism contract — every sharding and worker
 count produces the identical per-zone trace digests — plus the
-long-horizon hygiene satellites: job-table pruning via ``on_finish``,
+long-horizon hygiene satellites: job-table pruning on observed finishes,
 bounded accounting retention with exact grand totals, and churn-driven
 fencing/requeue staying deterministic.
 """
