@@ -6,6 +6,9 @@ program against these).
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,22 @@ def test_top_level_convenience_exports():
                    "blast_radius_trial", "seepid", "smask_relax",
                    "UserDB", "ALL_ATTACKS", "AuditReport"):
         assert hasattr(repro, symbol), symbol
+
+
+def test_import_repro_leaves_the_armed_planes_unloaded():
+    """``import repro`` re-exports the attack catalog but must not pull in
+    the campaign runner, the oracle or forensics: those load when a run
+    needs them, keeping their modules off every plain import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(' '.join(sorted(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True).stdout.split()
+    loaded = [m for m in out if m == "repro.attacks.runner"
+              or m == "repro.obs.forensics" or m.startswith("repro.oracle")]
+    assert loaded == []
 
 
 def test_version_string():
