@@ -20,7 +20,7 @@ from repro.core.attacks import (
     DevShmFile,
     HomeWalk,
     ProjectGroupShare,
-    ScratchWorldCreate,
+    SmaskWorldPublish,
     TmpFilenameEnum,
     TmpWorldFile,
 )
@@ -30,7 +30,7 @@ from _helpers import print_table
 
 FS_ATTACKS = (ChmodWorldHome(), TmpWorldFile(), DevShmFile(),
               AclUserGrant(), ChgrpSharedGroup(), HomeWalk(),
-              TmpFilenameEnum(), ScratchWorldCreate(), ProjectGroupShare())
+              TmpFilenameEnum(), SmaskWorldPublish(), ProjectGroupShare())
 
 CONFIGS = {
     "BASELINE": BASELINE,

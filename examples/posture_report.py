@@ -2,10 +2,12 @@
 """Generate the sponsor-facing security posture report (Markdown).
 
 Combines the evidence sources — deployed configuration, fleet compliance
-audit, the 33-probe adversarial battery — into one document, then appends
-the live ops dashboard (``repro.obs.dashboard``): enforcement metrics,
-probe alerts, and per-user denial posture, all drawn from the same
-telemetry registry the benchmarks consume.
+audit, the 33-probe adversarial battery (``repro.ALL_ATTACKS``, each probe
+run by the campaign runner's probe step on its own armed cluster) — into
+one document, then appends the live ops dashboard
+(``repro.obs.dashboard``): enforcement metrics, probe alerts, and per-user
+denial posture, all drawn from the same telemetry registry the benchmarks
+consume.
 
 Run:  python examples/posture_report.py            # prints LLSC report
       python examples/posture_report.py baseline   # ... the stock cluster

@@ -1,7 +1,9 @@
 """Adversary catalog and campaign runner (the paper's threat model, live).
 
 ``repro.attacks`` turns Section IV's threat narrative into numbered,
-executable attacker models: each :class:`~repro.attacks.catalog.AttackModel`
+executable attacker models: each numbered
+:class:`~repro.core.attacks.AttackModel` in :data:`CATALOG` (A1..A14,
+re-exported from the one catalog module, :mod:`repro.core.attacks`)
 pairs a sanctioned *benign twin* with a *malicious probe*, and the
 :class:`~repro.attacks.runner.CampaignRunner` executes both against fully
 armed clusters (event log + forensic audit trail + fail-fast separation
@@ -19,11 +21,11 @@ See docs/ATTACKERS.md for the prose catalog and docs/ATTACKS.md for the
 generated outcome matrix.
 """
 
-from repro.attacks.catalog import CATALOG, AttackModel, by_id
 from repro.attacks.presets import ABLATIONS, CAMPAIGN_PRESETS, preset
 from repro.attacks.runner import (AttackOutcome, CampaignError,
                                   CampaignResult, CampaignRunner, Outcome,
                                   run_campaign, run_matrix)
+from repro.core.attacks import CATALOG, AttackModel, by_id
 
 __all__ = [
     "ABLATIONS", "CAMPAIGN_PRESETS", "CATALOG", "AttackModel",

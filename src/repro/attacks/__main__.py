@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.attacks.catalog import CATALOG, by_id
 from repro.attacks.presets import CAMPAIGN_PRESETS
 from repro.attacks.report import check_report, write_report
 from repro.attacks.runner import CampaignRunner
+from repro.core.attacks import CATALOG, by_id
 
 
 def _cmd_list(_args) -> int:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.attacks.catalog import CATALOG
 from repro.attacks.presets import ABLATIONS, CAMPAIGN_PRESETS
 from repro.attacks.runner import CampaignResult, Outcome, run_matrix
+from repro.core.attacks import CATALOG
 
 #: the committed location, relative to the repository root
 REPORT_PATH = "docs/ATTACKS.md"

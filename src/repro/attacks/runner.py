@@ -10,9 +10,11 @@ The benign twin runs first and must be clean: it may not raise and may
 not trip a single oracle violation — that is the usability half of the
 paper's claim, checked under every preset including the ablations.
 
-The malicious probe then runs inside ``oracle.attack_context(attack.id)``,
-so any violation it provokes is *tagged* with the attack id instead of
-aborting the run, and the outcome is classified:
+The probe step (:meth:`CampaignRunner.probe`) then runs the malicious
+half inside ``oracle.attack_context(key)`` — the key is the attack's id,
+or its name for an unnumbered battery probe — so any violation it
+provokes is *tagged* instead of aborting the run, and the outcome is
+classified:
 
 * ``BLOCKED``   — the boundary held (no crossing);
 * ``DETECTED``  — the boundary failed but the oracle caught the bad
@@ -28,6 +30,9 @@ fall back to the attack's declared ``blocked_by``.
 
 Any *organic* (untagged) violation on either cluster is a bug in the
 enforcement stack itself and fails the campaign loudly.
+
+The E14 battery (:func:`repro.core.audit.run_battery`) runs only the
+probe step: ``leaked`` is any outcome but BLOCKED.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.attacks.catalog import CATALOG, AttackModel
 from repro.attacks.presets import CAMPAIGN_PRESETS, preset
+from repro.core.attacks import CATALOG, AttackModel
 from repro.core.audit import standard_cluster
 from repro.core.cluster import Cluster
 from repro.core.config import SeparationConfig
@@ -81,6 +86,15 @@ class AttackOutcome:
     deny_records: int
     #: oracle violations tagged with this attack id during the window
     tagged_violations: int
+    #: the attack's E14 battery metadata
+    area: str
+    residual: bool
+    intended: bool
+
+    @property
+    def leaked(self) -> bool:
+        """E14's verdict: the probe was not BLOCKED."""
+        return self.outcome is not Outcome.BLOCKED
 
     def row(self) -> dict[str, object]:
         """JSON-ready form (reports, benchmark baselines)."""
@@ -159,8 +173,8 @@ class CampaignRunner:
     # -- single attack -------------------------------------------------------
 
     def run_attack(self, attack: AttackModel) -> AttackOutcome:
-        """Run one attack's benign twin and probe; classify and attribute."""
-        # 1. the benign twin on its own cluster — must be spotless
+        """Run one attack's benign twin, then its probe step."""
+        # the benign twin on its own cluster — must be spotless
         benign_cluster = self._arm()
         try:
             benign_detail = attack.benign(benign_cluster)
@@ -173,24 +187,29 @@ class CampaignRunner:
             raise CampaignError(
                 f"{attack.id} benign twin tripped oracle {v.invariant}"
                 f" under {self.preset_key!r}: {v.detail}")
+        return self.probe(attack, benign_detail)
 
-        # 2. the probe on a second fresh cluster, inside the attack window
+    def probe(self, attack: AttackModel,
+              benign_detail: str = "") -> AttackOutcome:
+        """The probe step: a fresh armed cluster, the attack window,
+        classification and attribution."""
         cluster = self._arm()
+        key = attack.id or attack.name
         log = cluster.security_log
         audit = cluster.forensics.audit
         attacker_uid = cluster.user(attack.attacker).uid
         log.emit(cluster.engine.now, EventKind.ATTACK, attacker_uid,
-                 attack.id, f"probe {attack.name} started")
+                 key, f"probe {attack.name} started")
         watermark = len(audit.records)
-        with cluster.oracle.attack_context(attack.id):
+        with cluster.oracle.attack_context(key):
             crossed, malicious_detail = attack.malicious(cluster)
 
-        tagged = cluster.oracle.violations_for_attack(attack.id)
+        tagged = cluster.oracle.violations_for_attack(key)
         organic = cluster.oracle.organic_violations
         if organic:
             v = organic[0]
             raise CampaignError(
-                f"{attack.id} provoked an organic (untagged) oracle "
+                f"{key} provoked an organic (untagged) oracle "
                 f"violation {v.invariant} under {self.preset_key!r}: "
                 f"{v.detail}")
 
@@ -219,7 +238,7 @@ class CampaignRunner:
             audit_trace = None
 
         log.emit(cluster.engine.now, EventKind.ATTACK, attacker_uid,
-                 attack.id, f"probe {attack.name} outcome={outcome.value}")
+                 key, f"probe {attack.name} outcome={outcome.value}")
         self.metrics.counter("attacks_run_total",
                              outcome=outcome.value).inc()
         return AttackOutcome(
@@ -228,7 +247,9 @@ class CampaignRunner:
             invariant=attack.invariant, outcome=outcome,
             benign_detail=benign_detail, malicious_detail=malicious_detail,
             blocked_by=blocked_by, audit_trace=audit_trace,
-            deny_records=len(denies), tagged_violations=len(tagged))
+            deny_records=len(denies), tagged_violations=len(tagged),
+            area=attack.area, residual=attack.residual,
+            intended=attack.intended)
 
     # -- whole campaign ------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The paper's contribution: composed separation config, cluster assembly,
 support tools, attack battery, audit, and the overhead model."""
 
-from repro.core.attacks import ALL_ATTACKS, Attack, AttackResult
+from repro.core.attacks import ALL_ATTACKS
 from repro.core.audit import (
     AuditReport,
     blast_radius_trial,
@@ -27,8 +27,7 @@ from repro.core.report import posture_report
 from repro.core.tools import publish_dataset, seepid, smask_relax
 
 __all__ = [
-    "ALL_ATTACKS", "Attack", "AttackResult",
-    "AuditReport", "blast_radius_trial", "run_battery", "standard_cluster",
+    "ALL_ATTACKS", "AuditReport", "blast_radius_trial", "run_battery", "standard_cluster",
     "Cluster", "Session",
     "ComplianceReport", "Finding", "check_compliance",
     "SeparationConfig",

@@ -1,19 +1,24 @@
 """Audit driver: run the attack battery, build the leakage matrix (E14).
 
-``run_battery(config)`` instantiates a fresh standard cluster per probe (so
-probes cannot perturb each other) and aggregates an :class:`AuditReport`:
-per-area leak counts, the list of open paths, whether the sanctioned
-project-group path still works, and the comparison hooks the benchmarks
-print.
+``run_battery(config)`` runs each probe through the campaign runner's
+probe step — a fresh armed standard cluster per probe (so probes cannot
+perturb each other), the oracle's attack window, classification — and
+aggregates an :class:`AuditReport`: per-area leak counts, the list of
+open paths, whether the sanctioned project-group path still works, and
+the comparison hooks the benchmarks print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.attacks import ALL_ATTACKS, Attack, AttackResult
+from repro.core.attacks import ALL_ATTACKS, AttackModel
 from repro.core.cluster import Cluster
 from repro.core.config import SeparationConfig
+
+if TYPE_CHECKING:
+    from repro.attacks.runner import AttackOutcome
 
 
 def standard_cluster(config: SeparationConfig, **overrides) -> Cluster:
@@ -35,26 +40,26 @@ class AuditReport:
     """Results of the adversarial probe battery against one cluster."""
 
     config: SeparationConfig
-    results: list[AttackResult] = field(default_factory=list)
+    results: list[AttackOutcome] = field(default_factory=list)
 
     # -- aggregates ----------------------------------------------------------
 
     @property
-    def probes(self) -> list[AttackResult]:
+    def probes(self) -> list[AttackOutcome]:
         """All adversarial probes (excludes the intended-sharing control)."""
         return [r for r in self.results if not r.intended]
 
     @property
-    def open_paths(self) -> list[AttackResult]:
+    def open_paths(self) -> list[AttackOutcome]:
         return [r for r in self.probes if r.leaked]
 
     @property
-    def unexpected_paths(self) -> list[AttackResult]:
+    def unexpected_paths(self) -> list[AttackOutcome]:
         """Leaks that are NOT documented residuals."""
         return [r for r in self.open_paths if not r.residual]
 
     @property
-    def residual_paths(self) -> list[AttackResult]:
+    def residual_paths(self) -> list[AttackOutcome]:
         return [r for r in self.open_paths if r.residual]
 
     @property
@@ -74,7 +79,7 @@ class AuditReport:
         return [
             {"attack": r.name, "area": r.area,
              "outcome": "LEAK" if r.leaked else "blocked",
-             "residual": r.residual, "detail": r.detail}
+             "residual": r.residual, "detail": r.malicious_detail}
             for r in self.probes
         ]
 
@@ -96,13 +101,12 @@ class AuditReport:
 
 
 def run_battery(config: SeparationConfig,
-                attacks: tuple[Attack, ...] = ALL_ATTACKS) -> AuditReport:
-    """Execute every attack on a fresh standard cluster; aggregate."""
-    report = AuditReport(config=config)
-    for attack in attacks:
-        cluster = standard_cluster(config)
-        report.results.append(attack.run(cluster))
-    return report
+                attacks: tuple[AttackModel, ...] = ALL_ATTACKS) -> AuditReport:
+    """Run every attack through the campaign runner's probe step; aggregate."""
+    from repro.attacks.runner import CampaignRunner
+    runner = CampaignRunner(config.name, config=config)
+    return AuditReport(config=config,
+                       results=[runner.probe(a) for a in attacks])
 
 
 def blast_radius_trial(config: SeparationConfig) -> dict[str, int]:

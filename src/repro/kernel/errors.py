@@ -3,9 +3,10 @@
 Every enforcement point in the simulated substrate (VFS, process table,
 procfs, network stack, scheduler PAM hooks) raises one of these rather than
 returning sentinel values, mirroring how a real Linux syscall surfaces
-``-EPERM``/``-EACCES``/... to userspace.  Attack probes in
-:mod:`repro.core.attacks` catch :class:`KernelError` broadly and record the
-specific errno observed.
+``-EPERM``/``-EACCES``/... to userspace.  The probes of the attack catalog
+(:mod:`repro.core.attacks`: E14's battery and the numbered adversaries
+A1–A14) catch :class:`KernelError` broadly and put the error observed in
+their detail string.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import CATALOG, CampaignRunner, Outcome, by_id
+from repro.attacks import (AttackModel, CATALOG, CampaignRunner, Outcome,
+                            by_id)
 from repro.attacks.runner import CampaignError
 from repro.obs.dashboard import campaign_posture
 
@@ -120,6 +121,26 @@ class TestRunnerPlumbing:
         counted = runner.metrics.counter("attacks_run_total",
                                          outcome="BLOCKED").value
         assert counted == 2
+
+    def test_unnumbered_probe_keys_its_window_by_name(self):
+        """A battery probe has no A-id: its attack window and ATTACK
+        events carry its name, and what it trips in-window is tagged."""
+        class Trip(AttackModel):
+            name = "trip-probe"
+
+            def malicious(self, cluster):
+                self.cluster = cluster
+                cluster.oracle._violation("I2", "c1->c2", "forced")
+                return True, "crossed"
+
+        probe = Trip()
+        out = CampaignRunner("full").probe(probe)
+        assert out.outcome is Outcome.DETECTED and out.tagged_violations == 1
+        assert out.leaked and out.attack_id == ""
+        from repro.monitor.events import EventKind
+        targets = [e.target for e in probe.cluster.security_log.events
+                   if e.kind is EventKind.ATTACK]
+        assert targets == ["trip-probe", "trip-probe"]
 
     def test_benign_twin_failure_is_loud(self):
         """A twin that raises fails the campaign with CampaignError."""

@@ -8,18 +8,18 @@ from repro.core.attacks import (
     AbstractUds,
     AclUserGrant,
     ChmodWorldHome,
-    GpuResidue,
+    GpuResidueScrape,
     ProcArgvSecret,
     ProjectGroupShare,
     PsSnoop,
     RdmaCmBypass,
     SacctUsage,
-    ScratchWorldCreate,
+    SmaskWorldPublish,
     SqueueSnoop,
-    SshIdleNode,
-    TcpCrossUser,
+    SshWithoutJob,
     TmpFilenameEnum,
     TmpWorldFile,
+    UbfCrossUserConnect,
 )
 from repro.sched import NodeSharing
 
@@ -92,7 +92,7 @@ class TestSingleKnobAblations:
         assert leaks == {"squeue-snoop": True, "sacct-usage": True}
 
     def test_pam_slurm_off_reopens_ssh(self):
-        leaks = self._run(ablate(LLSC, pam_slurm=False), [SshIdleNode()])
+        leaks = self._run(ablate(LLSC, pam_slurm=False), [SshWithoutJob()])
         assert leaks["ssh-without-job"]
 
     def test_handler_off_reopens_world_bits(self):
@@ -124,15 +124,15 @@ class TestSingleKnobAblations:
 
     def test_old_lustre_reopens_scratch_create(self):
         leaks = self._run(ablate(LLSC, lustre_honors_smask=False),
-                          [ScratchWorldCreate()])
+                          [SmaskWorldPublish()])
         assert leaks["scratch-world-create"]
 
     def test_ubf_off_reopens_network(self):
-        leaks = self._run(ablate(LLSC, ubf=False), [TcpCrossUser()])
+        leaks = self._run(ablate(LLSC, ubf=False), [UbfCrossUserConnect()])
         assert leaks["tcp-connect-cross-user"]
 
     def test_gpu_scrub_off_reopens_residue(self):
-        leaks = self._run(ablate(LLSC, gpu_scrub=False), [GpuResidue()])
+        leaks = self._run(ablate(LLSC, gpu_scrub=False), [GpuResidueScrape()])
         assert leaks["gpu-residue"]
 
     def test_portal_auth_off_reopens_unauth(self):
@@ -142,9 +142,9 @@ class TestSingleKnobAblations:
         assert leaks["portal-unauthenticated"]
 
     def test_shared_policy_reopens_coresidency(self):
-        from repro.core.attacks import CoResidency
+        from repro.core.attacks import CoResidentPlacement
         leaks = self._run(ablate(LLSC, node_policy=NodeSharing.SHARED),
-                          [CoResidency()])
+                          [CoResidentPlacement()])
         assert leaks["co-residency"]
 
     def test_link_sysctls_cover_tmp_attacks(self):
