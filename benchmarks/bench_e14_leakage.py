@@ -11,18 +11,42 @@ where two controls cover one path).
 
 Series printed: per-area open-path counts for BASELINE vs LLSC; the
 residual list; the knock-out matrix.
+
+The verdicts run on the simulation clock, so they are host-independent.
+Both matrix tests record into ``benchmarks/results/e14_leakage.json``:
+BASELINE's and LLSC's open and unexpected paths, whether intended sharing
+works, and each knockout's reopened paths.  ``python benchmarks/gate.py
+E14`` checks them against the exact rules in
+``benchmarks/baselines/e14.json``.
 """
+
+import pytest
 
 from repro import BASELINE, LLSC, ablate, run_battery
 from repro.sched import NodeSharing
 from repro.sched.privatedata import PrivateData
 
-from _helpers import print_table
+from _helpers import print_table, write_result
 
 EXPECTED_RESIDUALS = {"tmp-filename-enum", "abstract-uds", "rdma-cm-bypass"}
 
 
-def test_e14_headline_matrix(benchmark):
+@pytest.fixture(scope="module")
+def e14_result():
+    """The result document both matrix tests fill; written after them."""
+    doc: dict = {}
+    yield doc
+    write_result("e14_leakage", doc, full=False)
+
+
+def _summary(report) -> dict:
+    return {"probes": len(report.probes),
+            "open": sorted(r.name for r in report.open_paths),
+            "unexpected": sorted(r.name for r in report.unexpected_paths),
+            "intended_sharing": report.intended_sharing_works}
+
+
+def test_e14_headline_matrix(benchmark, e14_result):
     reports = benchmark.pedantic(
         lambda: {cfg.name: run_battery(cfg) for cfg in (BASELINE, LLSC)},
         rounds=1, iterations=1)
@@ -42,6 +66,7 @@ def test_e14_headline_matrix(benchmark):
                 [[r.name, r.residual] for r in llsc.open_paths])
     benchmark.extra_info["baseline_open"] = len(base.open_paths)
     benchmark.extra_info["llsc_open"] = len(llsc.open_paths)
+    e14_result.update(baseline=_summary(base), llsc=_summary(llsc))
     # the paper's Section V, quantified:
     assert {r.name for r in llsc.open_paths} == EXPECTED_RESIDUALS
     assert llsc.unexpected_paths == []
@@ -49,7 +74,7 @@ def test_e14_headline_matrix(benchmark):
     assert base.intended_sharing_works and llsc.intended_sharing_works
 
 
-def test_e14_knockout_matrix(benchmark):
+def test_e14_knockout_matrix(benchmark, e14_result):
     """Remove one control at a time; count reopened paths."""
     knockouts = {
         "hidepid=0": ablate(LLSC, hidepid=0),
@@ -78,6 +103,7 @@ def test_e14_knockout_matrix(benchmark):
                 ["control removed", "reopened paths"],
                 [[k, ", ".join(v) or "(none)"] for k, v in reopened.items()])
     benchmark.extra_info["knockouts"] = reopened
+    e14_result["knockouts"] = reopened
     assert "ps-snoop" in reopened["hidepid=0"]
     assert "squeue-snoop" in reopened["PrivateData off"]
     assert "co-residency" in reopened["policy=shared"]

@@ -94,6 +94,8 @@ def test_baseline_passes_on_its_committed_reference(name, results_dir,
      "ablations.no-ubf.flips == "),
     ("e29", lambda d: d["full_campaign"].pop("blocked_with_deny_record"),
      "full_campaign.blocked_with_deny_record >= 11: missing"),
+    ("e14", lambda d: d["llsc"]["open"].append("ps-snoop"),
+     "llsc.open == "),
 ])
 def test_gate_exits_nonzero_and_names_the_broken_rule(name, mutate, rule,
                                                        results_dir, capsys):
