@@ -183,8 +183,8 @@ def crash_control_plane(cluster) -> str:
     sched._queue = []
     sched._running = {}
     sched._core_charge = {}
-    sched._fresh_jobs = set()
     sched._dirty_parts = set()
+    sched.reindex_partitions()  # empty wake lists and per-uid index
     sched._next_jid = 1
     sched._busy_cores = TimeWeighted()
     sched._useful_cores = TimeWeighted()
@@ -244,12 +244,13 @@ def recover_cluster(cluster) -> RecoveryReport:
     # still sitting in the queue list (the pass purges once, at its end).
     sched._queue = [j for j in sched._queue if j.state is JobState.PENDING]
 
-    # Rebuild the free-capacity index from the *live* node state, and
-    # clear the dispatch memos — both drain to empty between engine
-    # events anyway.
+    # Rebuild the free-capacity index from the *live* node state, the
+    # wake lists from the queue and the per-uid live-job index from the
+    # job table.  The wake lists carry state across engine events: like
+    # an uncrashed scheduler between events, the rebuilt one has every
+    # queued job parked, so a later free wakes exactly what it would have.
     sched.reindex_partitions()
     sched._dirty_parts.clear()
-    sched._fresh_jobs.clear()
     sched.crashed = False
     sched._note_queue_depth()
 

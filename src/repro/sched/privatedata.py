@@ -8,6 +8,11 @@ information, accounting information, etc."
 the corresponding PrivateData flag set, a non-privileged viewer sees only
 their own rows.  Administrators (root) and designated Slurm *operators*
 always see everything — that is how LLSC support staff do their jobs.
+
+A plain viewer's filtered ``squeue`` costs O(own jobs): it reads the
+scheduler's per-uid index of unfinished jobs
+(:meth:`~repro.sched.scheduler.Scheduler.live_jobs`) instead of walking
+every other user's jobs just to hide them.
 """
 
 from __future__ import annotations
@@ -58,20 +63,21 @@ class SchedulerView:
         return viewer.is_root or viewer.uid in self.operators
 
     def squeue(self, viewer: User) -> list[JobRow]:
-        """Pending + running jobs visible to *viewer*."""
-        rows = []
-        for job in self.scheduler.jobs.values():
-            if job.state.finished:
-                continue
-            if (self.private.jobs and not self._privileged(viewer)
-                    and job.uid != viewer.uid):
-                continue
-            rows.append(JobRow(
-                job_id=job.job_id, user_name=job.spec.user.name,
-                job_name=job.spec.name, state=job.state,
-                command=job.spec.command, workdir=job.spec.workdir,
-                nodes=tuple(job.nodes)))
-        return rows
+        """Pending + running jobs visible to *viewer*, in job-id order.
+
+        A plain viewer under ``PrivateData.jobs`` reads only their own
+        entry of the scheduler's per-uid live index; root, operators and
+        PrivateData-off walk every job."""
+        if self.private.jobs and not self._privileged(viewer):
+            jobs = self.scheduler.live_jobs(viewer.uid)
+        else:
+            jobs = [j for j in self.scheduler.jobs.values()
+                    if not j.state.finished]
+        return [JobRow(job_id=job.job_id, user_name=job.spec.user.name,
+                       job_name=job.spec.name, state=job.state,
+                       command=job.spec.command, workdir=job.spec.workdir,
+                       nodes=tuple(job.nodes))
+                for job in jobs]
 
     def sacct(self, viewer: User) -> list[UsageRecord]:
         """Accounting rows visible to *viewer*."""
@@ -94,6 +100,5 @@ class SchedulerView:
     def sreport_users(self, viewer: User) -> set[str]:
         """Which usernames the viewer can enumerate through the scheduler."""
         if self.private.users and not self._privileged(viewer):
-            return {viewer.name} & {j.spec.user.name
-                                    for j in self.scheduler.jobs.values()} | {viewer.name}
+            return {viewer.name}
         return {j.spec.user.name for j in self.scheduler.jobs.values()}

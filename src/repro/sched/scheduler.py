@@ -21,10 +21,16 @@ DESIGN.md.
 Two dispatch implementations coexist (DESIGN.md "Performance architecture"):
 
 * the **indexed** default — a per-partition free-capacity index
-  (:mod:`repro.sched.dispatch_index`) supplies first-fit candidates,
-  dispatch passes run only when a partition got resources back or a job
-  arrived (event-driven wakeups via dirty-partition marks), and
-  running/pending sets are maintained incrementally;
+  (:mod:`repro.sched.dispatch_index`) supplies first-fit candidates, and
+  with backfill a pass examines only jobs that could have become
+  placeable: arrivals, requeues and jobs woken from their partition's
+  *wake lists*.  A job that fails to place is parked there under its
+  placement shape, and a free wakes a shape only if the freed node can
+  now take one of its tasks — allocations only ever shrink what a node
+  can take.  Without backfill the head-of-line pass runs whenever a
+  partition got resources back or a job arrived.  Running/pending sets
+  and a per-uid index of unfinished jobs (what a plain user's ``squeue``
+  reads) are maintained incrementally;
 * the **naive reference** (``SchedulerConfig(naive=True)``) — the original
   full pending x nodes rescan on every event, kept verbatim for
   differential testing: both paths must produce byte-identical placements
@@ -33,6 +39,7 @@ Two dispatch implementations coexist (DESIGN.md "Performance architecture"):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -49,6 +56,19 @@ from repro.sim.metrics import MetricSet, TimeWeighted
 
 PrologHook = Callable[[Job, ComputeNode], None]
 EpilogHook = Callable[[Job, ComputeNode], None]
+
+
+def _gather(groups: dict, key, jobs: dict[int, Job]) -> None:
+    """Add *jobs* (queue seq -> job, in seq order) to ``groups[key]``,
+    keeping every group in seq order so its first key is its head."""
+    into = groups.get(key)
+    if into is None:
+        groups[key] = jobs
+    elif next(iter(jobs)) > next(reversed(into)):
+        into.update(jobs)
+    else:  # interleaved seqs, only when a pass re-enters
+        into.update(jobs)
+        groups[key] = dict(sorted(into.items()))
 
 
 @dataclass
@@ -116,11 +136,10 @@ class Scheduler:
         #: finish path never re-derives them from the allocation list
         self._core_charge: dict[int, tuple[int, int]] = {}
         self.total_cores = sum(n.total_cores for n in nodes)
-        self.reindex_partitions()  # free-capacity index (module docstring)
-        #: partitions where resources were freed since the last dispatch
+        #: partitions where resources were freed since the last
+        #: head-of-line pass (backfill off)
         self._dirty_parts: set[str] = set()
-        #: jobs that arrived/requeued since their partition was last scanned
-        self._fresh_jobs: set[int] = set()
+        self.reindex_partitions()  # dispatch and squeue indexes
         self._scan_counter = self.metrics.counter("sched_dispatch_scan")
 
     # -- submission -----------------------------------------------------------
@@ -147,6 +166,7 @@ class Scheduler:
         job = Job(job_id=self._next_id(), spec=spec, duration=duration,
                   array_id=array_id, array_index=array_index)
         self.jobs[job.job_id] = job
+        self._live.setdefault(job.uid, {})[job.job_id] = job
         arrival = self.engine.now if at is None else at
         job.submit_time = arrival
         for o in self.observers:
@@ -183,11 +203,48 @@ class Scheduler:
     def _note_queue_depth(self) -> None:
         self.metrics.gauge("sched_queue_depth").set(len(self._queue))
 
+    def _enqueue(self, job: Job) -> None:
+        """Append *job* to the queue under the next queue sequence number
+        and mark it for the next dispatch pass to examine — unless its
+        shape is parked: nothing freed since that shape failed can host
+        it, so it joins the wake list at once."""
+        seq = self._next_seq
+        self._next_seq += 1
+        self._qseq[job.job_id] = seq
+        self._queue.append(job)
+        pname, shape = job.spec.partition, self._shape(job)
+        parked = self._parked[pname]
+        if shape in parked:
+            _gather(parked, shape, {seq: job})
+        else:
+            _gather(self._woken, (pname, shape), {seq: job})
+
+    def _unqueue(self, job: Job) -> None:
+        """Drop a cancelled job's dispatch bookkeeping: its sequence
+        number and its place among the woken or parked jobs."""
+        seq = self._qseq.pop(job.job_id, None)
+        if seq is None:
+            return
+        pname, shape = job.spec.partition, self._shape(job)
+        for groups, key in ((self._woken, (pname, shape)),
+                            (self._parked[pname], shape)):
+            jobs = groups.get(key)
+            if jobs is not None and jobs.pop(seq, None) is not None:
+                if not jobs:
+                    del groups[key]
+                return
+
+    def _drop_live(self, job: Job) -> None:
+        live = self._live.get(job.uid)
+        if live is not None:
+            live.pop(job.job_id, None)
+            if not live:
+                del self._live[job.uid]
+
     def _arrive(self, job: Job) -> None:
         if job.state is not JobState.PENDING:
             return  # cancelled before its arrival event fired
-        self._queue.append(job)
-        self._fresh_jobs.add(job.job_id)
+        self._enqueue(job)
         self.metrics.counter("jobs_submitted").inc()
         for o in self.observers:
             o.job_arrived(job)
@@ -204,7 +261,8 @@ class Scheduler:
             pending_arrival = self._arrival_events.pop(job.job_id, None)
             if pending_arrival is not None:
                 self.engine.cancel(pending_arrival)
-            self._fresh_jobs.discard(job.job_id)
+            self._unqueue(job)
+            self._drop_live(job)
             job.state = JobState.CANCELLED
             job.end_time = self.engine.now
             for o in self.observers:
@@ -216,8 +274,23 @@ class Scheduler:
     # -- placement --------------------------------------------------------------
 
     def _policy_for(self, job: Job) -> NodeSharing:
-        override = self.partitions[job.spec.partition].policy_override
+        return self._partition_policy(job.spec.partition)
+
+    def _partition_policy(self, pname: str) -> NodeSharing:
+        override = self.partitions[pname].policy_override
         return override if override is not None else self.config.policy
+
+    def _shape(self, job: Job) -> tuple:
+        """The job's placement shape within its partition: jobs of one
+        shape place, or fail to, alike.  The uid is part of it only where
+        the policy reads it — WHOLE_NODE_USER without ``--exclusive``."""
+        spec = job.spec
+        uid = None
+        if (not spec.exclusive and self._policy_for(job)
+                is NodeSharing.WHOLE_NODE_USER):
+            uid = job.uid
+        return (spec.ntasks, spec.cores_per_task, spec.mem_mb_per_task,
+                spec.gpus_per_task, spec.exclusive, uid)
 
     def _nodes_for(self, job: Job):
         for name in self.partitions[job.spec.partition].node_names:
@@ -269,18 +342,22 @@ class Scheduler:
         return self._plan_over(job, self._nodes_for(job))
 
     def _placement_indexed(self, job: Job
-                           ) -> tuple[list[tuple[ComputeNode, int]] | None,
-                                      int]:
+                           ) -> list[tuple[ComputeNode, int]] | None:
         """Indexed placement: only nodes the free-capacity index says could
-        accept this job are examined, in the same first-fit order."""
+        accept this job are examined, in the same first-fit order, and
+        counted in ``sched_dispatch_scan``."""
         index = self._pindex[job.spec.partition]
+        if not index.any_open:
+            return None  # every policy needs an open node
         policy = self._policy_for(job)
         whole = policy is NodeSharing.EXCLUSIVE or job.spec.exclusive
         names = index.candidates(policy=policy, whole=whole, uid=job.uid,
                                  cores_per_task=job.spec.cores_per_task)
         if not names:
-            return None, 0
-        return self._plan_over(job, (self.nodes[n] for n in names))
+            return None
+        plan, examined = self._plan_over(job, (self.nodes[n] for n in names))
+        self._scan_counter.inc(examined)
+        return plan
 
     def _any_node_open(self) -> bool:
         """Cheap pre-check: could *any* pending job conceivably start?
@@ -289,16 +366,19 @@ class Scheduler:
                     for p in self.partitions.values()}
         if policies == {NodeSharing.EXCLUSIVE}:
             return any(n.idle and not n.failed for n in self.nodes.values())
-        return any(not n.failed and n.free_cores > 0 and n.free_mem_mb > 0
+        return any(not n.failed and n.free_cores > 0
                    for n in self.nodes.values())
 
     def reindex_partitions(self) -> None:
-        """Rebuild the free-capacity index from :attr:`partitions` and the
-        live node state.
+        """Rebuild the dispatch and query indexes: the free-capacity index
+        from :attr:`partitions` and the live node state, the wake lists
+        from the queue, and the per-uid live-job index from :attr:`jobs`.
 
         Call it after replacing or adding partitions, and after restoring
-        node state (recovery); dispatch only ever updates the index
+        the job tables (recovery); dispatch only ever updates the indexes
         incrementally, so it never sees a partition added behind its back.
+        Between engine events every queued job has failed to place since
+        the last free that could help it, so with backfill each is parked.
         """
         self._pindex: dict[str, PartitionIndex] = {
             p.name: PartitionIndex(p, self.nodes)
@@ -307,18 +387,67 @@ class Scheduler:
         for p in self.partitions.values():
             for name in p.node_names:
                 self._node_parts.setdefault(name, []).append(p.name)
+        #: wake lists: partition -> placement shape -> {queue seq: job};
+        #: every job group here and in :attr:`_woken` is in seq order
+        self._parked: dict[str, dict[tuple, dict[int, Job]]] = {
+            name: {} for name in self.partitions}
+        #: (partition, shape) -> {queue seq: job}: what the next backfill
+        #: pass examines (arrived, requeued or woken jobs)
+        self._woken: dict[tuple, dict[int, Job]] = {}
+        #: job id -> queue seq, for queued jobs; seq order is queue order
+        self._qseq: dict[int, int] = {}
+        self._next_seq = 0
+        park = self.config.backfill and not self.config.naive
+        for job in self._queue:
+            seq = self._qseq[job.job_id] = self._next_seq
+            self._next_seq += 1
+            if park:
+                _gather(self._parked[job.spec.partition], self._shape(job),
+                        {seq: job})
+        #: uid -> {job id: job} of that user's unfinished jobs
+        self._live: dict[int, dict[int, Job]] = {}
+        for job in self.jobs.values():
+            if not job.state.finished:
+                self._live.setdefault(job.uid, {})[job.job_id] = job
 
     def _node_changed(self, node: ComputeNode, *, freed: bool) -> None:
-        """Re-index one node; a *freed* change wakes its partitions up.
+        """Re-index one node; a *freed* change wakes the jobs it may help.
 
-        Allocations only consume resources — they can never make a
-        previously unplaceable job placeable — so only frees (job finish,
-        node resume) mark partitions dirty for the event-driven dispatch.
+        Allocations only consume resources, so a job that failed to place
+        stays unplaceable until a free leaves some node of its partition
+        able to take one of its tasks.  With backfill a free (job finish,
+        node resume) therefore wakes each parked shape that
+        ``tasks_placeable`` says the node can now host, and no other;
+        without it, the free marks the node's partitions dirty for the
+        head-of-line pass.
         """
         for pname in self._node_parts.get(node.name, ()):
             self._pindex[pname].update(node)
-            if freed:
+            if not freed:
+                continue
+            if not self.config.backfill:
                 self._dirty_parts.add(pname)
+                continue
+            parked = self._parked[pname]
+            if not parked or node.failed or node.drained:
+                continue
+            policy = self._partition_policy(pname)
+            free_cores, free_mem_mb = node.free_cores, node.free_mem_mb
+            free_gpus = len(node.free_gpu_indices)
+            idle, sole, uids = node.idle, node.sole_uid, node.running_uids()
+            # a shape that carries a uid fits a busy node only when that
+            # uid is the node's sole tenant, and no shape fits a node with
+            # fewer free cores than one task needs: skip those unasked
+            for shape in [s for s in parked
+                          if (idle or s[5] is None or s[5] == sole)
+                          and s[1] <= free_cores and tasks_placeable(
+                              policy, free_cores=free_cores,
+                              free_mem_mb=free_mem_mb, free_gpus=free_gpus,
+                              cores_per_task=s[1], mem_mb_per_task=s[2],
+                              gpus_per_task=s[3], node_idle=idle,
+                              node_uids=uids, job_uid=s[5],
+                              job_exclusive=s[4]) > 0]:
+                _gather(self._woken, (pname, shape), parked.pop(shape))
 
     def _try_dispatch(self) -> None:
         if self.config.naive:
@@ -334,7 +463,7 @@ class Scheduler:
         suffices: placements only consume resources, so a job that was
         unplaceable earlier in the pass stays unplaceable."""
         self._dirty_parts.clear()
-        self._fresh_jobs.clear()
+        self._woken.clear()
         if not self._any_node_open():
             return
         placed_ids: set[int] = set()
@@ -361,65 +490,76 @@ class Scheduler:
             self._note_queue_depth()
 
     def _dispatch_indexed(self) -> None:
-        """Event-driven dispatch: a pass runs only when a partition got
-        resources back (dirty) or a job arrived/requeued (fresh); within a
-        pass, a pending job is only examined if its partition is dirty or
-        the job is fresh — anything else was unplaceable at its last scan
-        and nothing has freed since, so it still is."""
-        while self._dirty_parts or self._fresh_jobs:
-            dirty, self._dirty_parts = self._dirty_parts, set()
-            fresh, self._fresh_jobs = self._fresh_jobs, set()
-            self._dispatch_pass(dirty, fresh)
-
-    def _dispatch_pass(self, dirty: set[str], fresh: set[int]) -> None:
-        # Every policy needs at least one open node, so a dirty partition
-        # with none can place nothing — drop it up front; a pass with no
-        # dirty partitions and no fresh jobs has nothing to do at all.
-        dirty = {p for p in dirty if self._pindex[p].any_open}
-        if not dirty and not fresh and self.config.backfill:
+        """Event-driven dispatch.  With backfill, a pass examines only the
+        woken jobs — arrived, requeued, or woken by a free — and repeats
+        while a pass leaves new ones behind; every other queued job is
+        parked and provably still unplaceable (see :meth:`_node_changed`).
+        Without backfill the head-of-line pass runs instead."""
+        if not self.config.backfill:
+            self._dispatch_head_of_line()
             return
-        purge = False
-        backfill = self.config.backfill
-        # Within one pass capacity only shrinks (starts consume; frees
-        # schedule a new pass), so once a placement shape fails, identical
-        # later jobs — array campaigns, mostly — must fail too.  Any
-        # mid-pass free (a batch step failing at start) repopulates
-        # self._dirty_parts; that invalidates the memo, so drop it.
-        failed: set[tuple] = set()
-        for job in list(self._queue):
-            if job.state is not JobState.PENDING:
-                purge = True  # started (or batch-failed) re-entrantly
-                continue
-            plan = None
-            # Without backfill the head job gates everyone (including other
-            # partitions), so jobs behind it may never have been examined —
-            # the clean-partition skip is only sound with backfill on.
-            if (not backfill or job.job_id in fresh
-                    or job.spec.partition in dirty):
-                if self._dirty_parts:
-                    failed.clear()
-                spec = job.spec
-                sig = (spec.partition, job.uid, spec.ntasks,
-                       spec.cores_per_task, spec.mem_mb_per_task,
-                       spec.gpus_per_task, spec.exclusive)
-                # O(1) guards: a partition with no open node, or a shape
-                # that already failed this pass, cannot place
-                if sig not in failed \
-                        and self._pindex[spec.partition].any_open:
-                    plan, examined = self._placement_indexed(job)
-                    self._scan_counter.inc(examined)
-                    if plan is None:
-                        failed.add(sig)
-            if plan is None:
-                if not self.config.backfill:
+        while self._woken:
+            woken, self._woken = self._woken, {}
+            self._dispatch_pass(woken)
+
+    def _dispatch_pass(self, woken: dict[tuple, dict[int, Job]]) -> None:
+        # Jobs are examined in queue (seq) order, merged across their shape
+        # groups.  When a job fails to place, it and every later job of its
+        # shape are parked in one move: they cannot place either.  So is a
+        # group whose shape is already parked, which nothing freed since it
+        # failed can host.  A free in the middle of the pass (a failing
+        # prolog or batch step) wakes what it can host, taking those shapes
+        # off the parked lists and so re-enabling their attempts.
+        heads = [(next(iter(jobs)), key) for key, jobs in woken.items()]
+        heapq.heapify(heads)
+        started = False
+        while heads:
+            seq, key = heapq.heappop(heads)
+            jobs = woken[key]
+            job = jobs[seq]
+            if job.state is JobState.PENDING:  # not cancelled mid-pass
+                pname, shape = key
+                parked = self._parked[pname]
+                plan = (None if shape in parked
+                        else self._placement_indexed(job))
+                if plan is None:
+                    _gather(parked, shape, jobs)
+                    continue
+                self._start(job, plan)
+                started = True
+            del jobs[seq]
+            if jobs:
+                heapq.heappush(heads, (next(iter(jobs)), key))
+        if started:
+            self._purge_queue()
+
+    def _dispatch_head_of_line(self) -> None:
+        """FIFO without backfill: whenever a partition got resources back
+        or a job arrived, walk the queue in order up to the first job that
+        cannot start.  The head gates everyone, and a cancelled head can
+        unblock jobs that were never examined, so no job here is known to
+        be unplaceable and none is parked."""
+        while self._dirty_parts or self._woken:
+            self._dirty_parts.clear()
+            self._woken.clear()
+            started = False
+            for job in list(self._queue):
+                if job.state is not JobState.PENDING:
+                    started = True  # started (or batch-failed) re-entrantly
+                    continue
+                plan = self._placement_indexed(job)
+                if plan is None:
                     break
-                continue
-            self._start(job, plan)
-            purge = True
-        if purge:
-            self._queue = [j for j in self._queue
-                           if j.state is JobState.PENDING]
-            self._note_queue_depth()
+                self._start(job, plan)
+                started = True
+            if started:
+                self._purge_queue()
+
+    def _purge_queue(self) -> None:
+        """Drop started jobs from the queue, once per pass."""
+        self._queue = [j for j in self._queue
+                       if j.state is JobState.PENDING]
+        self._note_queue_depth()
 
     def _start(self, job: Job, plan: list[tuple[ComputeNode, int]]) -> None:
         # before any allocation mutates node state: observers (the oracle)
@@ -430,7 +570,7 @@ class Scheduler:
         job.state = JobState.RUNNING
         job.start_time = now
         self._running[job.job_id] = job
-        self._fresh_jobs.discard(job.job_id)
+        self._qseq.pop(job.job_id, None)
         whole = (self._policy_for(job) is NodeSharing.EXCLUSIVE
                  or job.spec.exclusive)
         for node, tasks in plan:
@@ -525,6 +665,7 @@ class Scheduler:
         job.state = state
         job.end_time = now
         self._running.pop(job.job_id, None)
+        self._drop_live(job)
         for timer in self._job_events.pop(job.job_id, ()):
             self.engine.cancel(timer)
         self._write_stdout_file(job)
@@ -721,8 +862,8 @@ class Scheduler:
         job.allocations = []
         job.reason = "requeued after node failure"
         self.metrics.counter("jobs_requeued").inc()
-        self._queue.append(job)
-        self._fresh_jobs.add(job.job_id)
+        self._live.setdefault(job.uid, {})[job.job_id] = job
+        self._enqueue(job)
         for o in self.observers:
             o.job_requeued(job)
         self._note_queue_depth()
@@ -741,6 +882,12 @@ class Scheduler:
 
     def pending(self) -> list[Job]:
         return list(self._queue)
+
+    def live_jobs(self, uid: int) -> list[Job]:
+        """*uid*'s unfinished (pending or running) jobs in job-id order,
+        read from the per-uid live index: O(own jobs), not O(all jobs)."""
+        live = self._live.get(uid)
+        return [live[jid] for jid in sorted(live)] if live else []
 
     def running(self) -> list[Job]:
         """Running jobs in submission order — maintained incrementally at

@@ -8,11 +8,17 @@ runs random job streams — mixed sizes, policies, backfill settings, GPU
 demands, node failures and drains — through both implementations and
 requires byte-identical outcomes: per-job allocations, start/end times,
 final states, and the accounting record sequence (completion order).
+
+The streams also carry the paths where a dispatch pass is re-entered:
+prologs that fail (the hook failure drains the node and the job's finish
+frees the rest of its allocation in the middle of the pass), batch
+scripts that raise, cancels of pending and running jobs, and late
+resumes that bring drained nodes back.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import LinuxNode, NodeSpec, UserDB
@@ -52,9 +58,50 @@ admin_strategy = st.lists(
     max_size=4,
 )
 
+faults_strategy = st.fixed_dictionaries({
+    # job index -> the prolog raises on the job's k-th node
+    "prolog": st.dictionaries(st.integers(min_value=0, max_value=12),
+                              st.integers(min_value=1, max_value=2),
+                              max_size=3),
+    # job indexes whose batch script raises
+    "script": st.frozensets(st.integers(min_value=0, max_value=12),
+                            max_size=3),
+    # (job index, time): the owner cancels it, pending or running
+    "cancel": st.lists(st.tuples(st.integers(min_value=0, max_value=12),
+                                 st.integers(min_value=0, max_value=40)),
+                       max_size=3),
+    # (node index, time): late resumes bring drained nodes back
+    "resume": st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                                 st.integers(min_value=10, max_value=80)),
+                       max_size=3),
+})
+
+NO_FAULTS = {"prolog": {}, "script": frozenset(), "cancel": [],
+             "resume": []}
+
+
+def _failing_prolog(prolog_fails):
+    """A prolog that raises on job ``j<i>``'s k-th node for each
+    ``i -> k`` in *prolog_fails*, on every attempt of that job."""
+    by_name = {f"j{i}": k for i, k in prolog_fails.items()}
+
+    def prolog(job, node):
+        if len(job.allocations) == by_name.get(job.spec.name):
+            raise RuntimeError(f"prolog failed on {node.name}")
+    return prolog
+
+
+def _raising_script(ctx):
+    raise RuntimeError("batch step exited 1")
+
+
+def _cancel_unless_finished(sched, job):
+    if not job.state.finished:
+        sched.cancel(job, by=job.spec.user)
+
 
 def _run_side(*, naive, jobs, admin, n_nodes, cores, mem_mb, gpus,
-              policy, backfill, requeue):
+              policy, backfill, requeue, faults=NO_FAULTS):
     userdb = UserDB()
     users = [userdb.add_user(f"user{i}") for i in range(4)]
     engine = Engine()
@@ -72,14 +119,23 @@ def _run_side(*, naive, jobs, admin, n_nodes, cores, mem_mb, gpus,
                       SchedulerConfig(policy=policy, backfill=backfill,
                                       requeue_on_node_fail=requeue,
                                       naive=naive),
-                      partitions=partitions)
+                      partitions=partitions,
+                      prolog=_failing_prolog(faults["prolog"]))
+    submitted = []
     for i, (u, ntasks, cpt, mpt, gpt, excl, dur, at) in enumerate(jobs):
         spec = JobSpec(user=users[u], name=f"j{i}", ntasks=ntasks,
                        cores_per_task=cpt, mem_mb_per_task=mpt,
                        gpus_per_task=gpt, exclusive=excl,
-                       partition="debug" if i % 3 == 2 else "normal")
-        sched.submit(spec, float(dur), at=float(at))
-    for kind, idx, t in admin:
+                       partition="debug" if i % 3 == 2 else "normal",
+                       script=_raising_script if i in faults["script"]
+                       else None)
+        submitted.append(sched.submit(spec, float(dur), at=float(at)))
+    for i, t in faults["cancel"]:
+        if i < len(submitted):
+            engine.at(float(t), lambda j=submitted[i]:
+                      _cancel_unless_finished(sched, j))
+    resumes = [("resume", idx, t) for idx, t in faults["resume"]]
+    for kind, idx, t in [*admin, *resumes]:
         name = f"n{idx % n_nodes}"
         if kind == "fail":
             engine.at(float(t), lambda n=name: sched.fail_node(n))
@@ -99,19 +155,32 @@ def _run_side(*, naive, jobs, admin, n_nodes, cores, mem_mb, gpus,
     return outcome, completions, sched
 
 
-@settings(max_examples=50)
+#: Every node's memory allocated while some still have free cores: the
+#: naive pass must not stop there, since memory-less jobs still fit.
+MEMORY_FULL_CORES_FREE = dict(
+    jobs=[(0, 1, 1, 0, 0, True, 1, 0), (0, 3, 1, 2000, 0, False, 1, 0),
+          *[(0, 1, 1, 0, 0, False, 1, 0)] * 5,
+          (0, 5, 1, 2000, 0, False, 1, 0), (0, 1, 1, 0, 0, False, 1, 0)],
+    admin=[], n_nodes=5, cores=8, mem_mb=4000, gpus=0,
+    policy=NodeSharing.SHARED, requeue=False, faults=NO_FAULTS)
+
+
+@settings(max_examples=100)
 @given(jobs=jobs_strategy, admin=admin_strategy,
        n_nodes=st.integers(min_value=1, max_value=6),
        cores=st.integers(min_value=2, max_value=8),
        mem_mb=st.sampled_from([4000, 16000]),
        gpus=st.integers(min_value=0, max_value=2),
-       policy=policies, backfill=st.booleans(), requeue=st.booleans())
+       policy=policies, backfill=st.booleans(), requeue=st.booleans(),
+       faults=faults_strategy)
+@example(backfill=True, **MEMORY_FULL_CORES_FREE)
+@example(backfill=False, **MEMORY_FULL_CORES_FREE)
 def test_indexed_dispatch_identical_to_naive(jobs, admin, n_nodes, cores,
                                              mem_mb, gpus, policy, backfill,
-                                             requeue):
+                                             requeue, faults):
     kw = dict(jobs=jobs, admin=admin, n_nodes=n_nodes, cores=cores,
               mem_mb=mem_mb, gpus=gpus, policy=policy, backfill=backfill,
-              requeue=requeue)
+              requeue=requeue, faults=faults)
     naive_out, naive_seq, _ = _run_side(naive=True, **kw)
     fast_out, fast_seq, fast_sched = _run_side(naive=False, **kw)
     assert fast_out == naive_out

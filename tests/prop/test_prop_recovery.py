@@ -20,6 +20,9 @@ from repro.core.config import SeparationConfig
 from repro.oracle import attach_oracle
 from repro.persist import attach_persistence, state_digest
 from repro.sched.health import attach_health
+from tests.prop.test_prop_scheduler_machine import (
+    assert_private_squeue_matches_job_table,
+)
 
 scenarios = st.fixed_dictionaries({
     "n_jobs": st.integers(3, 9),
@@ -58,6 +61,9 @@ def _drive(params, crash_at=None):
             report = cluster.recover()
             assert report.identical, \
                 f"recovery diverged at event {steps}"
+            # the per-uid live-job index is rebuilt from the job table
+            assert_private_squeue_matches_job_table(
+                cluster.scheduler, [cluster.user(u) for u in ("alice", "bob")])
         if not cluster.engine.step():
             break
         steps += 1

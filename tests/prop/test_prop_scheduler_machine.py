@@ -7,7 +7,9 @@ step, structural invariants must hold regardless of order:
 * under WHOLE_NODE_USER no node ever hosts jobs of two different uids;
 * a GPU index is never double-allocated;
 * finished jobs hold no allocations, and every running job's allocations
-  are mirrored on the nodes.
+  are mirrored on the nodes;
+* a plain user's ``squeue`` under PrivateData, served from the per-uid
+  live-job index, equals a full filter of the job table by uid.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.sched import (
     Scheduler,
     SchedulerConfig,
 )
+from repro.sched.privatedata import PrivateData, SchedulerView
 from repro.sim import Engine
 
 policies = st.sampled_from([NodeSharing.SHARED, NodeSharing.EXCLUSIVE,
@@ -99,6 +102,20 @@ class SchedulerMachine(RuleBasedStateMachine):
                 for alloc in job.allocations:
                     node = self.sched.nodes[alloc.node]
                     assert node.allocations.get(job.job_id) is alloc
+
+    @invariant()
+    def private_squeue_is_own_unfinished_jobs(self):
+        assert_private_squeue_matches_job_table(self.sched, self.users)
+
+
+def assert_private_squeue_matches_job_table(sched, users):
+    """Each user's ``squeue`` under ``PrivateData.all_private()`` lists
+    exactly their unfinished jobs of ``sched.jobs``, in the same order."""
+    view = SchedulerView(sched, PrivateData.all_private())
+    for user in users:
+        expected = [j.job_id for j in sched.jobs.values()
+                    if j.uid == user.uid and not j.state.finished]
+        assert [r.job_id for r in view.squeue(user)] == expected
 
 
 TestSchedulerMachine = SchedulerMachine.TestCase

@@ -9,7 +9,7 @@ maintained queues and core-second accumulators stay truthful.
 
 from __future__ import annotations
 
-from repro.sched import JobState, NodeSharing, SchedulerConfig
+from repro.sched import JobState, NodeSharing
 from repro.sched.dispatch_index import PartitionIndex
 from tests.sched.conftest import build_sched, spec
 
@@ -167,6 +167,41 @@ class TestDispatchBehaviour:
         assert not sched.user_has_job_on(bob, node)
         engine.run()
         assert not sched.user_has_job_on(alice, node)
+
+    def test_free_that_cannot_help_a_parked_job_wakes_nothing(self, userdb):
+        """Under WHOLE_NODE_USER a node freed by one user's job takes only
+        that user's jobs until it is idle, so the free must not re-try
+        another user's parked job against the rest of the partition."""
+        engine, sched = build_sched(userdb, n_nodes=2, cores=8,
+                                    policy=NodeSharing.WHOLE_NODE_USER)
+        a1 = sched.submit(spec(userdb, "alice"), duration=10.0)
+        a2 = sched.submit(spec(userdb, "alice"), duration=20.0)
+        wide = sched.submit(spec(userdb, "bob", ntasks=2, cores_per_task=8),
+                            duration=5.0, at=1.0)
+        engine.run(until=2.0)
+        assert a1.nodes == a2.nodes == ["c1"]
+        assert wide.state is JobState.PENDING  # needs both nodes
+        scan = sched.metrics.counter("sched_dispatch_scan")
+        before = scan.value
+        engine.run(until=15.0)
+        assert a1.state is JobState.COMPLETED  # c1 is still alice's
+        assert scan.value == before
+        engine.run(until=21.0)
+        assert wide.state is JobState.RUNNING
+        assert wide.start_time == 20.0 and wide.nodes == ["c1", "c2"]
+
+    def test_cancelled_parked_job_never_starts(self, userdb):
+        engine, sched = build_sched(userdb, n_nodes=1, cores=8)
+        sched.submit(spec(userdb, ntasks=8), duration=10.0)
+        cancelled = sched.submit(spec(userdb), duration=5.0, at=1.0)
+        behind = sched.submit(spec(userdb), duration=5.0, at=1.0)
+        engine.run(until=2.0)
+        sched.cancel(cancelled, by=userdb.user("alice"))
+        engine.run()
+        assert cancelled.state is JobState.CANCELLED
+        assert cancelled.start_time is None and cancelled.allocations == []
+        assert behind.state is JobState.COMPLETED
+        assert behind.start_time == 10.0
 
     def test_partition_added_after_construction_dispatches(self, userdb):
         from repro.sched import Partition

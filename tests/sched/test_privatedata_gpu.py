@@ -74,7 +74,7 @@ class TestSacct:
     def test_user_enumeration_blocked(self, userdb):
         _, _, view = populated_sched(userdb, PrivateData.all_private())
         names = view.sreport_users(userdb.user("alice"))
-        assert "bob" not in names
+        assert names == {"alice"}
 
 
 class TestGpuProlog:

@@ -88,6 +88,9 @@ def test_baseline_passes_on_its_committed_reference(name, results_dir,
      "smoke.oracle_violations == 0: got 1"),
     ("e24", lambda d: d["ubf"]["indexed"].update(verdicts_per_sec=1.0),
      "ubf.indexed.verdicts_per_sec >= "),
+    # the dirty-partition dispatcher the wake lists replaced
+    ("e24", lambda d: d["points"][0]["indexed"].update(nodes_examined=15597),
+     "points.0.indexed.nodes_examined <= 11172: got 15597"),
     ("e30", lambda d: d["smoke"].update(recovery_s=60.0),
      "smoke.recovery_s <= "),
     ("e29", lambda d: d["ablations"]["no-ubf"]["flips"].remove("A9"),
