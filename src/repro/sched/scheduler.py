@@ -505,11 +505,10 @@ class Scheduler:
     def _dispatch_pass(self, woken: dict[tuple, dict[int, Job]]) -> None:
         # Jobs are examined in queue (seq) order, merged across their shape
         # groups.  When a job fails to place, it and every later job of its
-        # shape are parked in one move: they cannot place either.  So is a
-        # group whose shape is already parked, which nothing freed since it
-        # failed can host.  A free in the middle of the pass (a failing
-        # prolog or batch step) wakes what it can host, taking those shapes
-        # off the parked lists and so re-enabling their attempts.
+        # shape are parked in one move: they cannot place either.  A free
+        # in the middle of the pass (a failing prolog or batch step) wakes
+        # what it can host into a fresh _woken, which the dispatch that
+        # free re-enters examines.
         heads = [(next(iter(jobs)), key) for key, jobs in woken.items()]
         heapq.heapify(heads)
         started = False
@@ -518,12 +517,10 @@ class Scheduler:
             jobs = woken[key]
             job = jobs[seq]
             if job.state is JobState.PENDING:  # not cancelled mid-pass
-                pname, shape = key
-                parked = self._parked[pname]
-                plan = (None if shape in parked
-                        else self._placement_indexed(job))
+                plan = self._placement_indexed(job)
                 if plan is None:
-                    _gather(parked, shape, jobs)
+                    pname, shape = key
+                    _gather(self._parked[pname], shape, jobs)
                     continue
                 self._start(job, plan)
                 started = True
