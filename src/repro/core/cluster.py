@@ -28,7 +28,6 @@ from repro.kernel.vfs import Filesystem
 from repro.net.firewall import Firewall, ubf_ruleset
 from repro.net.rdma import RDMAFabric
 from repro.net.stack import Fabric, HostStack
-from repro.net.zones import ZoneTier, apply_zone_tiers
 from repro.portal.gateway import Portal
 from repro.sched.jobs import Job, JobSpec
 from repro.sched.nodes import ComputeNode
@@ -179,15 +178,12 @@ class Cluster:
             node.mount_shared("/scratch", scratch_fs)
             fw = Firewall(rules=ubf_ruleset() if config.ubf else [])
             fw.conntrack.enabled = config.conntrack
-            fw.conntrack.capacity = config.conntrack_max
             stack = HostStack(node, fabric, firewall=fw)
             if config.ubf:
                 ubf_daemons[name] = UBFDaemon(
                     stack, fabric, userdb,
                     cache_enabled=config.ubf_cache,
-                    fail_open=config.ubf_fail_open,
-                    ident_retries=config.ubf_ident_retries,
-                    cache_capacity=config.ubf_cache_max).install()
+                    fail_open=config.ubf_fail_open).install()
             return node
 
         login_nodes = [make_node(f"login{i}", NodeRole.LOGIN, NodeSpec())
@@ -211,18 +207,13 @@ class Cluster:
         compute_nodes = [ComputeNode.create(n, gpu_dev_mode=gpu_mode)
                          for n in compute_raw + debug_raw]
 
-        strict = set(config.strict_zones)
-        partitions = [Partition(
-            "normal", tuple(n.name for n in compute_raw),
-            tier=ZoneTier.STRICT if "normal" in strict
-            else ZoneTier.STANDARD)]
+        partitions = [Partition("normal",
+                                tuple(n.name for n in compute_raw))]
         if debug_raw:
             partitions.append(Partition(
                 "debug", tuple(n.name for n in debug_raw),
                 policy_override=NodeSharing.SHARED,
-                max_duration=debug_time_limit, interactive=True,
-                tier=ZoneTier.STRICT if "debug" in strict
-                else ZoneTier.STANDARD))
+                max_duration=debug_time_limit, interactive=True))
 
         gpu_cfg = GpuSeparationConfig(
             assign_device_perms=config.gpu_dev_assignment,
@@ -270,9 +261,6 @@ class Cluster:
             dtn_nodes=dtn_nodes,
         )
         cluster._build_storage_layout(projects or {})
-        if config.ubf and strict:
-            # push STRICT postures onto the zoned nodes' daemons
-            apply_zone_tiers(cluster)
         if os.environ.get("REPRO_ORACLE"):
             # Suite-wide invariant checking: REPRO_ORACLE=1 arms every
             # cluster any test builds, fail-fast by default so a violating

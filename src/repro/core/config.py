@@ -69,21 +69,8 @@ class SeparationConfig:
     #: the paper's separation-first posture), True = fail open (ACCEPT,
     #: availability-over-separation ablation).
     ubf_fail_open: bool = False
-    #: ident retry attempts after the first failure (retry-with-backoff).
-    ubf_ident_retries: int = 2
-    #: UBF decision-cache entry bound per daemon (None = unbounded); LRU
-    #: eviction beyond this, counted under ubf_cache_evictions_total.
-    ubf_cache_max: int | None = 65_536
-    #: partition names zoned STRICT (SURF-style sensitive-data zones):
-    #: their nodes' UBF daemons get forced fail-closed, extra ident
-    #: retries, and a cached-verdict TTL (repro.net.zones).
-    strict_zones: tuple[str, ...] = ()
     #: conntrack enabled (ablation knob; always on in real deployments).
     conntrack: bool = True
-    #: conntrack table bound per host (None = unbounded); LRU eviction
-    #: beyond this, with evicted flows re-running the UBF decision on their
-    #: next packet.
-    conntrack_max: int | None = None
 
     # -- IV-E portal ---------------------------------------------------------
     #: portal requires an authenticated session token.
@@ -118,9 +105,6 @@ class SeparationConfig:
             "file_permission_handler": self.file_permission_handler,
             "ubf": self.ubf,
             "ubf_fail_open": self.ubf_fail_open,
-            "ubf_cache_max": self.ubf_cache_max,
-            "strict_zones": self.strict_zones,
-            "conntrack_max": self.conntrack_max,
             "portal_auth": self.portal_auth,
             "gpu_dev_assignment": self.gpu_dev_assignment,
             "gpu_scrub": self.gpu_scrub,

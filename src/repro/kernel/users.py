@@ -143,7 +143,7 @@ class UserDB:
     def __init__(self, upg: bool = True):
         self.upg = upg
         #: bumped on every membership-affecting mutation; consumers caching
-        #: derived views (e.g. the UBF's per-egid allow-sets) key on it.
+        #: derived views (e.g. the UBF's verdict cache) key on it.
         self.generation = 0
         #: optional planes (repro.observer) told every account mutation
         self.observers: list = []

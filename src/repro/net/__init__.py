@@ -33,15 +33,7 @@ from repro.net.ubf import (
     COST_US,
     DecisionReason,
     UBFDaemon,
-    UBFDecisionLog,
     firewall_cost_us,
-)
-from repro.net.zones import (
-    POSTURES,
-    UBFPosture,
-    ZoneTier,
-    apply_tier,
-    apply_zone_tiers,
 )
 
 __all__ = [
@@ -52,7 +44,5 @@ __all__ = [
     "MemoryRegion", "QueuePair", "RDMAFabric",
     "BoundSocket", "Connection", "ConnectionEnd", "Datagram", "Fabric",
     "HostStack", "SocketAPI",
-    "COST_US", "DecisionReason", "UBFDaemon", "UBFDecisionLog",
-    "firewall_cost_us",
-    "POSTURES", "UBFPosture", "ZoneTier", "apply_tier", "apply_zone_tiers",
+    "COST_US", "DecisionReason", "UBFDaemon", "firewall_cost_us",
 ]

@@ -28,14 +28,24 @@ decision.  Packets arriving without a uid stamp always take the full path.
 
 The cache is **bounded** and there is exactly one of it, shared by the
 naive reference and the fast path: an LRU dict that reads the daemon's
-``cache_capacity`` (None = unbounded) and ``cache_ttl`` where they are
-used, so changing either knob on a live daemon takes effect at the next
-decision.  Evictions are counted under
-``ubf_cache_evictions_total{reason=lru|ttl}``.  At millions of distinct
-principal triples an unbounded decision cache is an OOM, not a cache.
-``cache_ttl`` (logical decision ticks; the strict-zone posture sets it)
-expires entries at read time, bounding how long a revoked group
-membership can keep serving a stale cached ACCEPT.
+``cache_capacity`` (None = unbounded) at every insert, so changing it on
+a live daemon takes effect at the next decision.  Evictions are counted
+under ``ubf_cache_evictions_total{reason="lru"}``.  At millions of
+distinct principal triples an unbounded decision cache is an OOM, not a
+cache.  Nothing else ages an entry out: the cache is flushed whenever
+the account database's generation moves (so a revoked membership's
+cached ACCEPT dies with the revocation), on :meth:`UBFDaemon.resync`,
+and per initiating host by :meth:`UBFDaemon.purge_host` when that host
+is declared dead.
+
+A hit answers from the uid alone, so only a verdict that holds for every
+process of that uid is stored.  A same-user or root verdict does.  A
+group verdict reads the initiator's credential snapshot, which is the
+account database's answer only if the process logged in after the last
+change to that group; a verdict reached from a snapshot the database
+contradicts belongs to that one process and is not cached, so a
+revoked member's fresh login is never answered from an old session's
+ACCEPT, nor a new member's fresh login from an old session's DROP.
 
 Degradation: when the initiating host (or its identd) cannot answer, the
 remote query raises :class:`~repro.net.ident.IdentUnavailable`.  The daemon
@@ -54,33 +64,33 @@ restart) and re-syncs against the surviving conntrack table — no manual
 flush is ever needed.
 
 Observers: every verdict passes through one point, ``_log``, which
-reports it to the daemon's ``observers`` (:mod:`repro.observer`) on the
-single-packet and burst paths alike — the security-event log turns a
-DROP into ``NET_DENY`` and a degraded verdict into ``DEGRADED``, the
-audit trail records clean ACCEPTs — so nothing ever wraps the nfqueue
-handler.  Cache hits, full decisions and degraded verdicts are reported
-where they are made (the oracle checks each), and each ``decide`` call
-and ``decide_batch`` burst is reported as a whole (telemetry's spans).
-``log`` keeps only the last :data:`DECISION_LOG_MAX` decisions.
+counts it and reports it to the daemon's ``observers``
+(:mod:`repro.observer`) on the single-packet and burst paths alike — the
+security-event log turns a DROP into ``NET_DENY`` and a degraded verdict
+into ``DEGRADED``, the audit trail records clean ACCEPTs — so nothing
+ever wraps the nfqueue handler.  The daemon keeps no record of its own:
+observers are the only way a verdict leaves it.  Cache hits, full
+decisions and degraded verdicts are reported where they are made (the
+oracle checks each), and each ``decide`` call and ``decide_batch`` burst
+is reported as a whole (telemetry's spans).
 
 Scale-out hot path (E24): ``decide_batch`` takes a burst of queued packets
 and **coalesces** ident queries — packets from the same remote (host, proto,
 src-port), i.e. the same initiating process, park as waiters on a single
 upstream exchange and all receive verdicts derived from its one reply
-(savings counted under ``ident_coalesced``).  The group rule consults a
-precomputed per-egid **allow-set** derived from the account database
-(invalidated via ``UserDB.generation``), falling back to the ident reply's
-group snapshot before ever dropping.  ``naive=True`` preserves the
+(savings counted under ``ident_coalesced``).  ``naive=True`` preserves the
 original sequential per-packet path as the differential-testing reference
-the oracle shadows; both paths produce identical verdicts (property-tested
-fault-free — under faults, coalescing legitimately consumes fewer identd
-attempts than per-packet retry loops).
+the oracle shadows.  Every path concludes through the same rule
+(``_rule``, on the ident reply's group snapshot) and the same cache, so
+both produce identical verdicts by construction; the property test keeps
+it so, under faults too (coalescing legitimately consumes fewer identd
+attempts than per-packet retry loops, never a different verdict).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.kernel.errors import NoSuchEntity
@@ -94,10 +104,6 @@ from repro.net.ident import (
 )
 from repro.net.stack import Fabric, HostStack
 
-#: decisions kept in :attr:`UBFDaemon.log` (the newest win); the daemon
-#: lives as long as its host, so an unbounded log is a leak
-DECISION_LOG_MAX = 1024
-
 
 class DecisionReason(enum.Enum):
     """Closed reason vocabulary for the ``ubf_verdicts_total`` metric label.
@@ -105,8 +111,8 @@ class DecisionReason(enum.Enum):
     The counter used to be labeled with the free-text reason string, and
     degraded verdicts embedded the fault message — every distinct fault
     minted a new counter series, unbounded label cardinality.  Metric
-    labels now always come from this enum; the human-readable detail lives
-    only in :class:`UBFDecisionLog`, span tags, and the audit trail.
+    labels now always come from this enum; the human-readable detail goes
+    only to the observers (span tags, the audit trail).
     """
 
     NO_LISTENER = "no-listener"
@@ -121,18 +127,6 @@ class DecisionReason(enum.Enum):
     #: the remote identd's answer contradicts the kernel-stamped uid on
     #: the packet — a forged/compromised responder; always a DROP
     IDENT_MISMATCH = "ident-mismatch"
-
-
-@dataclass
-class UBFDecisionLog:
-    """One decision, for audit trails and tests."""
-
-    flow: str
-    initiator_uid: int | None
-    listener_uid: int | None
-    listener_egid: int | None
-    verdict: Verdict
-    reason: str
 
 
 @dataclass
@@ -157,27 +151,12 @@ class UBFDaemon:
     naive: bool = False
     #: decision-cache entry bound, read at every insert; None = unbounded
     cache_capacity: int | None = 65_536
-    #: max cached-verdict age in decision ticks, read at every lookup;
-    #: None = no expiry.  Set by the strict zone posture (repro.net.zones).
-    cache_ttl: int | None = None
-    #: data-sensitivity posture label applied by repro.net.zones
-    tier: str = "standard"
-    log: deque[UBFDecisionLog] = field(
-        default_factory=lambda: deque(maxlen=DECISION_LOG_MAX))
     alive: bool = True
-    #: the one decision cache, shared by the naive and fast paths:
-    #: key -> (verdict, tick stored), in LRU order (oldest first)
-    _cache: OrderedDict[tuple[int, int, int], tuple[Verdict, int]] = field(
+    #: the one decision cache, shared by the naive and fast paths: key ->
+    #: (verdict, initiating host whose ident answer decided it), in LRU
+    #: order (oldest first)
+    _cache: OrderedDict[tuple[int, int, int], tuple[Verdict, str]] = field(
         default_factory=OrderedDict, repr=False)
-    #: initiating host -> cache keys its flows created, so a dead host's
-    #: cached identity decisions can be purged without a full flush
-    _keys_by_host: dict[str, set[tuple[int, int, int]]] = field(
-        default_factory=dict, repr=False)
-    _allow_sets: dict[int, frozenset[int]] = field(default_factory=dict,
-                                                   repr=False)
-    _allow_gen: int = field(default=-1, repr=False)
-    #: logical decision clock: one tick per decided flow (cache TTL unit)
-    _tick: int = field(default=0, repr=False)
     #: account-database generation the decision cache was filled under;
     #: a mismatch at decide time flushes it (see _revalidate_generation)
     _cache_gen: int = field(default=-1, repr=False)
@@ -235,9 +214,7 @@ class UBFDaemon:
         """
         purged = len(self._cache)
         self.flush_cache()
-        gen = self.userdb.generation
-        self._cache_gen = gen
-        self._allow_gen = gen  # allow-sets refill lazily per egid
+        self._cache_gen = self.userdb.generation
         if purged:
             self.fabric.metrics.counter(
                 "ubf_cache_purged_total", reason=reason).inc(purged)
@@ -274,36 +251,28 @@ class UBFDaemon:
         entry = self._cache.get(key)
         if entry is None:
             return None
-        verdict, stamp = entry
-        if self.cache_ttl is not None and self._tick - stamp > self.cache_ttl:
-            del self._cache[key]
-            self._count_cache_eviction("ttl")
-            return None
         self._cache.move_to_end(key)  # LRU touch
-        return verdict
+        return entry[0]
 
-    def _cache_put(self, key: tuple[int, int, int], verdict: Verdict) -> None:
+    def _cache_put(self, key: tuple[int, int, int], verdict: Verdict,
+                   host: str) -> None:
         if self.cache_capacity is not None and key not in self._cache:
             while len(self._cache) >= self.cache_capacity:
                 self._cache.popitem(last=False)
-                self._count_cache_eviction("lru")
-        self._cache[key] = (verdict, self._tick)
+                self.fabric.metrics.counter("ubf_cache_evictions_total",
+                                            reason="lru").inc()
+        self._cache[key] = (verdict, host)
         self._cache.move_to_end(key)
-
-    def _count_cache_eviction(self, reason: str) -> None:
-        self.fabric.metrics.counter("ubf_cache_evictions_total",
-                                    reason=reason).inc()
 
     def _revalidate_generation(self) -> None:
         """Flush cached verdicts minted under an older account database.
 
-        The allow-sets behind *full* decisions are generation-invalidated,
-        but a cached verdict is a frozen conclusion: without this check a
-        uid removed from a project group keeps replaying its pre-revocation
+        A cached verdict is a frozen conclusion: without this check a uid
+        removed from a project group keeps replaying its pre-revocation
         cross-user ACCEPT out of the decision cache for as long as the
-        entry lives (indefinitely in the standard tier, which has no TTL).
-        One integer compare per decide call; on a generation change the
-        cache is dropped and the purge is counted under
+        entry lives, and nothing else ages an entry out.  One integer
+        compare per decide call; on a generation change the cache is
+        dropped and the purge is counted under
         ``ubf_cache_purged_total{reason="membership-change"}``.
         """
         gen = self.userdb.generation
@@ -311,7 +280,6 @@ class UBFDaemon:
             return
         purged = len(self._cache)
         self._cache.clear()
-        self._keys_by_host.clear()
         self._cache_gen = gen
         if purged:
             self.fabric.metrics.counter(
@@ -327,18 +295,16 @@ class UBFDaemon:
         """
         if self.cache_enabled:
             self._revalidate_generation()
-        self._tick += 1
         flow = pkt.flow
         listener = local_ident.query_local(flow.proto, flow.dst_port)
         if listener is None:
             # nothing listening; let the stack produce ECONNREFUSED rather
             # than leaking whether the port is filtered
-            return self._log(pkt, None, None, None, Verdict.ACCEPT,
+            return self._log(pkt, None, Verdict.ACCEPT,
                              "no listener (refusal handled by stack)",
                              DecisionReason.NO_LISTENER), None
         if listener.uid == 0:
-            return self._log(pkt, None, listener.uid, listener.egid,
-                             Verdict.ACCEPT, "root-owned service",
+            return self._log(pkt, None, Verdict.ACCEPT, "root-owned service",
                              DecisionReason.ROOT_SERVICE), listener
         # Cache first: a hit answers from the kernel-stamped initiator uid
         # without touching the network.  (The stamp is trusted for the same
@@ -350,8 +316,7 @@ class UBFDaemon:
                 self.fabric.metrics.counter("ubf_cache_hits").inc()
                 for o in self.observers:
                     o.ubf_cached(self, key, cached)
-                return self._log(pkt, pkt.src_uid, listener.uid,
-                                 listener.egid, cached, "cached",
+                return self._log(pkt, pkt.src_uid, cached, "cached",
                                  DecisionReason.CACHED), listener
         return None, listener
 
@@ -361,8 +326,8 @@ class UBFDaemon:
         if initiator is None:
             for o in self.observers:
                 o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
-            return self._log(pkt, None, listener.uid, listener.egid,
-                             Verdict.DROP, "initiator unidentifiable",
+            return self._log(pkt, None, Verdict.DROP,
+                             "initiator unidentifiable",
                              DecisionReason.UNIDENTIFIABLE)
         if pkt.src_uid is not None and initiator.uid != pkt.src_uid:
             # "…and the same query run locally": the kernel-stamped uid on
@@ -374,22 +339,20 @@ class UBFDaemon:
             for o in self.observers:
                 o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
             return self._log(
-                pkt, None, listener.uid, listener.egid, Verdict.DROP,
+                pkt, None, Verdict.DROP,
                 f"ident reply uid {initiator.uid} contradicts "
                 f"kernel-stamped uid {pkt.src_uid}",
                 DecisionReason.IDENT_MISMATCH)
-        rule = self._rule if self.naive else self._rule_indexed
-        verdict, reason, code = rule(initiator.uid, initiator.groups,
-                                     listener.uid, listener.egid)
+        verdict, reason, code = self._rule(initiator.uid, initiator.groups,
+                                           listener.uid, listener.egid)
         for o in self.observers:
             o.ubf_concluded(self, pkt, listener, initiator, verdict)
-        if self.cache_enabled:
-            key = (initiator.uid, listener.uid, listener.egid)
-            self._cache_put(key, verdict)
-            self._keys_by_host.setdefault(pkt.flow.src_host, set()).add(key)
+        if self.cache_enabled and self._cacheable(initiator.uid,
+                                                  listener.egid, code):
+            self._cache_put((initiator.uid, listener.uid, listener.egid),
+                            verdict, pkt.flow.src_host)
         self.fabric.metrics.counter("ubf_full_decisions").inc()
-        return self._log(pkt, initiator.uid, listener.uid, listener.egid,
-                         verdict, reason, code)
+        return self._log(pkt, initiator.uid, verdict, reason, code)
 
     def decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
         """Decide a burst of simultaneously queued packets, coalescing
@@ -485,7 +448,7 @@ class UBFDaemon:
         Never cached — a degraded verdict reflects an infrastructure fault,
         not an identity decision, and must not outlive the fault.  The
         metric reason label is the closed ``degraded`` code; the fault
-        detail stays in the decision log only.
+        detail goes only to the observers.
         """
         policy = "fail-open" if self.fail_open else "fail-closed"
         verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
@@ -493,8 +456,7 @@ class UBFDaemon:
             o.ubf_degraded(self, verdict)
         self.fabric.metrics.counter("ubf_degraded_verdicts",
                                     policy=policy).inc()
-        return self._log(pkt, None, listener.uid, listener.egid, verdict,
-                         f"degraded: {exc} ({policy})",
+        return self._log(pkt, None, verdict, f"degraded: {exc} ({policy})",
                          DecisionReason.DEGRADED)
 
     def _rule(self, init_uid: int, init_groups: frozenset[int],
@@ -512,56 +474,30 @@ class UBFDaemon:
         return (Verdict.DROP, "cross-user connection denied",
                 DecisionReason.CROSS_USER)
 
-    def _rule_indexed(self, init_uid: int, init_groups: frozenset[int],
-                      listen_uid: int, listen_egid: int
-                      ) -> tuple[Verdict, str, DecisionReason]:
-        """Same rule, group check against the precomputed per-egid allow-set.
+    def _cacheable(self, uid: int, egid: int, code: DecisionReason) -> bool:
+        """Whether a full decision's verdict is the one every process of
+        *uid* gets, so a cache hit on the kernel-stamped uid may replay it.
 
-        The allow-set reflects the live account database; an initiator whose
-        credential snapshot carries the egid but whom the database no longer
-        (or never — ``with_extra_group``) lists falls back to the snapshot
-        check before a DROP, so no connection the naive rule accepts is ever
-        refused (``ubf_allowset_fallbacks`` counts how often that saves one).
+        Same-user and root verdicts are.  A group verdict read the ident
+        snapshot; it is also the database's verdict only if the database
+        agrees with the snapshot on whether *uid* is in *egid*.
         """
-        if init_uid == 0:
-            return (Verdict.ACCEPT, "root initiator",
-                    DecisionReason.ROOT_INITIATOR)
-        if init_uid == listen_uid:
-            return Verdict.ACCEPT, "same user", DecisionReason.SAME_USER
-        if init_uid in self._egid_members(listen_egid):
-            return (Verdict.ACCEPT, "initiator in listener's primary group",
-                    DecisionReason.GROUP_MEMBER)
-        if listen_egid in init_groups:
-            self.fabric.metrics.counter("ubf_allowset_fallbacks").inc()
-            return (Verdict.ACCEPT, "initiator in listener's primary group",
-                    DecisionReason.GROUP_MEMBER)
-        return (Verdict.DROP, "cross-user connection denied",
-                DecisionReason.CROSS_USER)
+        if code is DecisionReason.GROUP_MEMBER:
+            member = True
+        elif code is DecisionReason.CROSS_USER:
+            member = False
+        else:
+            return True
+        try:
+            return (uid in self.userdb.group(egid).members) == member
+        except NoSuchEntity:
+            return not member
 
-    def _egid_members(self, egid: int) -> frozenset[int]:
-        """Allow-set for one listener egid, cached until the account
-        database's generation moves (any membership mutation invalidates)."""
-        if self._allow_gen != self.userdb.generation:
-            self._allow_sets.clear()
-            self._allow_gen = self.userdb.generation
-        members = self._allow_sets.get(egid)
-        if members is None:
-            try:
-                members = frozenset(self.userdb.group(egid).members)
-            except NoSuchEntity:
-                members = frozenset()
-            self._allow_sets[egid] = members
-        return members
-
-    def _log(self, pkt: Packet, iu, lu, lg, verdict: Verdict,
+    def _log(self, pkt: Packet, iu: int | None, verdict: Verdict,
              reason: str, code: DecisionReason) -> Verdict:
-        """Record one verdict; every decision path ends here."""
+        """Count one verdict and report it to the observers; every
+        decision path ends here."""
         flow = pkt.flow
-        self.log.append(UBFDecisionLog(
-            flow=(f"{flow.proto.value} {flow.src_host}:"
-                  f"{flow.src_port}->{flow.dst_host}:{flow.dst_port}"),
-            initiator_uid=iu, listener_uid=lu, listener_egid=lg,
-            verdict=verdict, reason=reason))
         self.fabric.metrics.counter("ubf_verdicts_total",
                                     verdict=verdict.value,
                                     reason=code.value).inc()
@@ -577,14 +513,15 @@ class UBFDaemon:
         Called when a peer host's crash/partition persists past the health
         monitor's TTL: identity decisions derived from that host's ident
         answers must not outlive it (whatever next answers to its name gets
-        a fresh authoritative decision).  A key shared with another live
-        host's flows is dropped too — conservatively forcing a re-decision,
-        never widening access.  Returns the number of entries purged.
+        a fresh authoritative decision).  Each entry carries the host whose
+        ident answer decided it, so this scans the cache, as
+        :meth:`ConntrackTable.purge_host` scans its table; it runs only when
+        a dead host's TTL expires.  Returns the number of entries purged.
         """
-        keys = self._keys_by_host.pop(host, None)
-        if not keys:
-            return 0
-        purged = sum(self._cache.pop(key, None) is not None for key in keys)
+        keys = [key for key, (_, src) in self._cache.items() if src == host]
+        for key in keys:
+            del self._cache[key]
+        purged = len(keys)
         if purged:
             self.fabric.metrics.counter(
                 "ubf_cache_purged_total", reason="dead-host").inc(purged)
@@ -592,9 +529,6 @@ class UBFDaemon:
 
     def flush_cache(self) -> None:
         self._cache.clear()
-        self._keys_by_host.clear()
-        self._allow_sets.clear()
-        self._allow_gen = -1
         self._cache_gen = -1
 
 

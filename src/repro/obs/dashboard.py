@@ -442,8 +442,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
                    "dead_host_purges_total", "jobs_requeued",
                    "jobs_requeue_exhausted", "hook_failures_total",
                    "epilog_skipped_fenced", "ubf_cache_purged_total",
-                   "ubf_cache_evictions_total", "ubf_tier_applied_total",
-                   "ubf_allowset_fallbacks"):
+                   "ubf_cache_evictions_total"):
         for metric in sorted(metrics.family(family),
                              key=lambda m: (m.name, m.labels)):
             rows.append([_series_label(metric), int(metric.value)])

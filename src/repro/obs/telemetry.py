@@ -112,6 +112,9 @@ class Telemetry(Observer):
     _job_spans: dict = field(default_factory=dict)
     #: the open ``ubf.decide_batch`` span (bursts do not nest)
     _batch: Span | None = None
+    #: the reason of the last UBF verdict, for the ``ubf.decide`` span:
+    #: ``ubf_verdict`` comes before ``ubf_decided`` in the same ``decide``
+    _ubf_reason: str = ""
     #: the open ``portal.connect`` span (requests do not nest)
     _request: Span | None = None
 
@@ -213,6 +216,9 @@ class Telemetry(Observer):
                                           user=user.name, node=node_name),
                                result=result)
 
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        self._ubf_reason = reason
+
     def ubf_decided(self, daemon, pkt, verdict, exc):
         if not self.tracing:
             return
@@ -225,8 +231,7 @@ class Telemetry(Observer):
                                error=type(exc).__name__)
         else:
             self.tracer.finish(span, verdict=verdict.value,
-                               reason=daemon.log[-1].reason
-                               if daemon.log else "")
+                               reason=self._ubf_reason)
 
     def ubf_batch_started(self, daemon, pkts):
         if self.tracing:

@@ -57,8 +57,8 @@ CATALOG: tuple[Invariant, ...] = (
             "connecting and listening processes run as the same user, the "
             "connector is a member of the listener's primary group (egid), "
             "or the initiator is root; any flow the appendix rule accepts "
-            "is never DROPped (the indexed allow-set path may not refuse "
-            "what the naive rule permits)."),
+            "is never DROPped.  Membership is read from the ident snapshot "
+            "of the connecting process, on every decision path."),
         modules=("net/ubf.py",),
     ),
     Invariant(

@@ -281,11 +281,12 @@ class SeparationOracle(Observer):
                            verdict) -> None:
         """A full (post-ident) UBF decision concluded with *verdict*.
 
-        The authoritative identities are in hand, so this is both the
-        invariant check and the differential validation of the indexed
-        allow-set rule: an ACCEPT must be justified by the appendix rule
-        (or live group membership, which the allow-set consults); a DROP of
-        anything the appendix rule accepts is a fast-path regression.
+        The authoritative identities are in hand: an ACCEPT must be
+        justified by the appendix rule on the ident snapshot, and a DROP of
+        anything the appendix rule accepts is a regression.  The live
+        account database does not enter: a process whose credentials
+        predate a project-group add is outside the group until it logs in
+        again, as real ident reports it.
         """
         if self._busy or not self._sampled():
             return
@@ -304,16 +305,11 @@ class SeparationOracle(Observer):
         allowed = reference_ubf_verdict(initiator.uid, initiator.groups,
                                         listener.uid, listener.egid)
         if verdict is Verdict.ACCEPT and not allowed:
-            # the allow-set also honours live membership the snapshot may
-            # predate; only then is the ACCEPT legitimate
-            if initiator.uid not in self._live_members(daemon,
-                                                       listener.egid):
-                self._violation(
-                    "I2", subject,
-                    f"cross-user flow {flow} accepted: uid "
-                    f"{initiator.uid} !in egid {listener.egid} of uid "
-                    f"{listener.uid}",
-                    uid=initiator.uid, node=pkt.flow.src_host)
+            self._violation(
+                "I2", subject,
+                f"cross-user flow {flow} accepted: uid {initiator.uid} "
+                f"!in egid {listener.egid} of uid {listener.uid}",
+                uid=initiator.uid, node=pkt.flow.src_host)
         elif verdict is Verdict.DROP and allowed:
             self._violation(
                 "I2", subject,
@@ -322,35 +318,35 @@ class SeparationOracle(Observer):
                 f"{listener.egid})",
                 uid=initiator.uid, node=pkt.flow.src_host)
 
-    @staticmethod
-    def _live_members(daemon, egid: int) -> frozenset[int]:
-        from repro.kernel.errors import NoSuchEntity
-        try:
-            return frozenset(daemon.userdb.group(egid).members)
-        except NoSuchEntity:
-            return frozenset()
-
     def check_ubf_cached(self, daemon, key, verdict) -> None:
         """A cached verdict answered ``key = (src_uid, l_uid, l_egid)``.
 
-        A cached entry cannot be re-derived in full (the snapshot groups
-        behind its original decision are gone, and ``with_extra_group``
-        sessions are legitimately absent from the live database), so only
-        snapshot-independent facets are checked: a same-user or
-        root-initiated flow must never carry a cached DROP.
+        The daemon caches only a verdict that every process of ``src_uid``
+        gets — never one reached from a credential snapshot the account
+        database contradicts — and flushes the cache whenever the
+        database's generation moves.  So a hit must be the appendix rule's
+        verdict with the database's membership of ``l_egid`` standing in
+        for the snapshot.
         """
         if self._busy or not self._sampled():
             return
         self._count("I2")
+        from repro.kernel.errors import NoSuchEntity
         from repro.net.firewall import Verdict
         src_uid, listen_uid, listen_egid = key
-        if verdict is Verdict.DROP and (src_uid == 0
-                                        or src_uid == listen_uid):
+        try:
+            listed = src_uid in daemon.userdb.group(listen_egid).members
+        except NoSuchEntity:
+            listed = False
+        groups = frozenset({listen_egid}) if listed else frozenset()
+        allowed = reference_ubf_verdict(src_uid, groups, listen_uid,
+                                        listen_egid)
+        if (verdict is Verdict.ACCEPT) != allowed:
             self._violation(
                 "I2", f"ubf:{daemon.stack.hostname}",
-                f"cached DROP for {'root' if src_uid == 0 else 'same-user'}"
-                f" flow (uid {src_uid} -> uid {listen_uid}/egid "
-                f"{listen_egid})",
+                f"cached {verdict.name} for uid {src_uid} -> uid "
+                f"{listen_uid}/egid {listen_egid} contradicts the account "
+                f"database",
                 uid=src_uid, node=daemon.stack.hostname)
 
     def check_ubf_degraded(self, daemon, verdict) -> None:

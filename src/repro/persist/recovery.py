@@ -265,7 +265,6 @@ def recover_cluster(cluster) -> RecoveryReport:
     gens = [db.generation, live_gen]
     for daemon in cluster.ubf_daemons.values():
         gens.append(daemon._cache_gen)
-        gens.append(daemon._allow_gen)
     db.generation = max(gens) + 1
     purged = 0
     for daemon in cluster.ubf_daemons.values():

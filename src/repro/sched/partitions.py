@@ -9,19 +9,12 @@ why process hiding stays necessary even with whole-node scheduling.
 A :class:`Partition` carries its node set, an optional node-sharing policy
 override (the interactive/debug partition runs SHARED), and an optional
 time limit (debug queues are short).
-
-A partition also carries a data-sensitivity
-:class:`~repro.net.zones.ZoneTier` (SURF-style sensitive-data zoning):
-``STRICT`` partitions get a hardened UBF posture (forced fail-closed, more
-ident retries, cached-verdict TTL) pushed onto their nodes' daemons by
-:func:`repro.net.zones.apply_zone_tiers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.zones import ZoneTier
 from repro.sched.policies import NodeSharing
 
 
@@ -34,9 +27,6 @@ class Partition:
     policy_override: NodeSharing | None = None
     max_duration: float | None = None
     interactive: bool = False
-    #: data-sensitivity tier; STRICT zones harden the UBF posture of
-    #: every node in the partition (see repro.net.zones)
-    tier: ZoneTier = ZoneTier.STANDARD
 
     def accepts_duration(self, duration: float) -> bool:
         return self.max_duration is None or duration <= self.max_duration

@@ -7,6 +7,7 @@ import pytest
 from repro.kernel import LinuxNode
 from repro.net import Fabric, Firewall, HostStack, UBFDaemon, ubf_ruleset
 from repro.obs import Telemetry, Tracer
+from repro.observer import Observer
 from repro.sim.metrics import MetricSet
 
 
@@ -26,6 +27,24 @@ def build_fabric(userdb, hostnames, *, ubf: bool, cache: bool = True,
             daemons[name] = UBFDaemon(stack, fabric, userdb,
                                       cache_enabled=cache).install()
     return fabric, nodes, daemons
+
+
+class VerdictRecorder(Observer):
+    """Every verdict a daemon reports, as ``(verdict, reason)`` pairs."""
+
+    def __init__(self):
+        self.seen = []
+
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        self.seen.append((verdict, reason))
+
+
+def recorded(daemon) -> list:
+    """Subscribe a :class:`VerdictRecorder` to *daemon*; returns the list
+    its verdicts land in."""
+    recorder = VerdictRecorder()
+    daemon.observers.append(recorder)
+    return recorder.seen
 
 
 def traced(daemon) -> Tracer:

@@ -6,7 +6,7 @@ import pytest
 from repro.kernel.errors import ConnectionRefused, TimedOut
 from repro.net import Proto, Verdict, firewall_cost_us
 
-from tests.net.conftest import build_fabric, proc_on, traced
+from tests.net.conftest import build_fabric, proc_on, recorded, traced
 
 
 def serve(nodes, userdb, host, user, port, proto=Proto.TCP):
@@ -99,13 +99,14 @@ class TestDecisionRule:
 class TestDenialObservability:
     def test_denial_logged(self, ubf_fabric, userdb):
         _, nodes, daemons = ubf_fabric
+        seen = recorded(daemons["c2"])
         serve(nodes, userdb, "c2", "alice", 5000)
         with pytest.raises(TimedOut):
             nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "bob"),
                                     "c2", 5000)
-        denials = [d for d in daemons["c2"].log if d.verdict is Verdict.DROP]
-        assert len(denials) == 1
-        assert denials[0].reason == "cross-user connection denied"
+        denials = [reason for verdict, reason in seen
+                   if verdict is Verdict.DROP]
+        assert denials == ["cross-user connection denied"]
 
     def test_denied_flow_not_in_conntrack(self, ubf_fabric, userdb):
         _, nodes, _ = ubf_fabric
@@ -120,13 +121,15 @@ class TestDenialObservability:
 class TestConntrackAmortisation:
     def test_established_flow_skips_daemon(self, ubf_fabric, userdb):
         fabric, nodes, daemons = ubf_fabric
+        seen = recorded(daemons["c2"])
         listener, _ = serve(nodes, userdb, "c2", "alice", 5000)
         conn = nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "alice"),
                                        "c2", 5000)
-        decisions_after_setup = len(daemons["c2"].log)
+        decisions_after_setup = len(seen)
+        assert decisions_after_setup == 1
         for _ in range(100):
             conn.send(b"payload")
-        assert len(daemons["c2"].log) == decisions_after_setup
+        assert len(seen) == decisions_after_setup
         assert fabric.metrics.report()["conntrack_fastpath_packets"] >= 100
 
     def test_cost_concentrated_in_setup(self, userdb):

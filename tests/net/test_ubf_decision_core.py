@@ -2,25 +2,24 @@
 
 ``decide`` (single packets) and ``decide_batch`` (bursts) are the fast
 path the nfqueue binds; ``naive=True`` is the sequential reference the
-oracle shadows.  These tests pin (a) the one property that makes the fast
-path shippable — verdicts identical to the reference under random
-principal mixes, uid stamps, zone tiers and injected identd faults —
-(b) the batch path's tracing and firewall wiring, and (c) the one
-LRU+TTL decision cache both paths share, which reads the daemon's
-``cache_capacity`` and ``cache_ttl`` where they are used.
+oracle shadows.  Every path concludes through the same rule and cache.
+These tests pin (a) verdicts identical to the reference under random
+principal mixes, uid stamps, project-group changes the initiators'
+credentials predate, and injected identd faults, (b) the batch path's
+tracing, firewall wiring and observer reports, and (c) the one LRU
+decision cache both paths share, which reads the daemon's
+``cache_capacity`` at every insert and keeps nothing an eviction drops.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultKind
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
-from repro.net.ubf import DECISION_LOG_MAX
-from repro.net.zones import ZoneTier, apply_tier
 
-from tests.net.conftest import build_fabric, proc_on, traced
+from tests.net.conftest import build_fabric, proc_on, recorded, traced
 
 
 def listen_on(nodes, userdb, host, user, port):
@@ -69,8 +68,26 @@ def evictions(fabric, reason):
                                   reason=reason).value
 
 
+def held_keys(daemon) -> set:
+    """Every decision-cache key (a tuple of three ints) the daemon keeps
+    in any of its containers, one level of nesting deep."""
+    def walk(value, depth):
+        if isinstance(value, tuple) and len(value) == 3 \
+                and all(isinstance(v, int) for v in value):
+            yield value
+        elif depth and isinstance(value, dict):
+            for k, v in value.items():
+                yield from walk(k, depth - 1)
+                yield from walk(v, depth - 1)
+        elif depth and isinstance(value, (set, frozenset, list)):
+            for v in value:
+                yield from walk(v, depth - 1)
+    return {key for value in vars(daemon).values()
+            for key in walk(value, 2)}
+
+
 class TestOneCache:
-    """The LRU bound, LRU touch and TTL of the cache both paths share."""
+    """The LRU bound and LRU touch of the cache both paths share."""
 
     KEYS = [(uid, 1, 1) for uid in range(6)]
 
@@ -82,7 +99,7 @@ class TestOneCache:
         fabric, daemon = self.daemon(userdb)
         daemon.cache_capacity = 4
         for key in self.KEYS:
-            daemon._cache_put(key, Verdict.ACCEPT)
+            daemon._cache_put(key, Verdict.ACCEPT, "c1")
         assert len(daemon._cache) == 4
         assert daemon._cache_get(self.KEYS[0]) is None       # oldest evicted
         assert daemon._cache_get(self.KEYS[5]) is Verdict.ACCEPT
@@ -92,31 +109,18 @@ class TestOneCache:
         fabric, daemon = self.daemon(userdb)
         daemon.cache_capacity = 2
         k1, k2, k3 = self.KEYS[:3]
-        daemon._cache_put(k1, Verdict.ACCEPT)
-        daemon._cache_put(k2, Verdict.ACCEPT)
+        daemon._cache_put(k1, Verdict.ACCEPT, "c1")
+        daemon._cache_put(k2, Verdict.ACCEPT, "c1")
         assert daemon._cache_get(k1) is Verdict.ACCEPT  # touch: k1 now MRU
-        daemon._cache_put(k3, Verdict.ACCEPT)           # evicts k2, not k1
+        daemon._cache_put(k3, Verdict.ACCEPT, "c1")     # evicts k2, not k1
         assert daemon._cache_get(k1) is Verdict.ACCEPT
         assert daemon._cache_get(k2) is None
-
-    def test_ttl_expiry(self, userdb):
-        fabric, daemon = self.daemon(userdb)
-        daemon.cache_ttl = 10
-        key = self.KEYS[0]
-        daemon._tick = 100
-        daemon._cache_put(key, Verdict.ACCEPT)
-        daemon._tick = 110
-        assert daemon._cache_get(key) is Verdict.ACCEPT
-        daemon._tick = 111
-        assert daemon._cache_get(key) is None
-        assert evictions(fabric, "ttl") == 1
-        assert len(daemon._cache) == 0
 
     def test_unbounded_when_capacity_is_none(self, userdb):
         fabric, daemon = self.daemon(userdb)
         daemon.cache_capacity = None
         for uid in range(100):
-            daemon._cache_put((uid, 1, 1), Verdict.ACCEPT)
+            daemon._cache_put((uid, 1, 1), Verdict.ACCEPT, "c1")
         assert len(daemon._cache) == 100
         assert evictions(fabric, "lru") == 0
 
@@ -134,6 +138,24 @@ class TestOneCache:
             daemon.decide(pkt(40000, dst))
         return fabric, daemon
 
+    def test_lru_churn_leaves_no_key_behind(self, userdb):
+        """Six distinct keys decided from one host through a cache of two:
+        nothing in the daemon remembers the four evicted ones (the
+        dead-host purge reads each entry's host off the cache itself)."""
+        fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"],
+                                              ubf=True)
+        daemon = daemons["c2"]
+        daemon.cache_capacity = 2
+        for port, user in ((5000, "alice"), (5001, "bob"),
+                           (5002, "carol")):
+            listen_on(nodes, userdb, "c2", user, port)
+        for src_port, user in ((40000, "alice"), (40002, "dave")):
+            initiator_on(nodes, userdb, "c1", user, src_port)
+            for dst in (5000, 5001, 5002):
+                daemon.decide(pkt(src_port, dst))
+        assert evictions(fabric, "lru") == 4
+        assert len(held_keys(daemon)) <= daemon.cache_capacity
+
     def test_naive_path_evicts_lru(self, userdb):
         fabric, daemon = self._three_listeners(userdb, naive=True)
         assert len(daemon._cache) == 2
@@ -148,12 +170,15 @@ class TestOneCache:
 
 
 class TestDecisionLog:
-    def test_log_is_bounded(self, userdb):
+    def test_observers_hear_every_verdict(self, userdb):
+        """Verdicts leave the daemon only through its observers: each one
+        of a burst, cache hits included, is reported once."""
         fabric, nodes, daemon = build_scenario(userdb)
-        n = DECISION_LOG_MAX + 10
+        seen = recorded(daemon)
+        n = 12
         daemon.decide_batch([pkt(40001, 5000)] * n)
-        assert len(daemon.log) == DECISION_LOG_MAX
-        assert daemon.log[-1].verdict is Verdict.DROP
+        assert len(seen) == n
+        assert seen[-1] == (Verdict.DROP, "cross-user connection denied")
 
 
 class TestBatchMatchesNaive:
@@ -167,16 +192,6 @@ class TestBatchMatchesNaive:
             return daemon.decide_batch(list(pkts))
 
         assert run(naive=False) == run(naive=True)
-
-    def test_strict_tier_changes_posture_not_verdicts(self, userdb):
-        pkts = [pkt(sp, dp) for sp in SRC_PORTS[:4] for dp in DST_PORTS]
-
-        def run(tier):
-            fabric, nodes, daemon = build_scenario(userdb)
-            apply_tier(daemon, tier)
-            return daemon.decide_batch(list(pkts))
-
-        assert run(ZoneTier.STRICT) == run(ZoneTier.STANDARD)
 
 
 @st.composite
@@ -207,14 +222,24 @@ def make_userdb():
     return db
 
 
+#: a project-group change made after the initiators log in, so their
+#: credentials predate it: None, or (add|remove, user) on ``fusion``
+CHURN = (None, ("add", "bob"), ("add", "alice"), ("remove", "dave"))
+
+
 class TestBatchNaiveProperty:
     @settings(max_examples=30, deadline=None)
     @given(rows=burst(), faulty=st.booleans(), fail_open=st.booleans(),
-           strict=st.booleans())
+           churn=st.sampled_from(CHURN))
+    # bob joins fusion after bob's process started: ident still reports
+    # the old groups, so carol's sg-fusion listener (5001) refuses it
+    @example(rows=[(40001, 5001, True)], faulty=False, fail_open=False,
+             churn=("add", "bob"))
     def test_batch_and_naive_agree_under_random_mixes(self, rows, faulty,
-                                                      fail_open, strict):
+                                                      fail_open, churn):
         """decide_batch ⇄ naive verdict identity under random principal/
-        port mixes, uid stamps, zone tiers, and identd faults."""
+        port mixes, uid stamps, project-group changes the initiators'
+        credentials predate, and identd faults."""
         def make_pkts(db):
             out = []
             for sp, dp, stamp in rows:
@@ -228,8 +253,11 @@ class TestBatchNaiveProperty:
             db = make_userdb()
             fabric, nodes, daemon = build_scenario(db, fail_open=fail_open)
             daemon.naive = naive
-            if strict:
-                apply_tier(daemon, ZoneTier.STRICT)
+            if churn is not None:
+                op, user = churn
+                change = (db.add_to_project if op == "add"
+                          else db.remove_from_project)
+                change("fusion", db.user(user), approver=db.user("carol"))
             if faulty:
                 fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
             pkts = make_pkts(db)

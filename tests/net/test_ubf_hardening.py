@@ -9,20 +9,22 @@
 2. **Generation cache invalidation** — a project revocation bumps
    ``UserDB.generation``; the decision cache must flush so a revoked
    member's *fresh* session cannot replay the pre-revocation
-   cross-user ACCEPT (the allow-sets were already generation-checked; the
-   verdict caches were the hole).
+   cross-user ACCEPT.  A verdict reached from a session's credential
+   snapshot that the database contradicts is never cached at all, so a
+   stale session cannot speak for a fresh one in either direction.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import LLSC, Cluster
 from repro.faults import FaultKind
 from repro.kernel.errors import TimedOut
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
 from repro.net.ubf import DecisionReason
 
-from tests.net.conftest import build_fabric, proc_on
+from tests.net.conftest import build_fabric, proc_on, recorded
 
 
 def serve(nodes, userdb, host, user, port):
@@ -56,14 +58,15 @@ class TestIdentSpoofCrossCheck:
 
     def test_mismatch_logged_with_reason(self, ubf_fabric, userdb):
         fabric, nodes, daemons = ubf_fabric
+        seen = recorded(daemons["c2"])
         serve(nodes, userdb, "c2", "alice", 5000)
         spoof_as(fabric, userdb, "c1", "alice")
         bob = proc_on(nodes, "c1", userdb, "bob")
         with pytest.raises(TimedOut):
             nodes["c1"].net.connect(bob, "c2", 5000)
-        entry = daemons["c2"].log[-1]
-        assert entry.verdict is Verdict.DROP
-        assert "contradicts kernel-stamped" in entry.reason
+        verdict, reason = seen[-1]
+        assert verdict is Verdict.DROP
+        assert "contradicts kernel-stamped" in reason
         assert fabric.metrics.counter(
             "ubf_verdicts_total", verdict="drop",
             reason=DecisionReason.IDENT_MISMATCH.value).value == 1
@@ -119,9 +122,9 @@ class TestGenerationCacheFlush:
 
     def test_stale_session_still_accepted_via_snapshot(self, ubf_fabric,
                                                        userdb):
-        """The *already logged in* revoked member keeps his initgroups
-        snapshot (exactly like a real login session): the full decision's
-        snapshot fallback accepts him.  Only fresh sessions see the
+        """The *already logged in* revoked member keeps their initgroups
+        snapshot (exactly like a real login session), and the rule reads
+        the snapshot: the session is accepted.  Only fresh sessions see the
         revocation — the cache flush must not overreach into re-deciding
         live credentials."""
         _, nodes, daemons = ubf_fabric
@@ -131,6 +134,22 @@ class TestGenerationCacheFlush:
                                    approver=userdb.user("carol"))
         conn = nodes["c1"].net.connect(dave_stale, "c2", 7000)
         assert conn.open
+
+    def test_stale_accept_not_replayed_to_fresh_session(self, ubf_fabric,
+                                                        userdb):
+        """The revoked member's old session is still accepted on its
+        snapshot, but that verdict belongs to the old session's
+        credentials, not to dave: dave's fresh login, which the database
+        already refuses, must not be answered from it."""
+        _, nodes, daemons = ubf_fabric
+        self._warm_group_accept(nodes, daemons, userdb)
+        dave_stale = proc_on(nodes, "c1", userdb, "dave")
+        userdb.remove_from_project("fusion", userdb.user("dave"),
+                                   approver=userdb.user("carol"))
+        assert nodes["c1"].net.connect(dave_stale, "c2", 7000).open
+        dave2 = proc_on(nodes, "c1", userdb, "dave")
+        with pytest.raises(TimedOut):
+            nodes["c1"].net.connect(dave2, "c2", 7000)
 
     def test_unrelated_membership_change_costs_one_flush(self, ubf_fabric,
                                                          userdb):
@@ -156,3 +175,28 @@ class TestGenerationCacheFlush:
         dave2 = proc_on(nodes, "c1", userdb, "dave")
         with pytest.raises(TimedOut):
             nodes["c1"].net.connect(dave2, "c2", 7000)
+
+
+class TestProjectAddNeedsFreshLogin:
+    """ident reports the connecting *process*'s groups, so a session whose
+    credentials predate a project-group add stays outside the group until
+    its user logs in again — on the fast path and the naive reference
+    alike."""
+
+    @pytest.mark.parametrize("naive", [False, True], ids=["fast", "naive"])
+    def test_old_session_refused_fresh_login_connects(self, naive):
+        cluster = Cluster.build(LLSC, n_compute=2, users=("carol", "bob"),
+                                projects={"fusion": ("carol",)})
+        for daemon in cluster.ubf_daemons.values():
+            daemon.naive = naive
+        job = cluster.submit("carol", duration=1000.0)
+        cluster.run(until=1.0)
+        service = cluster.job_session(job).sg("fusion")
+        service.socket().listen(7000)
+        host = service.node.name
+        old = cluster.login("bob")
+        db = cluster.userdb
+        db.add_to_project("fusion", db.user("bob"), approver=db.user("carol"))
+        with pytest.raises(TimedOut):
+            old.socket().connect(host, 7000)
+        assert cluster.login("bob").socket().connect(host, 7000).open

@@ -55,7 +55,6 @@ class TestRecoveryFlush:
         assert len(daemon._cache) == 0
         for d in cluster.ubf_daemons.values():
             assert d._cache_gen == cluster.userdb.generation
-            assert d._allow_gen == cluster.userdb.generation
         assert cluster.metrics.counter(
             "ubf_resyncs_total", reason="recovery").value \
             == len(cluster.ubf_daemons)

@@ -124,17 +124,48 @@ class TestUbfChecks:
         (v,) = oracle.violations_for("I2")
         assert "unidentifiable" in v.detail
 
-    def test_live_membership_legitimises_accept(self, userdb):
-        """An ident snapshot may predate a project-group add; the allow
-        set consults the live database, and so must the oracle."""
+    def test_accept_the_snapshot_refuses_violates_i2(self, userdb):
+        """An ident snapshot taken before a project-group add lacks the
+        group; the appendix rule reads the snapshot, so the ACCEPT is a
+        violation even though the live database now lists dave."""
         oracle = SeparationOracle()
         carol, dave = userdb.user("carol"), userdb.user("dave")
         fusion = userdb.group("fusion").gid
+        assert dave.uid in userdb.group(fusion).members
         listener = IdentReply(carol.uid, fusion, frozenset({fusion}))
         stale = IdentReply(dave.uid, dave.primary_gid,
                            frozenset({dave.primary_gid}))  # no fusion yet
         oracle.check_ubf_conclude(fake_daemon(userdb), flow_pkt(),
                                   listener, stale, Verdict.ACCEPT)
+        (v,) = oracle.violations_for("I2")
+        assert "cross-user flow" in v.detail
+
+    def test_cached_accept_the_database_refuses_violates_i2(self, userdb):
+        """A cached verdict answers for every process of its uid, so it
+        must be the one the account database gives: alice is not in
+        fusion, and a cached ACCEPT for her on carol's sg-fusion listener
+        is a violation."""
+        oracle = SeparationOracle()
+        alice, carol = userdb.user("alice"), userdb.user("carol")
+        fusion = userdb.group("fusion").gid
+        oracle.check_ubf_cached(fake_daemon(userdb),
+                                (alice.uid, carol.uid, fusion),
+                                Verdict.ACCEPT)
+        (v,) = oracle.violations_for("I2")
+        assert "cached ACCEPT" in v.detail
+
+    def test_cached_verdicts_the_database_gives_pass(self, userdb):
+        oracle = SeparationOracle()
+        alice, carol, dave = (userdb.user(n) for n in ("alice", "carol",
+                                                        "dave"))
+        fusion = userdb.group("fusion").gid
+        daemon = fake_daemon(userdb)
+        oracle.check_ubf_cached(daemon, (dave.uid, carol.uid, fusion),
+                                Verdict.ACCEPT)
+        oracle.check_ubf_cached(daemon, (alice.uid, carol.uid, fusion),
+                                Verdict.DROP)
+        oracle.check_ubf_cached(daemon, (0, carol.uid, fusion),
+                                Verdict.ACCEPT)
         assert not oracle.violations
 
     def test_cached_same_user_drop_violates_i2(self, userdb):

@@ -5,7 +5,8 @@ Every enforcement object reports its decisions to one ``observers`` list
 plane, the oracle and the journal are observers on it.  This stdlib-``ast``
 gate (the same approach as ``test_docstring_coverage.py``) keeps it that
 way: none of the ten enforcement classes may declare or assign a
-per-plane hook field again, each must declare ``observers``, and no
+per-plane hook field again, nor keep a private per-decision ``log``
+beside its observers, each must declare ``observers``, and no
 module may mark a hook with a ``_wrapped`` flag (the idiom closures that
 wrap an enforcement hook need to avoid wrapping it twice).
 """
@@ -35,7 +36,7 @@ ENFORCEMENT = {
 
 PLANE_FIELDS = {"tracer", "oracle", "audit", "events", "event_log",
                 "journal", "attribution", "deny_hook", "on_finish",
-                "on_inject"}
+                "on_inject", "log"}
 
 
 def declared_fields(cls: ast.ClassDef) -> set[str]:
