@@ -16,15 +16,33 @@ its failure modes actually cost and that recovery is automatic:
   trade, as a table.
 
 Series printed: blast-radius table per fault, recovery outcomes, the
-degradation-policy matrix.
+degradation-policy matrix.  Every number runs on the simulation clock and
+the injector's seeded draws, so the result written to
+``benchmarks/results/e23_chaos.json`` is the same on any host;
+``benchmarks/baselines/e23.json`` gates it with exact rules.
 """
+
+import pytest
 
 from repro import Cluster, LLSC, ablate
 from repro.kernel.errors import KernelError
-from repro.net import Proto
 from repro.oracle import attach_oracle
 
-from _helpers import print_table
+from _helpers import print_table, write_result
+
+#: the oracle of every cluster the trials built (their violations total)
+ORACLES: list = []
+
+
+@pytest.fixture(scope="module")
+def e23_result():
+    """The result document the trials fill; written after them."""
+    ORACLES.clear()
+    doc: dict = {}
+    yield doc
+    doc["oracle"] = {"clusters": len(ORACLES),
+                     "violations": sum(len(o.violations) for o in ORACLES)}
+    write_result("e23_chaos", doc, full=False)
 
 
 def build(config=LLSC, **kw):
@@ -34,7 +52,7 @@ def build(config=LLSC, **kw):
     cluster = Cluster.build(config, n_compute=4,
                             users=("alice", "bob", "carol", "dave"),
                             projects={"fusion": ("carol", "dave")}, **kw)
-    attach_oracle(cluster, fail_fast=True)
+    ORACLES.append(attach_oracle(cluster, fail_fast=True))
     return cluster
 
 
@@ -85,11 +103,12 @@ def identd_outage_trial() -> dict[str, object]:
     return out
 
 
-def test_e23_identd_outage(benchmark):
+def test_e23_identd_outage(benchmark, e23_result):
     r = benchmark.pedantic(identd_outage_trial, rounds=1, iterations=1)
     print_table("E23: identd outage blast radius",
                 ["observable", "value"], [[k, v] for k, v in r.items()])
     benchmark.extra_info["identd_outage"] = r
+    e23_result["identd_outage"] = r
     assert r["established_survives"]
     assert r["new_fails_closed"]
     assert r["cached_principal_survives"]
@@ -125,11 +144,12 @@ def crash_restart_trial() -> dict[str, object]:
     return out
 
 
-def test_e23_ubf_crash_restart(benchmark):
+def test_e23_ubf_crash_restart(benchmark, e23_result):
     r = benchmark.pedantic(crash_restart_trial, rounds=1, iterations=1)
     print_table("E23: UBF crash / restart",
                 ["observable", "value"], [[k, v] for k, v in r.items()])
     benchmark.extra_info["crash_restart"] = r
+    e23_result["crash_restart"] = r
     assert r["established_survives"] and r["new_fails_closed"]
     assert r["recovers_unaided"]
     assert r["crashes"] == 1 and r["restarts"] == 1
@@ -164,7 +184,7 @@ def conntrack_pressure_trial(capacity: int,
     }
 
 
-def test_e23_conntrack_pressure(benchmark):
+def test_e23_conntrack_pressure(benchmark, e23_result):
     results = benchmark.pedantic(
         lambda: [conntrack_pressure_trial(cap) for cap in (2, 4, 64)],
         rounds=1, iterations=1)
@@ -173,6 +193,7 @@ def test_e23_conntrack_pressure(benchmark):
                 [[r["capacity"], r["delivered"], r["lru_evictions"],
                   r["re_decisions"]] for r in results])
     benchmark.extra_info["pressure"] = results
+    e23_result["pressure"] = results
     for r in results:
         # degradation is transparent for a legitimate user: evicted flows
         # re-run the decision and still deliver
@@ -210,7 +231,7 @@ def _send_ok(conn) -> bool:
         return False
 
 
-def test_e23_packet_loss(benchmark):
+def test_e23_packet_loss(benchmark, e23_result):
     results = benchmark.pedantic(
         lambda: [packet_loss_trial(r) for r in (0.0, 0.1, 0.5)],
         rounds=1, iterations=1)
@@ -219,6 +240,7 @@ def test_e23_packet_loss(benchmark):
                 [[r["loss_rate"], f"{r['delivered_frac']:.2f}",
                   r["clean_after_clear"]] for r in results])
     benchmark.extra_info["loss"] = results
+    e23_result["loss"] = results
     assert results[0]["delivered_frac"] == 1.0
     # delivered fraction tracks the injected rate (seeded draws)
     assert results[1]["delivered_frac"] > results[2]["delivered_frac"]
@@ -240,7 +262,7 @@ def degradation_policy_matrix() -> dict[str, dict[str, bool]]:
     return out
 
 
-def test_e23_fail_open_vs_fail_closed(benchmark):
+def test_e23_fail_open_vs_fail_closed(benchmark, e23_result):
     matrix = benchmark.pedantic(degradation_policy_matrix,
                                 rounds=1, iterations=1)
     rows = [[policy, row["same user"], row["stranger"]]
@@ -248,6 +270,7 @@ def test_e23_fail_open_vs_fail_closed(benchmark):
     print_table("E23: degraded-verdict policy (identd down)",
                 ["policy", "same user admitted", "stranger admitted"], rows)
     benchmark.extra_info["policy_matrix"] = matrix
+    e23_result["policy_matrix"] = matrix
     # fail-closed: nobody new gets in (separation preserved, availability
     # sacrificed); fail-open: everybody does (the inverse trade)
     assert matrix["fail-closed"] == {"same user": False, "stranger": False}

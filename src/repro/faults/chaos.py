@@ -58,11 +58,19 @@ class ChaosController:
 
     def conntrack_pressure(self, host: str, *, capacity: int,
                            for_: float | None = None) -> Fault:
-        """Re-bound *host*'s conntrack table to *capacity* entries."""
+        """Re-bound *host*'s conntrack table to *capacity* entries.
+
+        Pressure faults on one host stack: the newest active one sets the
+        bound, and clearing the last restores the capacity the table had
+        before the first.
+        """
         table = self.cluster.fabric.host(host).firewall.conntrack
+        stack = self.injector.active(FaultKind.CONNTRACK_PRESSURE, host)
+        base = (stack[0].params.get("_prev_capacity") if stack
+                else table.capacity)
         fault = self.injector.inject(FaultKind.CONNTRACK_PRESSURE, host,
                                      capacity=capacity,
-                                     _prev_capacity=table.capacity)
+                                     _prev_capacity=base)
         table.set_capacity(capacity, reason="pressure")
         return self._arm(fault, for_)
 
@@ -130,10 +138,14 @@ class ChaosController:
             # injector.clear below is then an idempotent no-op
             if getattr(self.cluster.scheduler, "crashed", False):
                 self.cluster.recover()
-        elif fault.kind is FaultKind.CONNTRACK_PRESSURE:
-            table = self.cluster.fabric.host(fault.host).firewall.conntrack
-            table.capacity = fault.params.get("_prev_capacity")
         self.injector.clear(fault)
+        if fault.kind is FaultKind.CONNTRACK_PRESSURE:
+            table = self.cluster.fabric.host(fault.host).firewall.conntrack
+            rest = self.injector.active(FaultKind.CONNTRACK_PRESSURE,
+                                        fault.host)
+            table.set_capacity(rest[-1].params.get("capacity") if rest
+                               else fault.params.get("_prev_capacity"),
+                               reason="pressure")
         if fault.kind in _HEALTH_KINDS:
             self._wake_health()
 

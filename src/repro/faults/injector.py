@@ -24,8 +24,9 @@ exactly the points where real infrastructure fails:
 Injection is instant, explicit and reversible; every transition is counted
 (``faults_injected_total{kind=}`` / ``faults_cleared_total{kind=}``) so the
 ops dashboard's degradation-posture section can render live fault state.
-Packet-loss draws come from a seeded :mod:`repro.sim.rng` generator —
-identical runs lose identical packets.
+Packet-loss and heartbeat-flap draws come from a :mod:`repro.sim.rng`
+generator seeded with ``DEFAULT_SEED`` unless a seed is given — identical
+runs lose identical packets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.sim.rng import make_rng
+from repro.sim.rng import DEFAULT_SEED, make_rng
 
 
 class FaultKind(enum.Enum):
@@ -85,16 +86,23 @@ class Fault:
 class FaultInjector:
     """Fault registry + the predicates the data path consults.
 
-    One injector per fabric (``fabric.faults``).  With nothing injected
-    every predicate is a cheap no-fault answer, so the healthy path pays
-    one attribute read and a truthiness check.
+    One injector per fabric (``fabric.faults``).  Active faults are kept
+    twice: in injection order (``active()``, the ``faults_active`` gauge,
+    ``ChaosController.heal_all``) and indexed by host.  Every data-path
+    predicate reads only its host's list, so a host with nothing injected
+    answers with one dictionary lookup, and faults on one host are visited
+    in injection order — budgets and seeded draws are consumed in the same
+    order whatever other hosts carry.
     """
 
-    def __init__(self, metrics, seed: int | None = None):
+    def __init__(self, metrics, seed: int | None = DEFAULT_SEED):
         self.metrics = metrics
         self._rng = make_rng(seed)
         self._ids = itertools.count(1)
         self._active: list[Fault] = []
+        #: the active faults by host, each list in injection order; a host
+        #: with no active fault has no key
+        self._by_host: dict[str, list[Fault]] = {}
         #: optional planes (repro.observer) told of each fresh injection
         self.observers: list = []
 
@@ -103,6 +111,7 @@ class FaultInjector:
     def inject(self, kind: FaultKind, host: str, **params: object) -> Fault:
         fault = Fault(next(self._ids), kind, host, dict(params))
         self._active.append(fault)
+        self._by_host.setdefault(host, []).append(fault)
         self.metrics.counter("faults_injected_total", kind=kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
         for o in self.observers:
@@ -114,6 +123,10 @@ class FaultInjector:
             return
         fault.active = False
         self._active.remove(fault)
+        on_host = self._by_host[fault.host]
+        on_host.remove(fault)
+        if not on_host:
+            del self._by_host[fault.host]
         self.metrics.counter("faults_cleared_total",
                              kind=fault.kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
@@ -124,19 +137,25 @@ class FaultInjector:
 
     def active(self, kind: FaultKind | None = None,
                host: str | None = None) -> list[Fault]:
-        return [f for f in self._active
-                if (kind is None or f.kind is kind)
-                and (host is None or f.host == host)]
+        faults = (self._active if host is None
+                  else self._by_host.get(host, ()))
+        return [f for f in faults if kind is None or f.kind is kind]
 
     # -- predicates (the data path asks these) ------------------------------
 
     def host_unreachable(self, host: str) -> bool:
         """Partitioned *or* crashed: either way no packet gets through."""
-        return bool(self.active(FaultKind.HOST_UNREACHABLE, host)
-                    or self.active(FaultKind.NODE_CRASH, host))
+        for fault in self._by_host.get(host, ()):
+            if fault.kind is FaultKind.HOST_UNREACHABLE \
+                    or fault.kind is FaultKind.NODE_CRASH:
+                return True
+        return False
 
     def node_crashed(self, host: str) -> bool:
-        return bool(self.active(FaultKind.NODE_CRASH, host))
+        for fault in self._by_host.get(host, ()):
+            if fault.kind is FaultKind.NODE_CRASH:
+                return True
+        return False
 
     def heartbeat_ok(self, host: str) -> bool:
         """Did one heartbeat probe of *host* succeed right now?
@@ -147,7 +166,9 @@ class FaultInjector:
         """
         if self.host_unreachable(host):
             return False
-        for fault in self.active(FaultKind.NODE_FLAP, host):
+        for fault in self._by_host.get(host, ()):
+            if fault.kind is not FaultKind.NODE_FLAP:
+                continue
             rate = float(fault.params.get("flake_rate", 0.5))
             if rate > 0 and self._rng.random() < rate:
                 self.metrics.counter("fault_heartbeats_dropped").inc()
@@ -162,10 +183,15 @@ class FaultInjector:
         which is exactly the shape a retry-with-backoff client recovers
         from without operator action.
         """
-        if self.host_unreachable(host) \
-                or self.active(FaultKind.IDENTD_UNRESPONSIVE, host):
-            return False
-        for fault in self.active(FaultKind.IDENTD_SLOW, host):
+        faults = self._by_host.get(host, ())
+        for fault in faults:
+            if fault.kind is FaultKind.HOST_UNREACHABLE \
+                    or fault.kind is FaultKind.NODE_CRASH \
+                    or fault.kind is FaultKind.IDENTD_UNRESPONSIVE:
+                return False
+        for fault in faults:
+            if fault.kind is not FaultKind.IDENTD_SLOW:
+                continue
             remaining = int(fault.params.get("fail_attempts", 1))
             if remaining > 0:
                 fault.params["fail_attempts"] = remaining - 1
@@ -182,7 +208,9 @@ class FaultInjector:
         daemon's job, by cross-checking against the kernel-stamped uid on
         the connection packet itself.
         """
-        for fault in self.active(FaultKind.IDENT_SPOOF, host):
+        for fault in self._by_host.get(host, ()):
+            if fault.kind is not FaultKind.IDENT_SPOOF:
+                continue
             from repro.net.ident import IdentReply
             uid = int(fault.params.get("uid", 0))
             egid = int(fault.params.get("egid", uid))
@@ -194,7 +222,9 @@ class FaultInjector:
 
     def drop_packet(self, dst_host: str) -> bool:
         """Seeded-random loss draw for one data packet toward *dst_host*."""
-        for fault in self.active(FaultKind.PACKET_LOSS, dst_host):
+        for fault in self._by_host.get(dst_host, ()):
+            if fault.kind is not FaultKind.PACKET_LOSS:
+                continue
             rate = float(fault.params.get("loss_rate", 0.0))
             if rate > 0 and self._rng.random() < rate:
                 self.metrics.counter("fault_packets_dropped").inc()

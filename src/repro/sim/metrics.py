@@ -182,6 +182,20 @@ class Samples:
         }
 
 
+def _resolve(store: dict, memo: dict, make, call: object, name: str,
+             labels: dict[str, object]):
+    """The series of *store* that *name* and *labels* address, registered
+    now if this is its first call, and remembered in *memo* under *call*
+    when every label value is a ``str``."""
+    key = (name, _labelset(labels) if labels else ())
+    series = store.get(key)
+    if series is None:
+        series = store[key] = make(name, key[1])
+    if all(type(v) is str for v in labels.values()):
+        memo[call] = series
+    return series
+
+
 class MetricSet:
     """Named registry of counters/gauges/histograms/samples for one run.
 
@@ -189,6 +203,15 @@ class MetricSet:
     series (``counter("ubf_verdicts_total", verdict="drop", reason=...)``).
     Unlabeled access keeps the original single-series behaviour, so the
     pre-observability call sites are untouched.
+
+    A series registers at its first ``counter()``/``gauge()`` call, never
+    earlier, so the exports hold only series something recorded.  Each
+    call then remembers what it resolved to, keyed by ``name`` alone or by
+    ``(name, labels in the caller's order)``, so a repeated call is one
+    dictionary lookup instead of sorting and stringifying its labels.
+    Only calls whose label values are all ``str`` are remembered: values
+    that compare equal but render differently (``1``, ``1.0``, ``True``)
+    must not share an entry.
     """
 
     def __init__(self):
@@ -196,19 +219,24 @@ class MetricSet:
         self._gauges: dict[tuple[str, LabelSet], Gauge] = {}
         self._histograms: dict[tuple[str, LabelSet], Histogram] = {}
         self._samples: dict[str, Samples] = {}
+        #: resolved series by call key, one memo per kind
+        self._counter_memo: dict[object, Counter] = {}
+        self._gauge_memo: dict[object, Gauge] = {}
 
     def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, _labelset(labels) if labels else ())
-        c = self._counters.get(key)
+        call = (name, tuple(labels.items())) if labels else name
+        c = self._counter_memo.get(call)
         if c is None:
-            c = self._counters[key] = Counter(name, key[1])
+            c = _resolve(self._counters, self._counter_memo, Counter,
+                         call, name, labels)
         return c
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, _labelset(labels) if labels else ())
-        g = self._gauges.get(key)
+        call = (name, tuple(labels.items())) if labels else name
+        g = self._gauge_memo.get(call)
         if g is None:
-            g = self._gauges[key] = Gauge(name, key[1])
+            g = _resolve(self._gauges, self._gauge_memo, Gauge,
+                         call, name, labels)
         return g
 
     def histogram(self, name: str, buckets: tuple[float, ...] | None = None,

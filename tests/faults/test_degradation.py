@@ -241,7 +241,7 @@ class TestChaosController:
                                      min_distinct_targets=1) == []
 
     def test_conntrack_pressure_applies_and_restores(self, cluster):
-        host = cluster.compute_nodes[0].name
+        host = _alice_service(cluster)
         table = cluster.fabric.host(host).firewall.conntrack
         chaos = cluster.chaos()
         fault = chaos.conntrack_pressure(host, capacity=2)
@@ -249,6 +249,27 @@ class TestChaosController:
         chaos.clear(fault)
         assert table.capacity is None
         assert chaos.active() == []
+        # stacked on one host, in both clear orders: the newest fault still
+        # active sets the bound, and heal_all restores the bound from
+        # before the first
+        for cleared in (0, 1):
+            stack = [chaos.conntrack_pressure(host, capacity=4),
+                     chaos.conntrack_pressure(host, capacity=2)]
+            assert table.capacity == 2
+            chaos.clear(stack[cleared])
+            assert table.capacity == stack[1 - cleared].params["capacity"]
+            chaos.heal_all()
+            assert table.capacity is None and chaos.active() == []
+        # a tighter fault left active trims the table when a looser clears
+        chaos.conntrack_pressure(host, capacity=2)
+        loose = chaos.conntrack_pressure(host, capacity=4)
+        alice = cluster.login("alice")
+        conns = [alice.socket().connect(host, 5000) for _ in range(4)]
+        assert len(table.flows()) == len(conns)
+        chaos.clear(loose)
+        assert table.capacity == 2 and len(table.flows()) == 2
+        chaos.heal_all()
+        assert table.capacity is None
 
     def test_partition_blocks_even_established(self, cluster):
         host = _alice_service(cluster)

@@ -113,6 +113,44 @@ class TestMetrics:
         m.counter("x").inc(2)
         assert m.report()["x"] == 3
 
+    def test_labelled_series_found_whatever_the_label_order(self):
+        m = MetricSet()
+        c = m.counter("x", a="1", b=2)
+        assert m.counter("x", b="2", a=1) is c
+        assert m.gauge("g", a="1", b="2") is m.gauge("g", b="2", a="1")
+        # equal values that render differently stay separate series
+        assert m.counter("x", a=True, b="2").labels == (
+            ("a", "True"), ("b", "2"))
+        assert m.counter("x", a="1", b="2") is c
+
+    def test_series_registers_once_at_its_first_call(self):
+        m = MetricSet()
+        assert m.report() == {}
+        for _ in range(3):
+            m.counter("hits", reason="lru").inc()
+            m.gauge("depth").set(4)
+        assert m.report() == {'hits{reason="lru"}': 3, "depth": 4.0}
+        assert len(m.all_counters()) == len(m.all_gauges()) == 1
+
+    def test_repeated_labelled_call_skips_labelset(self, monkeypatch):
+        import repro.sim.metrics as metrics
+
+        calls = []
+        real = metrics._labelset
+
+        def counting(labels):
+            calls.append(labels)
+            return real(labels)
+
+        monkeypatch.setattr(metrics, "_labelset", counting)
+        m = MetricSet()
+        for _ in range(3):
+            m.counter("verdicts", verdict="drop", reason="rule").inc()
+            m.gauge("size", table="conntrack").set(1)
+        assert len(calls) == 2  # one per series, at its first call
+        assert m.counter("verdicts", verdict="drop",
+                         reason="rule").value == 3
+
     def test_samples_summary(self):
         s = Samples("lat")
         for v in (1.0, 2.0, 3.0, 4.0):

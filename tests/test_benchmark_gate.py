@@ -99,6 +99,9 @@ def test_baseline_passes_on_its_committed_reference(name, results_dir,
      "full_campaign.blocked_with_deny_record >= 11: missing"),
     ("e14", lambda d: d["llsc"]["open"].append("ps-snoop"),
      "llsc.open == "),
+    # loss draws that no longer follow the injector's default seed
+    ("e23", lambda d: d["loss"][1].update(delivered_frac=0.92),
+     "loss.1.delivered_frac == 0.88: got 0.92"),
 ])
 def test_gate_exits_nonzero_and_names_the_broken_rule(name, mutate, rule,
                                                        results_dir, capsys):
