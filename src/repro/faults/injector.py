@@ -86,13 +86,10 @@ class Fault:
 class FaultInjector:
     """Fault registry + the predicates the data path consults.
 
-    One injector per fabric (``fabric.faults``).  Active faults are kept
-    twice: in injection order (``active()``, the ``faults_active`` gauge,
-    ``ChaosController.heal_all``) and indexed by host.  Every data-path
-    predicate reads only its host's list, so a host with nothing injected
-    answers with one dictionary lookup, and faults on one host are visited
-    in injection order — budgets and seeded draws are consumed in the same
-    order whatever other hosts carry.
+    One injector per fabric (``fabric.faults``).  With nothing injected
+    every predicate returns its no-fault answer before it looks for a
+    fault, so the healthy path pays one attribute read and a truthiness
+    check and draws nothing.
     """
 
     def __init__(self, metrics, seed: int | None = DEFAULT_SEED):
@@ -100,9 +97,6 @@ class FaultInjector:
         self._rng = make_rng(seed)
         self._ids = itertools.count(1)
         self._active: list[Fault] = []
-        #: the active faults by host, each list in injection order; a host
-        #: with no active fault has no key
-        self._by_host: dict[str, list[Fault]] = {}
         #: optional planes (repro.observer) told of each fresh injection
         self.observers: list = []
 
@@ -111,7 +105,6 @@ class FaultInjector:
     def inject(self, kind: FaultKind, host: str, **params: object) -> Fault:
         fault = Fault(next(self._ids), kind, host, dict(params))
         self._active.append(fault)
-        self._by_host.setdefault(host, []).append(fault)
         self.metrics.counter("faults_injected_total", kind=kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
         for o in self.observers:
@@ -123,10 +116,6 @@ class FaultInjector:
             return
         fault.active = False
         self._active.remove(fault)
-        on_host = self._by_host[fault.host]
-        on_host.remove(fault)
-        if not on_host:
-            del self._by_host[fault.host]
         self.metrics.counter("faults_cleared_total",
                              kind=fault.kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
@@ -137,25 +126,23 @@ class FaultInjector:
 
     def active(self, kind: FaultKind | None = None,
                host: str | None = None) -> list[Fault]:
-        faults = (self._active if host is None
-                  else self._by_host.get(host, ()))
-        return [f for f in faults if kind is None or f.kind is kind]
+        return [f for f in self._active
+                if (kind is None or f.kind is kind)
+                and (host is None or f.host == host)]
 
     # -- predicates (the data path asks these) ------------------------------
 
     def host_unreachable(self, host: str) -> bool:
         """Partitioned *or* crashed: either way no packet gets through."""
-        for fault in self._by_host.get(host, ()):
-            if fault.kind is FaultKind.HOST_UNREACHABLE \
-                    or fault.kind is FaultKind.NODE_CRASH:
-                return True
-        return False
+        if not self._active:
+            return False
+        return bool(self.active(FaultKind.HOST_UNREACHABLE, host)
+                    or self.active(FaultKind.NODE_CRASH, host))
 
     def node_crashed(self, host: str) -> bool:
-        for fault in self._by_host.get(host, ()):
-            if fault.kind is FaultKind.NODE_CRASH:
-                return True
-        return False
+        if not self._active:
+            return False
+        return bool(self.active(FaultKind.NODE_CRASH, host))
 
     def heartbeat_ok(self, host: str) -> bool:
         """Did one heartbeat probe of *host* succeed right now?
@@ -164,11 +151,11 @@ class FaultInjector:
         fault drops each probe with probability ``flake_rate`` (seeded
         draws — identical runs observe identical flaps).
         """
+        if not self._active:
+            return True
         if self.host_unreachable(host):
             return False
-        for fault in self._by_host.get(host, ()):
-            if fault.kind is not FaultKind.NODE_FLAP:
-                continue
+        for fault in self.active(FaultKind.NODE_FLAP, host):
             rate = float(fault.params.get("flake_rate", 0.5))
             if rate > 0 and self._rng.random() < rate:
                 self.metrics.counter("fault_heartbeats_dropped").inc()
@@ -183,15 +170,12 @@ class FaultInjector:
         which is exactly the shape a retry-with-backoff client recovers
         from without operator action.
         """
-        faults = self._by_host.get(host, ())
-        for fault in faults:
-            if fault.kind is FaultKind.HOST_UNREACHABLE \
-                    or fault.kind is FaultKind.NODE_CRASH \
-                    or fault.kind is FaultKind.IDENTD_UNRESPONSIVE:
-                return False
-        for fault in faults:
-            if fault.kind is not FaultKind.IDENTD_SLOW:
-                continue
+        if not self._active:
+            return True
+        if self.host_unreachable(host) \
+                or self.active(FaultKind.IDENTD_UNRESPONSIVE, host):
+            return False
+        for fault in self.active(FaultKind.IDENTD_SLOW, host):
             remaining = int(fault.params.get("fail_attempts", 1))
             if remaining > 0:
                 fault.params["fail_attempts"] = remaining - 1
@@ -208,9 +192,9 @@ class FaultInjector:
         daemon's job, by cross-checking against the kernel-stamped uid on
         the connection packet itself.
         """
-        for fault in self._by_host.get(host, ()):
-            if fault.kind is not FaultKind.IDENT_SPOOF:
-                continue
+        if not self._active:
+            return None
+        for fault in self.active(FaultKind.IDENT_SPOOF, host):
             from repro.net.ident import IdentReply
             uid = int(fault.params.get("uid", 0))
             egid = int(fault.params.get("egid", uid))
@@ -222,9 +206,9 @@ class FaultInjector:
 
     def drop_packet(self, dst_host: str) -> bool:
         """Seeded-random loss draw for one data packet toward *dst_host*."""
-        for fault in self._by_host.get(dst_host, ()):
-            if fault.kind is not FaultKind.PACKET_LOSS:
-                continue
+        if not self._active:
+            return False
+        for fault in self.active(FaultKind.PACKET_LOSS, dst_host):
             rate = float(fault.params.get("loss_rate", 0.0))
             if rate > 0 and self._rng.random() < rate:
                 self.metrics.counter("fault_packets_dropped").inc()

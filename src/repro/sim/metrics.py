@@ -204,9 +204,9 @@ class MetricSet:
     Unlabeled access keeps the original single-series behaviour, so the
     pre-observability call sites are untouched.
 
-    A series registers at its first ``counter()``/``gauge()`` call, never
-    earlier, so the exports hold only series something recorded.  Each
-    call then remembers what it resolved to, keyed by ``name`` alone or by
+    A series registers at its first ``counter()``/``gauge()`` call, and the
+    memo below adds no series that call sites did not already ask for.
+    Each call remembers what it resolved to, keyed by ``name`` alone or by
     ``(name, labels in the caller's order)``, so a repeated call is one
     dictionary lookup instead of sorting and stringifying its labels.
     Only calls whose label values are all ``str`` are remembered: values
