@@ -10,7 +10,16 @@ E7 claim: ``smask_relax`` lets support staff publish world-readable data;
 plain users cannot.
 
 Series printed: per-path outcome under BASELINE / LLSC / LLSC+old-Lustre.
+
+Both claims run on the simulation clock, so they are host-independent.
+``test_e6_filesystem_matrix`` and ``test_e7_smask_relax`` record into
+``benchmarks/results/e6_smask.json``: the 9 x 3 matrix (``true`` where a
+path is open) and E7's five results.  ``python benchmarks/gate.py E6``
+checks them against the exact rules in ``benchmarks/baselines/e6.json``.
+``test_e6_create_cost`` is a pytest-benchmark timing and records nothing.
 """
+
+import pytest
 
 from repro import BASELINE, LLSC, ablate, run_battery, smask_relax, standard_cluster
 from repro.core.attacks import (
@@ -26,7 +35,7 @@ from repro.core.attacks import (
 )
 from repro.kernel.errors import KernelError
 
-from _helpers import print_table
+from _helpers import print_table, write_result
 
 FS_ATTACKS = (ChmodWorldHome(), TmpWorldFile(), DevShmFile(),
               AclUserGrant(), ChgrpSharedGroup(), HomeWalk(),
@@ -39,6 +48,14 @@ CONFIGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def e6_result():
+    """The result document both claim tests fill; written after them."""
+    doc: dict = {}
+    yield doc
+    write_result("e6_smask", doc, full=False)
+
+
 def fs_matrix() -> dict[str, dict[str, bool]]:
     out: dict[str, dict[str, bool]] = {}
     for label, cfg in CONFIGS.items():
@@ -47,7 +64,7 @@ def fs_matrix() -> dict[str, dict[str, bool]]:
     return out
 
 
-def test_e6_filesystem_matrix(benchmark):
+def test_e6_filesystem_matrix(benchmark, e6_result):
     matrix = benchmark.pedantic(fs_matrix, rounds=1, iterations=1)
     names = [a.name for a in FS_ATTACKS]
     rows = [[n] + [("open" if matrix[c][n] else "blocked")
@@ -55,6 +72,7 @@ def test_e6_filesystem_matrix(benchmark):
     print_table("E6: filesystem sharing paths", ["path"] + list(CONFIGS),
                 rows)
     benchmark.extra_info["matrix"] = matrix
+    e6_result["matrix"] = matrix
     llsc = matrix["LLSC"]
     # LLSC: everything blocked except the documented residual (names in
     # world-writable dirs) and the sanctioned project path
@@ -75,7 +93,7 @@ def test_e6_filesystem_matrix(benchmark):
     assert diff == {"scratch-world-create"}
 
 
-def test_e7_smask_relax(benchmark):
+def test_e7_smask_relax(benchmark, e6_result):
     def relax_trial():
         cluster = standard_cluster(LLSC)
         results = {}
@@ -100,6 +118,7 @@ def test_e7_smask_relax(benchmark):
     results = benchmark.pedantic(relax_trial, rounds=1, iterations=1)
     print_table("E7: smask_relax publishing",
                 ["step", "granted"], [[k, v] for k, v in results.items()])
+    e6_result["smask_relax"] = results
     assert results == {
         "staff before relax": False,
         "staff after relax": True,

@@ -19,7 +19,7 @@ from repro.kernel.process import Process, SIGTERM
 from repro.kernel.procfs import PsEntry
 from repro.kernel.node import LinuxNode
 from repro.kernel.users import Credentials
-from repro.kernel.vfs import AclEntry, Stat
+from repro.kernel.vfs import AclEntry, Stat, stat_of
 
 
 class SyscallInterface:
@@ -42,12 +42,11 @@ class SyscallInterface:
         return self.node.vfs.write(path, self.creds, data, append=append)
 
     def create(self, path: str, *, mode: int = 0o666, data: bytes = b"") -> Stat:
-        self.node.vfs.create(path, self.creds, mode=mode, data=data)
-        return self.stat(path)
+        return stat_of(self.node.vfs.create(path, self.creds, mode=mode,
+                                            data=data))
 
     def mkdir(self, path: str, *, mode: int = 0o777) -> Stat:
-        self.node.vfs.mkdir(path, self.creds, mode=mode)
-        return self.stat(path)
+        return stat_of(self.node.vfs.mkdir(path, self.creds, mode=mode))
 
     def unlink(self, path: str) -> None:
         self.node.vfs.unlink(path, self.creds)

@@ -202,27 +202,34 @@ class Mount:
     fs: Filesystem
 
 
-def _normalize(path: str) -> str:
+def _parts(path: str) -> list[str]:
+    """The components of absolute *path*, with ``.``, ``..`` and empty
+    components resolved lexically (``..`` at the root stays there)."""
     if not path.startswith("/"):
         raise InvalidArgument(f"path must be absolute: {path!r}")
-    parts = [p for p in path.split("/") if p not in ("", ".")]
     out: list[str] = []
-    for p in parts:
+    for p in path.split("/"):
         if p == "..":
             if out:
                 out.pop()
-        else:
+        elif p and p != ".":
             out.append(p)
-    return "/" + "/".join(out)
+    return out
 
 
-def split_path(path: str) -> tuple[str, str]:
-    """Return (parent_path, basename) of a normalized path."""
-    norm = _normalize(path)
-    if norm == "/":
-        raise InvalidArgument("cannot split the root path")
-    head, _, tail = norm.rpartition("/")
-    return (head or "/", tail)
+def _join(parts: list[str]) -> str:
+    return "/" + "/".join(parts)
+
+
+def _normalize(path: str) -> str:
+    return _join(_parts(path))
+
+
+def stat_of(inode: Inode) -> Stat:
+    """What ``stat(2)`` reports for *inode*."""
+    return Stat(ino=inode.ino, kind=inode.kind, uid=inode.uid, gid=inode.gid,
+                mode=inode.mode, size=len(inode.data), nlink=inode.nlink,
+                mtime=inode.mtime, atime=inode.atime)
 
 
 class VFS:
@@ -249,6 +256,8 @@ class VFS:
         #: optional planes (repro.observer) shown every stored mode and ACL
         self.observers: list = []
         self._mounts: dict[str, Mount] = {"/": Mount("/", self.rootfs)}
+        #: components in the deepest mount point (no lookup probes deeper)
+        self._mount_depth = 0
 
     # -- mounts ------------------------------------------------------------
 
@@ -256,27 +265,32 @@ class VFS:
         """Attach *fs* at *path* (root only). The mount point need not exist."""
         if not creds.is_root:
             raise PermissionError_("mount requires root")
-        norm = _normalize(path)
+        parts = _parts(path)
+        norm = _join(parts)
         if norm in self._mounts and norm != "/":
             raise Exists(f"mount point {norm} busy")
         self._mounts[norm] = Mount(norm, fs)
+        self._mount_depth = max(self._mount_depth, len(parts))
 
     def mounts(self) -> list[Mount]:
         return sorted(self._mounts.values(), key=lambda m: m.path)
 
-    def _find_mount(self, path: str) -> tuple[Mount, list[str]]:
-        """Longest-prefix mount match; returns the mount and the residual
-        path components inside that filesystem."""
-        norm = _normalize(path)
-        parts = [p for p in norm.split("/") if p]
-        best = self._mounts["/"]
-        best_depth = 0
-        for mnt in self._mounts.values():
-            mparts = [p for p in mnt.path.split("/") if p]
-            if len(mparts) > best_depth and parts[: len(mparts)] == mparts:
-                best = mnt
-                best_depth = len(mparts)
-        return best, parts[best_depth:]
+    def _find_mount(self, parts: list[str]) -> tuple[Mount, list[str]]:
+        """The deepest mount on the path *parts* spell, found by probing
+        the mount table with the path's own prefixes, deepest first; returns
+        the mount and the residual components inside its filesystem."""
+        mounts = self._mounts
+        for depth in range(min(len(parts), self._mount_depth), 0, -1):
+            mnt = mounts.get(_join(parts[:depth]))
+            if mnt is not None:
+                return mnt, parts[depth:]
+        return mounts["/"], parts
+
+    def _mount_at(self, parts: list[str]) -> Mount | None:
+        """The mount whose mount point *parts* spell, if any."""
+        if len(parts) <= self._mount_depth:
+            return self._mounts.get(_join(parts))
+        return None
 
     # -- resolution --------------------------------------------------------
 
@@ -291,34 +305,41 @@ class VFS:
         matches the directory's owner or the caller — the kernel's defence
         against the classic ``/tmp`` symlink attack.
         """
-        if _depth > MAX_SYMLINK_DEPTH:
+        return self._walk(_parts(path), creds, follow=follow, path=path,
+                          depth=_depth)[1]
+
+    def _walk(self, parts: list[str], creds: Credentials, *,
+              follow: bool = True, path: str | None = None,
+              depth: int = 0) -> tuple[Filesystem, Inode]:
+        """:meth:`resolve` on already-split *parts*; returns the filesystem
+        the walk ends in together with the inode.  Errors name *path*, or
+        the path *parts* spell when it is None (a parent lookup)."""
+        if depth > MAX_SYMLINK_DEPTH:
             raise InvalidArgument(f"too many levels of symbolic links: {path!r}")
-        mnt, parts = self._find_mount(path)
+        mnt, rest = self._find_mount(parts)
         node = mnt.fs.root
-        walked = mnt.path.rstrip("/")
-        for i, part in enumerate(parts):
+        last = len(rest) - 1
+        for i, part in enumerate(rest):
             if not node.is_dir:
-                raise NotADirectory("/".join(parts[:i]) or "/")
+                raise NotADirectory("/".join(rest[:i]) or "/")
             if not check_access(node, creds, X_OK):
-                raise AccessDenied(f"search permission denied in {path!r}")
+                raise AccessDenied(
+                    f"search permission denied in {path or _join(parts)!r}")
             parent = node
             try:
                 node = node.children[part]
             except KeyError:
-                raise NoSuchEntity(path) from None
-            is_last = i == len(parts) - 1
-            if node.kind is FileKind.SYMLINK and (follow or not is_last):
-                self._check_symlink_follow(parent, node, creds, path)
+                raise NoSuchEntity(path or _join(parts)) from None
+            if node.kind is FileKind.SYMLINK and (follow or i < last):
+                self._check_symlink_follow(parent, node, creds,
+                                           path or _join(parts))
                 target = node.data.decode()
-                base = walked or ""
-                resolved = target if target.startswith("/") \
-                    else f"{base}/{target}"
-                rest = "/".join(parts[i + 1:])
-                newpath = resolved + ("/" + rest if rest else "")
-                return self.resolve(newpath, creds, follow=follow,
-                                    _depth=_depth + 1)
-            walked = f"{walked}/{part}"
-        return node
+                if not target.startswith("/"):
+                    target = "/".join([mnt.path.rstrip("/"), *rest[:i], target])
+                newpath = "/".join([target, *rest[i + 1:]])
+                return self._walk(_parts(newpath), creds, follow=follow,
+                                  path=newpath, depth=depth + 1)
+        return mnt.fs, node
 
     def _check_symlink_follow(self, parent: Inode, link: Inode,
                               creds: Credentials, path: str) -> None:
@@ -332,12 +353,17 @@ class VFS:
                     f"in sticky world-writable dir ({path!r})"
                 )
 
-    def _resolve_parent(self, path: str, creds: Credentials) -> tuple[Inode, str]:
-        parent_path, name = split_path(path)
-        parent = self.resolve(parent_path, creds)
+    def _resolve_parent(self, parts: list[str], creds: Credentials
+                        ) -> tuple[Filesystem, Inode, str]:
+        """Resolve the directory holding the last of *parts*: returns the
+        filesystem that walk ends in, the directory and the name.  A new
+        name belongs to its parent's filesystem, wherever symlinks led."""
+        if not parts:
+            raise InvalidArgument("cannot split the root path")
+        fs, parent = self._walk(parts[:-1], creds)
         if not parent.is_dir:
-            raise NotADirectory(parent_path)
-        return parent, name
+            raise NotADirectory(_join(parts[:-1]))
+        return fs, parent, parts[-1]
 
     def exists(self, path: str, creds: Credentials) -> bool:
         try:
@@ -347,9 +373,6 @@ class VFS:
             return False
 
     # -- create / remove ---------------------------------------------------
-
-    def _fs_of(self, path: str) -> Filesystem:
-        return self._find_mount(path)[0].fs
 
     def _create_mode(self, requested: int, creds: Credentials,
                      fs: Filesystem) -> int:
@@ -368,13 +391,13 @@ class VFS:
         the parent directory is setgid, in which case the parent's group is
         inherited (how project-group shared directories work).
         """
-        norm = _normalize(path)
-        if norm in self._mounts:
-            mnt_root = self._mounts[norm].fs.root
-            if exist_ok and mnt_root.kind is kind:
-                return mnt_root
-            raise Exists(f"{norm} is a mount point")
-        parent, name = self._resolve_parent(path, creds)
+        parts = _parts(path)
+        mnt = self._mount_at(parts)
+        if mnt is not None:
+            if exist_ok and mnt.fs.root.kind is kind:
+                return mnt.fs.root
+            raise Exists(f"{mnt.path} is a mount point")
+        fs, parent, name = self._resolve_parent(parts, creds)
         # EEXIST before EACCES, as in Linux: the lookup (needing only x on
         # the parent) happens before the write-permission check
         if name in parent.children:
@@ -383,7 +406,6 @@ class VFS:
             raise Exists(path)
         if not check_access(parent, creds, W_OK | X_OK):
             raise AccessDenied(f"cannot create in {path!r}")
-        fs = self._fs_of(path)
         gid = parent.gid if parent.setgid else creds.egid
         eff = self._create_mode(mode, creds, fs)
         if kind is FileKind.DIR and parent.setgid:
@@ -407,11 +429,9 @@ class VFS:
                            exist_ok=exist_ok)
 
     def makedirs(self, path: str, creds: Credentials, *, mode: int = 0o777) -> Inode:
-        norm = _normalize(path)
-        parts = [p for p in norm.split("/") if p]
         cur = ""
         node = self.resolve("/", creds)
-        for p in parts:
+        for p in _parts(path):
             cur += "/" + p
             if not self.exists(cur, creds):
                 node = self.mkdir(cur, creds, mode=mode)
@@ -421,7 +441,7 @@ class VFS:
 
     def unlink(self, path: str, creds: Credentials) -> None:
         """Remove a file; sticky-bit semantics protect /tmp-style dirs."""
-        parent, name = self._resolve_parent(path, creds)
+        _, parent, name = self._resolve_parent(_parts(path), creds)
         if not check_access(parent, creds, W_OK | X_OK):
             raise AccessDenied(f"cannot unlink in {path!r}")
         try:
@@ -444,12 +464,18 @@ class VFS:
         Needs w+x on both parent directories; sticky-bit protection applies
         to removing the *source* name and to replacing an existing target,
         exactly as for unlink.  Cross-filesystem renames raise EINVAL
-        (userspace ``mv`` would fall back to copy+unlink).
+        (userspace ``mv`` would fall back to copy+unlink); as in Linux,
+        both parents are resolved before that check.  A mount point is
+        never renamed, nor replaced.
         """
-        if self._fs_of(oldpath) is not self._fs_of(newpath):
+        old_parts, new_parts = _parts(oldpath), _parts(newpath)
+        for parts, label in ((old_parts, oldpath), (new_parts, newpath)):
+            if self._mount_at(parts) is not None:
+                raise InvalidArgument(f"rename: {label!r} is a mount point")
+        old_fs, old_parent, old_name = self._resolve_parent(old_parts, creds)
+        new_fs, new_parent, new_name = self._resolve_parent(new_parts, creds)
+        if old_fs is not new_fs:
             raise InvalidArgument("cross-filesystem rename")
-        old_parent, old_name = self._resolve_parent(oldpath, creds)
-        new_parent, new_name = self._resolve_parent(newpath, creds)
         for parent, label in ((old_parent, oldpath), (new_parent, newpath)):
             if not check_access(parent, creds, W_OK | X_OK):
                 raise AccessDenied(f"rename: no write access at {label!r}")
@@ -553,12 +579,12 @@ class VFS:
         legal); the link inode itself is mode 0777 and owned by the
         creator.
         """
-        parent, name = self._resolve_parent(linkpath, creds)
+        parts = _parts(linkpath)
+        fs, parent, name = self._resolve_parent(parts, creds)
         if not check_access(parent, creds, W_OK | X_OK):
             raise AccessDenied(f"cannot create link in {linkpath!r}")
-        if name in parent.children:
+        if name in parent.children or self._mount_at(parts) is not None:
             raise Exists(linkpath)
-        fs = self._fs_of(linkpath)
         inode = fs.alloc_inode(FileKind.SYMLINK, creds.uid, creds.egid,
                                0o777)
         inode.data.extend(target.encode())
@@ -579,7 +605,7 @@ class VFS:
         read+write access to — blocking the hardlink variant of the /tmp
         attack.
         """
-        target = self.resolve(oldpath, creds)
+        target_fs, target = self._walk(_parts(oldpath), creds, path=oldpath)
         if target.is_dir:
             raise PermissionError_("hard links to directories are forbidden")
         if (self.protected_hardlinks and not creds.is_root
@@ -588,12 +614,13 @@ class VFS:
             raise PermissionError_(
                 f"protected_hardlinks: cannot link foreign file {oldpath!r}"
             )
-        parent, name = self._resolve_parent(newpath, creds)
+        parts = _parts(newpath)
+        fs, parent, name = self._resolve_parent(parts, creds)
         if not check_access(parent, creds, W_OK | X_OK):
             raise AccessDenied(f"cannot create link in {newpath!r}")
-        if name in parent.children:
+        if name in parent.children or self._mount_at(parts) is not None:
             raise Exists(newpath)
-        if self._fs_of(newpath) is not self._fs_of(oldpath):
+        if fs is not target_fs:
             raise InvalidArgument("cross-filesystem hard link")
         parent.children[name] = target
         target.nlink += 1
@@ -602,17 +629,11 @@ class VFS:
     # -- metadata ----------------------------------------------------------
 
     def stat(self, path: str, creds: Credentials) -> Stat:
-        inode = self.resolve(path, creds)
-        return Stat(ino=inode.ino, kind=inode.kind, uid=inode.uid,
-                    gid=inode.gid, mode=inode.mode, size=len(inode.data),
-                    nlink=inode.nlink, mtime=inode.mtime, atime=inode.atime)
+        return stat_of(self.resolve(path, creds))
 
     def lstat(self, path: str, creds: Credentials) -> Stat:
         """stat without following a final-component symlink."""
-        inode = self.resolve(path, creds, follow=False)
-        return Stat(ino=inode.ino, kind=inode.kind, uid=inode.uid,
-                    gid=inode.gid, mode=inode.mode, size=len(inode.data),
-                    nlink=inode.nlink, mtime=inode.mtime, atime=inode.atime)
+        return stat_of(self.resolve(path, creds, follow=False))
 
     def chmod(self, path: str, creds: Credentials, mode: int) -> int:
         """Change mode; only the owner or root.  The File Permission Handler

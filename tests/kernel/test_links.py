@@ -208,8 +208,23 @@ class TestHardlinks:
         other.root.mode = 0o1777
         alice = creds_of(userdb, "alice")
         vfs.create("/home/alice/a", alice, mode=0o644)
-        with pytest.raises(InvalidArgument):
-            vfs.link("/home/alice/a", "/scratch/b", alice)
+        # the new name's filesystem is where its parent resolves to, so a
+        # symlink into the other mount does not hide the crossing
+        vfs.symlink("/scratch", "/home/alice/toscr", alice)
+        for newpath in ("/scratch/b", "/home/alice/toscr/b"):
+            with pytest.raises(InvalidArgument):
+                vfs.link("/home/alice/a", newpath, alice)
+        assert vfs.listdir("/scratch", alice) == []
+
+    def test_mount_point_is_an_existing_name(self, vfs, userdb):
+        from repro.kernel import Filesystem
+        vfs.mount("/scratch", Filesystem("scratch"), creds=ROOT_CREDS)
+        vfs.create("/home/alice/a", ROOT_CREDS)
+        with pytest.raises(Exists):
+            vfs.symlink("/home/alice/a", "/scratch", ROOT_CREDS)
+        with pytest.raises(Exists):
+            vfs.link("/home/alice/a", "/scratch", ROOT_CREDS)
+        assert "scratch" not in vfs.rootfs.root.children
 
     def test_root_links_anything(self, vfs, userdb):
         alice = creds_of(userdb, "alice")

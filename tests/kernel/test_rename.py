@@ -110,8 +110,33 @@ class TestRename:
         scratch.root.mode = 0o1777
         alice = creds_of(userdb, "alice")
         vfs.create("/work/f", alice)
-        with pytest.raises(InvalidArgument):
-            vfs.rename("/work/f", "/scratch/f", alice)
+        vfs.create("/scratch/g", alice)
+        # both ends are judged where their parents resolve to, so a
+        # symlink into the other mount does not hide the crossing
+        vfs.symlink("/scratch", "/work/toscr", alice)
+        for old, new in (("/work/f", "/scratch/f"),
+                         ("/work/f", "/work/toscr/f"),
+                         ("/work/toscr/g", "/work/g")):
+            with pytest.raises(InvalidArgument):
+                vfs.rename(old, new, alice)
+        assert vfs.listdir("/scratch", alice) == ["g"]
+        assert "f" in vfs.listdir("/work", alice)
+
+    def test_mount_point_neither_moved_nor_replaced(self, vfs, userdb):
+        vfs.mkdir("/mnt", ROOT_CREDS, mode=0o755)
+        vfs.create("/mnt/shadowed", ROOT_CREDS)
+        vfs.mount("/mnt", Filesystem("mnt"), creds=ROOT_CREDS)
+        for old, new in (("/mnt", "/moved"), ("/work", "/mnt")):
+            with pytest.raises(InvalidArgument):
+                vfs.rename(old, new, ROOT_CREDS)
+        assert vfs.listdir("/mnt", ROOT_CREDS) == []
+        assert vfs.exists("/work", ROOT_CREDS)
+
+    def test_missing_source_parent_before_cross_filesystem(self, vfs, userdb):
+        """Linux's order: both parents resolve before the EXDEV check."""
+        vfs.mount("/scratch", Filesystem("scratch"), creds=ROOT_CREDS)
+        with pytest.raises(NoSuchEntity):
+            vfs.rename("/work/nope/f", "/scratch/f", ROOT_CREDS)
 
     def test_root_moves_anything(self, vfs, userdb):
         alice = creds_of(userdb, "alice")

@@ -187,3 +187,20 @@ class TestLustreBypass:
         alice = smasked(userdb, "alice")
         v.create("/scratch/f", alice, mode=0o600)
         assert v.chmod("/scratch/f", alice, 0o666) == 0o660
+
+    @pytest.mark.parametrize("link_dir,target,stored", [
+        # a link on old Lustre into an honouring filesystem: smask applies
+        ("/scratch", "/w", 0o660),
+        # a link on an honouring filesystem into old Lustre: the bypass
+        ("/w", "/scratch", 0o666),
+    ], ids=["old-lustre-link-into-honouring",
+            "honouring-link-into-old-lustre"])
+    def test_create_through_symlink_follows_landing_filesystem(
+            self, userdb, link_dir, target, stored):
+        v = self._mounted(userdb, honors=False)
+        v.mkdir("/w", ROOT_CREDS, mode=0o1777)
+        alice = smasked(userdb, "alice").with_umask(0)
+        v.symlink(target, f"{link_dir}/lnk", alice)
+        inode = v.create(f"{link_dir}/lnk/f", alice, mode=0o666)
+        assert inode.mode == stored
+        assert v.resolve(f"{target}/f", alice) is inode

@@ -23,7 +23,7 @@ from repro.kernel.errors import (
     NotEmpty,
     PermissionError_,
 )
-from repro.kernel.vfs import Inode, split_path
+from repro.kernel.vfs import Inode
 
 from tests.conftest import creds_of
 
@@ -49,11 +49,9 @@ class TestPathHandling:
     def test_dotdot_cannot_escape_root(self, vfs):
         assert vfs.resolve("/../../tmp", ROOT_CREDS) is vfs.resolve("/tmp", ROOT_CREDS)
 
-    def test_split_path(self):
-        assert split_path("/a/b/c") == ("/a/b", "c")
-        assert split_path("/a") == ("/", "a")
+    def test_root_path_has_no_parent(self, vfs):
         with pytest.raises(InvalidArgument):
-            split_path("/")
+            vfs.unlink("/", ROOT_CREDS)
 
     def test_missing_path_raises_enoent(self, vfs, userdb):
         with pytest.raises(NoSuchEntity):

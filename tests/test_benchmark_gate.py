@@ -99,6 +99,10 @@ def test_baseline_passes_on_its_committed_reference(name, results_dir,
      "full_campaign.blocked_with_deny_record >= 11: missing"),
     ("e14", lambda d: d["llsc"]["open"].append("ps-snoop"),
      "llsc.open == "),
+    # old Lustre honouring the smask after all: the bypass E6 pins is gone
+    ("e6", lambda d: d["matrix"]["LLSC+oldLustre"].update(
+        {"scratch-world-create": False}),
+     "matrix.LLSC+oldLustre.scratch-world-create == True: got false"),
     # loss draws that no longer follow the injector's default seed
     ("e23", lambda d: d["loss"][1].update(delivered_frac=0.92),
      "loss.1.delivered_frac == 0.88: got 0.92"),
