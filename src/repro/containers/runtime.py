@@ -47,48 +47,14 @@ class Container:
 
 class ContainerSyscalls(SyscallInterface):
     """Syscall façade inside the container: same process/creds, container
-    VFS for file operations, host /proc and host network untouched."""
+    VFS for every file syscall, host /proc and host network untouched."""
 
     def __init__(self, container: Container):
         super().__init__(container.node, container.process)
         self.container = container
-
-    # file ops hit the container namespace; everything else (ps, kill,
-    # sockets) inherits the host-node behaviour from SyscallInterface
-    def _vfs(self):
-        return self.container.vfs
-
-    def open_read(self, path):
-        return self.container.vfs.read(path, self.creds)
-
-    def open_write(self, path, data, *, append=False):
-        return self.container.vfs.write(path, self.creds, data, append=append)
-
-    def create(self, path, *, mode=0o666, data=b""):
-        self.container.vfs.create(path, self.creds, mode=mode, data=data)
-        return self.container.vfs.stat(path, self.creds)
-
-    def mkdir(self, path, *, mode=0o777):
-        self.container.vfs.mkdir(path, self.creds, mode=mode)
-        return self.container.vfs.stat(path, self.creds)
-
-    def unlink(self, path):
-        self.container.vfs.unlink(path, self.creds)
-
-    def listdir(self, path):
-        return self.container.vfs.listdir(path, self.creds)
-
-    def stat(self, path):
-        return self.container.vfs.stat(path, self.creds)
-
-    def chmod(self, path, mode):
-        return self.container.vfs.chmod(path, self.creds, mode)
-
-    def setfacl(self, path, entry):
-        self.container.vfs.setfacl(path, self.creds, entry)
-
-    def access(self, path, want):
-        return self.container.vfs.access(path, self.creds, want)
+        # file syscalls resolve in the container namespace; everything
+        # else (ps, kill, sockets) is the host node's, as inherited
+        self.vfs = container.vfs
 
 
 class SingularityRuntime:

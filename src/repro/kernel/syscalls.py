@@ -28,6 +28,9 @@ class SyscallInterface:
     def __init__(self, node: LinuxNode, process: Process):
         self.node = node
         self.process = process
+        #: the mount namespace every file syscall resolves in (a
+        #: container's façade swaps in the container's VFS)
+        self.vfs = node.vfs
 
     @property
     def creds(self) -> Credentials:
@@ -36,57 +39,57 @@ class SyscallInterface:
     # -- filesystem ----------------------------------------------------------
 
     def open_read(self, path: str) -> bytes:
-        return self.node.vfs.read(path, self.creds)
+        return self.vfs.read(path, self.creds)
 
     def open_write(self, path: str, data: bytes, *, append: bool = False) -> int:
-        return self.node.vfs.write(path, self.creds, data, append=append)
+        return self.vfs.write(path, self.creds, data, append=append)
 
     def create(self, path: str, *, mode: int = 0o666, data: bytes = b"") -> Stat:
-        return stat_of(self.node.vfs.create(path, self.creds, mode=mode,
-                                            data=data))
+        return stat_of(self.vfs.create(path, self.creds, mode=mode,
+                                       data=data))
 
     def mkdir(self, path: str, *, mode: int = 0o777) -> Stat:
-        return stat_of(self.node.vfs.mkdir(path, self.creds, mode=mode))
+        return stat_of(self.vfs.mkdir(path, self.creds, mode=mode))
 
     def unlink(self, path: str) -> None:
-        self.node.vfs.unlink(path, self.creds)
+        self.vfs.unlink(path, self.creds)
 
     def listdir(self, path: str) -> list[str]:
-        return self.node.vfs.listdir(path, self.creds)
+        return self.vfs.listdir(path, self.creds)
 
     def stat(self, path: str) -> Stat:
-        return self.node.vfs.stat(path, self.creds)
+        return self.vfs.stat(path, self.creds)
 
     def lstat(self, path: str) -> Stat:
-        return self.node.vfs.lstat(path, self.creds)
+        return self.vfs.lstat(path, self.creds)
 
     def symlink(self, target: str, linkpath: str) -> None:
-        self.node.vfs.symlink(target, linkpath, self.creds)
+        self.vfs.symlink(target, linkpath, self.creds)
 
     def readlink(self, path: str) -> str:
-        return self.node.vfs.readlink(path, self.creds)
+        return self.vfs.readlink(path, self.creds)
 
     def link(self, oldpath: str, newpath: str) -> None:
-        self.node.vfs.link(oldpath, newpath, self.creds)
+        self.vfs.link(oldpath, newpath, self.creds)
 
     def rename(self, oldpath: str, newpath: str) -> None:
-        self.node.vfs.rename(oldpath, newpath, self.creds)
+        self.vfs.rename(oldpath, newpath, self.creds)
 
     def chmod(self, path: str, mode: int) -> int:
-        return self.node.vfs.chmod(path, self.creds, mode)
+        return self.vfs.chmod(path, self.creds, mode)
 
     def chown(self, path: str, *, uid: int | None = None,
               gid: int | None = None) -> None:
-        self.node.vfs.chown(path, self.creds, uid=uid, gid=gid)
+        self.vfs.chown(path, self.creds, uid=uid, gid=gid)
 
     def setfacl(self, path: str, entry: AclEntry) -> None:
-        self.node.vfs.setfacl(path, self.creds, entry)
+        self.vfs.setfacl(path, self.creds, entry)
 
     def getfacl(self, path: str) -> list[AclEntry]:
-        return self.node.vfs.getfacl(path, self.creds)
+        return self.vfs.getfacl(path, self.creds)
 
     def access(self, path: str, want: int) -> bool:
-        return self.node.vfs.access(path, self.creds, want)
+        return self.vfs.access(path, self.creds, want)
 
     def umask(self, new_umask: int) -> None:
         self.process.creds = self.creds.with_umask(new_umask)

@@ -120,8 +120,14 @@ class Credentials:
 
     def with_smask(self, smask: int) -> "Credentials":
         """Used only by the PAM session hook / ``smask_relax``; ordinary code
-        cannot loosen its own smask (the patch enforces it kernel-side)."""
-        return replace(self, smask=smask & 0o777)
+        cannot loosen its own smask (the patch enforces it kernel-side).
+
+        Built with the constructor rather than ``dataclasses.replace``:
+        PAM calls this on every login, and ``replace`` re-reads the field
+        list each time."""
+        return Credentials(uid=self.uid, egid=self.egid, groups=self.groups,
+                           umask=self.umask, smask=smask & 0o777,
+                           proc_exempt=self.proc_exempt)
 
     def with_extra_group(self, gid: int) -> "Credentials":
         return replace(self, groups=self.groups | {gid})
@@ -143,8 +149,12 @@ class UserDB:
     def __init__(self, upg: bool = True):
         self.upg = upg
         #: bumped on every membership-affecting mutation; consumers caching
-        #: derived views (e.g. the UBF's verdict cache) key on it.
+        #: derived views (e.g. the UBF's verdict cache, the credentials
+        #: memo below) key on it.
         self.generation = 0
+        #: credentials_for's results, valid for generation ``_creds_gen``
+        self._creds: dict[tuple[int, int, int, int], Credentials] = {}
+        self._creds_gen = 0
         #: optional planes (repro.observer) told every account mutation
         self.observers: list = []
         self._users: dict[str, User] = {}
@@ -275,14 +285,29 @@ class UserDB:
 
     def credentials_for(self, user: User, *, smask: int = 0o000,
                         umask: int = 0o022) -> Credentials:
-        """Build a fresh credential set for a login session of *user*."""
-        return Credentials(
-            uid=user.uid,
-            egid=user.primary_gid,
-            groups=self.groups_of(user),
-            umask=umask,
-            smask=smask,
-        )
+        """The credential set a login session of *user* starts with.
+
+        Memoised per account-database generation on everything it reads:
+        :class:`Credentials` is frozen, so sessions share one object, and
+        a session keeps the credentials it logged in with after a later
+        membership change (the next login sees the change).  Any move of
+        ``generation`` — a mutation or a recovery's bump — empties the
+        memo; :meth:`groups_of` stays the reference that fills it.
+        """
+        if self._creds_gen != self.generation:
+            self._creds.clear()
+            self._creds_gen = self.generation
+        key = (user.uid, user.primary_gid, smask, umask)
+        creds = self._creds.get(key)
+        if creds is None:
+            creds = self._creds[key] = Credentials(
+                uid=user.uid,
+                egid=user.primary_gid,
+                groups=self.groups_of(user),
+                umask=umask,
+                smask=smask,
+            )
+        return creds
 
     def shares_group(self, a: User, b: User) -> bool:
         """True if the two users share any non-system supplementary group."""

@@ -50,9 +50,20 @@ class ConnState(enum.Enum):
     ESTABLISHED = "established"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiveTuple:
-    """Flow identity: (proto, src host/port, dst host/port)."""
+    """Flow identity: (proto, src host/port, dst host/port).
+
+    A flow is a dict key on both hosts' conntrack, probed in both
+    directions per packet, so it hashes once (the same value the
+    dataclass hash gives) and builds its reverse once: ``reversed()``
+    links the twins, and ``f.reversed().reversed() is f``.  The hash and
+    the twin are plain attributes, not fields, so ``==``, ``repr``,
+    ``dataclasses.fields`` and ``asdict`` see the five flow fields only.
+    The constructor writes the instance dict directly: the generated
+    frozen ``__init__`` would pay one ``object.__setattr__`` per field,
+    and flows are built per connection.
+    """
 
     proto: Proto
     src_host: str
@@ -60,9 +71,28 @@ class FiveTuple:
     dst_host: str
     dst_port: int
 
+    def __init__(self, proto: Proto, src_host: str, src_port: int,
+                 dst_host: str, dst_port: int) -> None:
+        d = self.__dict__
+        d["proto"] = proto
+        d["src_host"] = src_host
+        d["src_port"] = src_port
+        d["dst_host"] = dst_host
+        d["dst_port"] = dst_port
+        d["_hash"] = hash((proto, src_host, src_port, dst_host, dst_port))
+        d["_reverse"] = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.proto, self.dst_host, self.dst_port,
-                         self.src_host, self.src_port)
+        rev = self._reverse
+        if rev is None:
+            rev = FiveTuple(self.proto, self.dst_host, self.dst_port,
+                            self.src_host, self.src_port)
+            rev.__dict__["_reverse"] = self
+            self.__dict__["_reverse"] = rev
+        return rev
 
 
 @dataclass(frozen=True)

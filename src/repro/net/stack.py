@@ -256,6 +256,9 @@ class HostStack:
             dst.firewall.conntrack.evict(flow, reason="refused")
             self.close(src_sock)
             raise ConnectionRefused(f"{dst_host}:{dst_port}")
+        # the initiator tracks its own connection, as Linux conntrack does
+        # for an outgoing SYN: replies arrive ESTABLISHED, not NEW
+        self.firewall.conntrack.commit(flow)
         conn = Connection(self.fabric, flow, process, listener,
                           client_sock=src_sock)
         listener.accept_queue.append(conn)
@@ -313,6 +316,7 @@ class HostStack:
             if auto_bound:
                 self.close(src_sock)
             raise ConnectionRefused(f"{dst_host}:{dst_port}/udp")
+        self.firewall.conntrack.commit(flow)  # replies ride conntrack
         receiver.datagrams.append(Datagram(self.hostname, src_sock.port, data))
 
     def recvfrom(self, sock: BoundSocket) -> Datagram:

@@ -262,17 +262,15 @@ class AuditTrail:
     def record(self, *, mechanism: str, action: str, uid: int,
                target: str, detail: str = "", job_id: int | None = None,
                node: str | None = None, trace_id: str | None = None,
-               time: float | None = None) -> AuditRecord:
+               time: float | None = None) -> None:
         """Append one record, resolving attribution when not supplied.
 
-        Returns the frozen record (with its ``seq``); queries see it
-        immediately.
+        Like :meth:`observe_event`, nothing is materialised here: every
+        query syncs first, so queries see the record immediately.
         """
         job_id, trace_id = self._resolve(uid, job_id, node, trace_id)
         self._append(self.clock() if time is None else time, mechanism,
                      action, uid, job_id, node, trace_id, target, detail)
-        self._sync()
-        return self._records[-1]
 
     def observe_event(self, event: SecurityEvent) -> None:
         """Derive one audit record from a recorded security event.

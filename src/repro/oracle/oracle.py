@@ -585,7 +585,7 @@ class SeparationOracle(Observer):
                 uid=user.uid, node=app_node)
         if user.uid != app.owner_uid and not user.is_root:
             listener_egid = app.process.creds.egid
-            groups = portal.userdb.credentials_for(user).groups
+            groups = portal.userdb.groups_of(user)
             if listener_egid not in groups:
                 self._violation(
                     "I6", subject,

@@ -24,6 +24,12 @@ from repro.kernel import (
 def userdb() -> UserDB:
     """UPG-scheme user database: alice, bob (strangers), carol+dave sharing
     the 'fusion' project group stewarded by carol, and staff member sam."""
+    return make_userdb()
+
+
+def make_userdb() -> UserDB:
+    """The :func:`userdb` fixture's database, for tests that build one per
+    Hypothesis example."""
     db = UserDB(upg=True)
     db.add_user("alice")
     db.add_user("bob")

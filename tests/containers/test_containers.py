@@ -96,6 +96,29 @@ class TestRuntime:
         assert node.vfs.read("/home/alice/result.dat",
                              host_creds) == b"results"
 
+    def test_every_file_syscall_uses_the_container_namespace(self, userdb,
+                                                             image):
+        """lstat, readlink, symlink and getfacl resolve in the image tree,
+        like stat and open do; the host has none of these paths."""
+        from repro.containers.runtime import Container
+        from repro.kernel import FileKind, ROOT_CREDS
+        from repro.kernel.errors import NoSuchEntity
+        node = self._node(userdb)
+        c = self._run(userdb, node, image)
+        root_proc = node.procs.spawn(ROOT_CREDS, ["apptainer", "exec"])
+        root_sys = Container(node, image, root_proc, c.vfs).syscalls()
+        root_sys.symlink("python", "/opt/conda/bin/python3")
+        sys = c.syscalls()
+        assert sys.stat("/etc/os-release").size == 12
+        assert sys.lstat("/etc/os-release").size == 12
+        assert sys.getfacl("/etc/os-release") == []
+        assert sys.readlink("/opt/conda/bin/python3") == "python"
+        assert sys.lstat("/opt/conda/bin/python3").kind is FileKind.SYMLINK
+        assert sys.stat("/opt/conda/bin/python3").kind is FileKind.FILE
+        for path in ("/etc/os-release", "/opt/conda/bin/python3"):
+            with pytest.raises(NoSuchEntity):
+                node.vfs.lstat(path, ROOT_CREDS)
+
     def test_allowed_users_enforced(self, userdb, image):
         node = self._node(userdb)
         rt = SingularityRuntime(

@@ -17,6 +17,39 @@ def flow(dport=5000, proto=Proto.TCP, src_port=50000):
     return FiveTuple(proto, "c1", src_port, "c2", dport)
 
 
+class TestFiveTuple:
+    def test_hash_is_the_field_tuple_hash(self):
+        f = flow()
+        assert hash(f) == hash((Proto.TCP, "c1", 50000, "c2", 5000))
+
+    def test_reverse_is_built_once_and_linked(self):
+        f = flow()
+        rev = f.reversed()
+        assert rev == FiveTuple(Proto.TCP, "c2", 5000, "c1", 50000)
+        assert f.reversed() is rev
+        assert rev.reversed() is f
+
+    def test_separately_built_flows_are_equal_keys(self):
+        a, b = flow(), flow()
+        assert a is not b and a == b and hash(a) == hash(b)
+        a.reversed()  # a linked twin changes neither equality nor hash
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_only_the_five_flow_fields_are_fields(self):
+        import dataclasses
+        f = flow()
+        f.reversed()
+        assert [x.name for x in dataclasses.fields(f)] == [
+            "proto", "src_host", "src_port", "dst_host", "dst_port"]
+        assert dataclasses.asdict(f) == {
+            "proto": Proto.TCP, "src_host": "c1", "src_port": 50000,
+            "dst_host": "c2", "dst_port": 5000}
+        assert repr(f) == ("FiveTuple(proto=<Proto.TCP: 'tcp'>, "
+                           "src_host='c1', src_port=50000, dst_host='c2', "
+                           "dst_port=5000)")
+
+
 class TestRules:
     def test_port_range_match(self):
         r = Rule(Verdict.NFQUEUE, dport_min=1024)

@@ -278,6 +278,78 @@ class TestConntrackHygiene:
         assert len(nodes["c2"].net.firewall.conntrack) == 0
 
 
+class TestReplies:
+    """The initiating host commits its own connection to conntrack once
+    the destination accepts it (as Linux conntrack tracks an outgoing SYN
+    or datagram), so replies arrive ESTABLISHED and never reach that
+    host's nfqueue."""
+
+    @pytest.mark.parametrize("proto", [Proto.TCP, Proto.UDP],
+                             ids=["tcp", "udp"])
+    def test_group_connection_reply_delivered(self, userdb, proto):
+        """carol listens after ``sg fusion``; dave connects and carol
+        answers.  dave's socket carries his private egid, so a reply
+        decided as a NEW connection would be a cross-user DROP."""
+        fabric, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        carol = proc_on(nodes, "c2", userdb, "carol", argv=("server",))
+        carol.creds = carol.creds.with_egid(userdb.group("fusion").gid)
+        dave = proc_on(nodes, "c1", userdb, "dave")
+        srv, cli = nodes["c2"].net, nodes["c1"].net
+        if proto is Proto.TCP:
+            listener = srv.listen(srv.bind(carol, 5000))
+            conn = cli.connect(dave, "c2", 5000)
+            conn.send(b"question")
+            server = srv.accept(listener)
+            assert server.recv() == b"question"
+            server.send(b"answer")
+            assert conn.recv() == b"answer"
+        else:
+            inbox = srv.bind(carol, 5000, Proto.UDP)
+            src = cli.bind_ephemeral(dave, Proto.UDP)
+            cli.sendto(dave, "c2", 5000, b"question", src_sock=src)
+            dgram = srv.recvfrom(inbox)
+            assert dgram.data == b"question"
+            srv.sendto(carol, "c1", dgram.src_port, b"answer",
+                       src_sock=inbox)
+            assert cli.recvfrom(src).data == b"answer"
+        assert fabric.metrics.report()["nfqueue_decisions"] == 1
+
+    def test_connection_and_reply_make_one_decision(self, userdb):
+        fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        seen = recorded(daemons["c1"])
+        listener, _ = serve(nodes, userdb, "c2", "alice", 5000)
+        conn = nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "alice"),
+                                       "c2", 5000)
+        nodes["c2"].net.accept(listener).send(b"reply")
+        assert conn.recv() == b"reply"
+        assert fabric.metrics.report()["nfqueue_decisions"] == 1
+        assert seen == []  # the initiator's daemon never saw the reply
+
+    def test_failed_attempts_leave_the_initiator_untracked(self, userdb):
+        _, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        serve(nodes, userdb, "c2", "alice", 5000)
+        bob = proc_on(nodes, "c1", userdb, "bob")
+        with pytest.raises(TimedOut):  # cross-user DROP
+            nodes["c1"].net.connect(bob, "c2", 5000)
+        with pytest.raises(ConnectionRefused):  # no listener
+            nodes["c1"].net.connect(bob, "c2", 7000)
+        with pytest.raises(ConnectionRefused):  # no receiver
+            nodes["c1"].net.sendto(bob, "c2", 7000, b"x")
+        assert len(nodes["c1"].net.firewall.conntrack) == 0
+
+    def test_conntrack_disabled_replies_reach_the_daemon(self, userdb):
+        """Ablation: with conntrack off the reply is NEW again, so it
+        takes a decision on the initiating host (same user: accepted)."""
+        fabric, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True,
+                                        conntrack=False)
+        listener, _ = serve(nodes, userdb, "c2", "alice", 5000)
+        conn = nodes["c1"].net.connect(proc_on(nodes, "c1", userdb, "alice"),
+                                       "c2", 5000)
+        nodes["c2"].net.accept(listener).send(b"reply")
+        assert conn.recv() == b"reply"
+        assert fabric.metrics.report()["nfqueue_decisions"] == 2
+
+
 class TestDecisionTracing:
     def test_span_finishes_when_decide_raises(self, userdb, monkeypatch):
         """Regression: a raising _decide used to leak the span open (the

@@ -127,8 +127,8 @@ class TestQueries:
 
     def test_unattributed_record_not_resolved(self):
         trail = AuditTrail()
-        rec = trail.record(mechanism="ubf", action="deny", uid=4242,
-                           target="x")
+        trail.record(mechanism="ubf", action="deny", uid=4242, target="x")
+        rec = trail.records[-1]
         assert trail.chain(rec) == [rec]
         assert not trail.resolution(rec)["resolved"]
 

@@ -103,6 +103,10 @@ def test_baseline_passes_on_its_committed_reference(name, results_dir,
     ("e6", lambda d: d["matrix"]["LLSC+oldLustre"].update(
         {"scratch-world-create": False}),
      "matrix.LLSC+oldLustre.scratch-world-create == True: got false"),
+    # an sg-group reply decided as a NEW connection on the initiating host
+    ("e8", lambda d: d["matrix"]["udp"].update(
+        {"group member (sg), reply": False}),
+     "matrix.udp.group member (sg), reply == True: got false"),
     # loss draws that no longer follow the injector's default seed
     ("e23", lambda d: d["loss"][1].update(delivered_frac=0.92),
      "loss.1.delivered_frac == 0.88: got 0.92"),
