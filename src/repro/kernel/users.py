@@ -124,7 +124,8 @@ class Credentials:
 
         Built with the constructor rather than ``dataclasses.replace``:
         PAM calls this on every login, and ``replace`` re-reads the field
-        list each time."""
+        list each time.  A field added to the class must be passed on here
+        too; ``test_with_smask_keeps_every_other_field`` fails until it is."""
         return Credentials(uid=self.uid, egid=self.egid, groups=self.groups,
                            umask=self.umask, smask=smask & 0o777,
                            proc_exempt=self.proc_exempt)

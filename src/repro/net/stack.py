@@ -56,6 +56,9 @@ class BoundSocket:
     accept_queue: deque = field(default_factory=deque)
     datagrams: deque = field(default_factory=deque)  # UDP inbox
     closed: bool = False
+    #: UDP flows committed through this socket, at either end; closing it
+    #: evicts them on both hosts, as Connection.close does for TCP
+    flows: set = field(default_factory=set)
 
     @property
     def owner_uid(self) -> int:
@@ -150,12 +153,7 @@ class Connection:
             self.closed = True
             if self.client_sock is not None:
                 self.client_sock.closed = True  # release the ephemeral port
-            for host in (self.flow.src_host, self.flow.dst_host):
-                try:
-                    self.fabric.host(host).firewall.conntrack.evict(
-                        self.flow, reason="close")
-                except NoSuchEntity:  # pragma: no cover - host removed
-                    pass
+            self.fabric.untrack(self.flow, reason="close")
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,13 @@ class HostStack:
         return sock.owner if sock else None
 
     def close(self, sock: BoundSocket) -> None:
+        """Release *sock*.  Its datagram flows go with it, on both hosts:
+        left tracked, a flow would let its peer reach whoever binds this
+        port next via the fast path, with no UBF decision."""
         sock.closed = True
+        for flow in sock.flows:
+            self.fabric.untrack(flow, reason="close")
+        sock.flows.clear()
 
     # -- TCP -------------------------------------------------------------------
 
@@ -288,6 +292,10 @@ class HostStack:
         auto_bound = src_sock is None
         if src_sock is None:
             src_sock = self.bind_ephemeral(process, Proto.UDP)
+        elif src_sock.closed:
+            # its port may be someone else's now: a send would track a
+            # flow that delivers the peer's replies to the new owner
+            raise NotConnected(f"sendto on closed socket :{src_sock.port}")
         dst = self.fabric.host(dst_host)
         flow = FiveTuple(Proto.UDP, self.hostname, src_sock.port,
                          dst_host, dst_port)
@@ -317,6 +325,8 @@ class HostStack:
                 self.close(src_sock)
             raise ConnectionRefused(f"{dst_host}:{dst_port}/udp")
         self.firewall.conntrack.commit(flow)  # replies ride conntrack
+        src_sock.flows.add(flow)
+        receiver.flows.add(flow)
         receiver.datagrams.append(Datagram(self.hostname, src_sock.port, data))
 
     def recvfrom(self, sock: BoundSocket) -> Datagram:
@@ -430,6 +440,11 @@ class Fabric:
                 raise TimedOut(f"host unreachable: {endpoint}")
         if self.faults.drop_packet(dst_host):
             raise TimedOut(f"packet to {dst_host} lost")
+
+    def untrack(self, flow: FiveTuple, reason: str) -> None:
+        """Evict *flow* from the conntrack of both hosts it joins."""
+        for name in (flow.src_host, flow.dst_host):
+            self._hosts[name].firewall.conntrack.evict(flow, reason=reason)
 
     def host(self, name: str) -> HostStack:
         try:

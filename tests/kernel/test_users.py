@@ -124,6 +124,19 @@ class TestCredentials:
         assert c.with_umask(0o7777).umask == 0o777
         assert c.with_smask(0o7007).smask == 0o007
 
+    def test_with_smask_keeps_every_other_field(self):
+        """``with_smask`` names each field instead of calling ``replace``;
+        every field below is off its default, so one it forgot would
+        show.  A new defaulted field fails the second check until it is
+        set here too."""
+        import dataclasses
+        c = Credentials(uid=1001, egid=3000, groups=frozenset({1001, 3000}),
+                        umask=0o077, smask=0o007, proc_exempt=True)
+        assert c.with_smask(0o027) == dataclasses.replace(c, smask=0o027)
+        assert all(getattr(c, f.name) != f.default
+                   for f in dataclasses.fields(c)
+                   if f.default is not dataclasses.MISSING)
+
     def test_support_staff_flag(self, userdb):
         assert userdb.user("sam").is_support_staff
         assert not userdb.user("alice").is_support_staff

@@ -3,7 +3,7 @@ conntrack amortisation, cache, and cross-user denial semantics."""
 
 import pytest
 
-from repro.kernel.errors import ConnectionRefused, TimedOut
+from repro.kernel.errors import ConnectionRefused, NotConnected, TimedOut
 from repro.net import Proto, Verdict, firewall_cost_us
 
 from tests.net.conftest import build_fabric, proc_on, recorded, traced
@@ -277,6 +277,44 @@ class TestConntrackHygiene:
         assert len(nodes["c1"].net.firewall.conntrack) == 0
         assert len(nodes["c2"].net.firewall.conntrack) == 0
 
+    def test_udp_sender_close_then_rebind_is_decided_afresh(self, userdb):
+        """alice sends from c1:6000 to her own receiver on c2:5000, so both
+        hosts track the flow.  She closes c1:6000 and bob binds it: her
+        c2:5000 socket's datagram to c1:6000 is NEW again, and the UBF
+        drops it as cross-user instead of delivering it to bob."""
+        _, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        alice_c1 = proc_on(nodes, "c1", userdb, "alice")
+        inbox, alice_c2 = serve(nodes, userdb, "c2", "alice", 5000, Proto.UDP)
+        src = nodes["c1"].net.bind(alice_c1, 6000, Proto.UDP)
+        nodes["c1"].net.sendto(alice_c1, "c2", 5000, b"x", src_sock=src)
+        assert len(nodes["c1"].net.firewall.conntrack) == 1
+        nodes["c1"].net.close(src)
+        assert len(nodes["c1"].net.firewall.conntrack) == 0
+        assert len(nodes["c2"].net.firewall.conntrack) == 0
+        bob_sock, _ = serve(nodes, userdb, "c1", "bob", 6000, Proto.UDP)
+        with pytest.raises(NotConnected):  # nor can the old socket re-track
+            nodes["c1"].net.sendto(alice_c1, "c2", 5000, b"z", src_sock=src)
+        with pytest.raises(TimedOut):
+            nodes["c2"].net.sendto(alice_c2, "c1", 6000, b"y", src_sock=inbox)
+        assert not bob_sock.datagrams
+
+    def test_udp_receiver_close_then_rebind_is_decided_afresh(self, userdb):
+        """The receiver's twin: alice closes her c2:5000 receiver and bob
+        binds it; her next datagram from the same c1 port must not ride
+        the old entry into bob's inbox."""
+        _, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        alice_c1 = proc_on(nodes, "c1", userdb, "alice")
+        inbox, _ = serve(nodes, userdb, "c2", "alice", 5000, Proto.UDP)
+        src = nodes["c1"].net.bind(alice_c1, 6000, Proto.UDP)
+        nodes["c1"].net.sendto(alice_c1, "c2", 5000, b"x", src_sock=src)
+        nodes["c2"].net.close(inbox)
+        assert len(nodes["c1"].net.firewall.conntrack) == 0
+        assert len(nodes["c2"].net.firewall.conntrack) == 0
+        bob_sock, _ = serve(nodes, userdb, "c2", "bob", 5000, Proto.UDP)
+        with pytest.raises(TimedOut):
+            nodes["c1"].net.sendto(alice_c1, "c2", 5000, b"y", src_sock=src)
+        assert not bob_sock.datagrams
+
 
 class TestReplies:
     """The initiating host commits its own connection to conntrack once
@@ -348,6 +386,43 @@ class TestReplies:
         nodes["c2"].net.accept(listener).send(b"reply")
         assert conn.recv() == b"reply"
         assert fabric.metrics.report()["nfqueue_decisions"] == 2
+
+    def test_initiator_eviction_drops_group_replies_until_reconnect(
+            self, userdb):
+        """Pressure on the initiating host evicts its entry.  A same-user
+        reply is then re-decided and accepted (one extra decision), but a
+        reply on a connection the egid-group rule accepted is decided as
+        a NEW connection to dave's private-egid port and dropped, until
+        dave connects again."""
+        fabric, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        srv, cli = nodes["c2"].net, nodes["c1"].net
+        carol = proc_on(nodes, "c2", userdb, "carol", argv=("server",))
+        carol.creds = carol.creds.with_egid(userdb.group("fusion").gid)
+        dave = proc_on(nodes, "c1", userdb, "dave")
+        group_listener = srv.listen(srv.bind(carol, 5000))
+        self_listener, _ = serve(nodes, userdb, "c2", "dave", 5001)
+        group_conn = cli.connect(dave, "c2", 5000)
+        self_conn = cli.connect(dave, "c2", 5001)
+        group_server = srv.accept(group_listener)
+        self_server = srv.accept(self_listener)
+        assert cli.firewall.conntrack.set_capacity(0) == 2
+        cli.firewall.conntrack.set_capacity(None)
+
+        decided = fabric.metrics.report()["nfqueue_decisions"]
+        self_server.send(b"still mine")
+        assert self_conn.recv() == b"still mine"
+        assert fabric.metrics.report()["nfqueue_decisions"] == decided + 1
+        with pytest.raises(TimedOut):
+            group_server.send(b"answer")
+        with pytest.raises(TimedOut):  # every later reply is NEW again
+            group_server.send(b"answer")
+        group_conn.send(b"the server still hears dave")
+        assert group_server.recv() == b"the server still hears dave"
+
+        group_conn.close()
+        fresh = cli.connect(dave, "c2", 5000)
+        srv.accept(group_listener).send(b"answer")
+        assert fresh.recv() == b"answer"
 
 
 class TestDecisionTracing:

@@ -113,7 +113,7 @@ attempts = st.lists(st.fixed_dictionaries({
     "server_host": st.sampled_from(["c1", "c2"]),
     "listening": st.booleans(),
     "replies": st.integers(1, 3),
-    "close": st.booleans(),
+    "close": st.sampled_from([None, "client", "server"]),
 }), min_size=1, max_size=8)
 
 
@@ -181,7 +181,13 @@ class TestInitiatorTracking:
                                 src_sock=sock)
                     assert cnet.recvfrom(src).data == b"r%d" % i
             assert len(seen[chost]) == decided  # no decision on replies
-            if a["proto"] is Proto.TCP and a["close"]:
-                conn.close()
+            if a["close"] is not None:
+                if a["proto"] is Proto.TCP:
+                    (conn if a["close"] == "client" else server_end).close()
+                else:  # a datagram flow dies with either end's socket
+                    if a["close"] == "client":
+                        cnet.close(src)
+                    else:
+                        snet.close(sock)
                 for stack in (cnet, snet):
                     assert _touching(stack, shost, port) == []
