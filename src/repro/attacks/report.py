@@ -24,19 +24,12 @@ from pathlib import Path
 from repro.attacks.presets import ABLATIONS, CAMPAIGN_PRESETS
 from repro.attacks.runner import CampaignResult, Outcome, run_matrix
 from repro.core.attacks import CATALOG
+from repro.markdown import md_table
 
 #: the committed location, relative to the repository root
 REPORT_PATH = "docs/ATTACKS.md"
 
 _MARK = {"BLOCKED": "B", "DETECTED": "D", "SUCCEEDED": "S"}
-
-
-def _table(header: list[str], rows: list[list[object]]) -> list[str]:
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join("---" for _ in header) + "|"]
-    for r in rows:
-        out.append("| " + " | ".join(str(c) for c in r) + " |")
-    return out
 
 
 def render_report(matrix: dict[str, CampaignResult] | None = None) -> str:
@@ -77,9 +70,9 @@ def render_report(matrix: dict[str, CampaignResult] | None = None) -> str:
                      r.invariant, r.outcome.value,
                      r.blocked_by or "-", r.audit_trace or "-",
                      r.deny_records])
-    lines += _table(["id", "attack", "paper", "mechanism", "invariant",
-                     "outcome", "blocked by (attributed)", "audit trace",
-                     "deny records"], rows)
+    lines.append(md_table(["id", "attack", "paper", "mechanism",
+                           "invariant", "outcome", "blocked by (attributed)",
+                           "audit trace", "deny records"], rows))
     lines += ["", "## Verdict matrix - attack x preset", "",
               "`B` blocked, `D` detected, `S` succeeded.", ""]
     keys = list(CAMPAIGN_PRESETS)
@@ -91,7 +84,7 @@ def render_report(matrix: dict[str, CampaignResult] | None = None) -> str:
                        if o.attack_id == attack.id)
             row.append(_MARK[out.outcome.value])
         rows.append(row)
-    lines += _table(["attack"] + [f"`{k}`" for k in keys], rows)
+    lines.append(md_table(["attack"] + [f"`{k}`" for k in keys], rows))
     lines += ["", "## Ablation flips", "",
               "Attacks each single-mechanism ablation flips away from"
               " BLOCKED - the",

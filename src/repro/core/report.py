@@ -13,14 +13,7 @@ from __future__ import annotations
 from repro.core.audit import AuditReport
 from repro.core.cluster import Cluster
 from repro.core.compliance import ComplianceReport
-
-
-def _md_table(header: list[str], rows: list[list[object]]) -> str:
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join("---" for _ in header) + "|"]
-    for r in rows:
-        out.append("| " + " | ".join(str(c) for c in r) + " |")
-    return "\n".join(out)
+from repro.markdown import md_table
 
 
 def posture_report(cluster: Cluster, *,
@@ -37,14 +30,14 @@ def posture_report(cluster: Cluster, *,
     # -- deployed controls ---------------------------------------------------
     lines += ["## Deployed controls", ""]
     desc = cfg.describe()
-    lines.append(_md_table(
+    lines.append(md_table(
         ["control", "setting"],
         [[k, v] for k, v in desc.items() if k != "name"]))
     lines.append("")
 
     # -- fleet ----------------------------------------------------------------
     lines += ["## Fleet", ""]
-    lines.append(_md_table(
+    lines.append(md_table(
         ["class", "count", "names"],
         [
             ["login", len(cluster.login_nodes),
@@ -67,7 +60,7 @@ def posture_report(cluster: Cluster, *,
             lines.append(f"{len(compliance.findings)} finding(s) across "
                          f"{compliance.checks_run} checks:")
             lines.append("")
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["node", "control", "expected", "observed"],
                 [[f.node, f.control, f.expected, f.observed]
                  for f in compliance.findings]))
@@ -82,7 +75,7 @@ def posture_report(cluster: Cluster, *,
             f"({len(audit.unexpected_paths)} unexpected, "
             f"{len(audit.residual_paths)} documented residuals).")
         lines.append("")
-        lines.append(_md_table(
+        lines.append(md_table(
             ["area", "open / probes"],
             [[a, f"{o}/{t}"] for a, (o, t) in sorted(
                 audit.by_area().items())]))
@@ -115,12 +108,12 @@ def posture_report(cluster: Cluster, *,
                 f"**{len(oracle.violations)} invariant violation(s)** "
                 f"across {checked} checked decisions:")
             lines.append("")
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["time", "invariant", "subject", "detail"],
                 [[f"{v.time:g}", v.invariant, v.subject, v.detail]
                  for v in oracle.violations]))
         lines.append("")
-        lines.append(_md_table(
+        lines.append(md_table(
             ["invariant", "paper §", "title", "checks", "violations"],
             [[r["id"], r["section"], r["title"], r["checks"],
               r["violations"]] for r in summary]))
@@ -132,7 +125,7 @@ def posture_report(cluster: Cluster, *,
         lines += ["## Denial telemetry", ""]
         counts = log.counts()
         if counts:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["event kind", "count"],
                 [[k.value, v] for k, v in sorted(counts.items(),
                                                  key=lambda kv: kv[0].value)]))

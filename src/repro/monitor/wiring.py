@@ -29,7 +29,7 @@ one (which would record duplicate events).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.kernel.errors import AccessDenied, KernelError, NoSuchProcess, PermissionError_
@@ -58,7 +58,8 @@ def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
 
 @dataclass
 class AuditedSyscalls:
-    """Pass-through syscall wrapper that records FS/PROC denials."""
+    """Pass-through syscall wrapper that records FS/PROC denials, its
+    children's too.  Each method's wrapper is built once, at first use."""
 
     session: Session
     log: SecurityEventLog
@@ -72,19 +73,25 @@ class AuditedSyscalls:
         inner = getattr(self.session.sys, name)
         if not callable(inner):
             return inner
+        kind = (EventKind.PROC_DENY
+                if name.startswith(("read_proc", "kill", "ps", "list_proc"))
+                else EventKind.FS_DENY)
 
         def call(*args, **kwargs):
             try:
                 return inner(*args, **kwargs)
             except (AccessDenied, PermissionError_, NoSuchProcess) as e:
-                target = str(args[0]) if args else name
-                kind = (EventKind.PROC_DENY
-                        if name.startswith(("read_proc", "kill", "ps",
-                                            "list_proc"))
-                        else EventKind.FS_DENY)
-                self._emit(kind, target, e)
+                self._emit(kind, str(args[0]) if args else name, e)
                 raise
 
+        if name == "spawn_child":
+            session, log, audited = self.session, self.log, call
+
+            def call(*args, **kwargs):
+                child = replace(session, sys=audited(*args, **kwargs))
+                return AuditedSyscalls(child, log)
+
+        setattr(self, name, call)  # steady state bypasses __getattr__
         return call
 
 

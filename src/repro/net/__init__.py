@@ -14,8 +14,8 @@ from repro.net.firewall import (
 )
 from repro.net.ident import (
     IdentReply,
-    IdentService,
     IdentUnavailable,
+    local_ident,
     remote_ident_query,
 )
 from repro.net.pps import FirewallScore, PPSPolicy, ServiceEntry
@@ -39,7 +39,7 @@ from repro.net.ubf import (
 __all__ = [
     "ConnState", "ConntrackTable", "Firewall", "FiveTuple", "Packet",
     "Proto", "Rule", "Verdict", "ubf_ruleset",
-    "IdentReply", "IdentService", "IdentUnavailable", "remote_ident_query",
+    "IdentReply", "IdentUnavailable", "local_ident", "remote_ident_query",
     "FirewallScore", "PPSPolicy", "ServiceEntry",
     "MemoryRegion", "QueuePair", "RDMAFabric",
     "BoundSocket", "Connection", "ConnectionEnd", "Datagram", "Fabric",

@@ -165,8 +165,9 @@ class ConntrackTable:
     NEW again and re-runs the full decision path (the nfqueue/UBF slow
     path), which is exactly the real system's degradation mode under
     conntrack pressure.  Evictions are counted per reason
-    (``conntrack_evictions_total{reason=lru|close|refused|pressure}``) when
-    a metrics registry is attached.
+    (``conntrack_evictions_total{reason=lru|close|refused|pressure}``) and
+    the table's length per host (``conntrack_table_size{host}``) when a
+    metrics registry is attached.
     """
 
     def __init__(self, enabled: bool = True, capacity: int | None = None,
@@ -176,6 +177,12 @@ class ConntrackTable:
         #: registry evictions/size are reported to; wired by the owning
         #: Firewall / HostStack (may stay None in unit scenarios)
         self.metrics = metrics
+        #: the ``host`` label of this table's ``conntrack_table_size``
+        #: series; wired by the owning HostStack before its first commit
+        self.host = ""
+        #: (registry, its size series): a labelled lookup per commit costs
+        #: more than the rest of the commit
+        self._size = (None, None)
         self._table: OrderedDict[FiveTuple, ConntrackEntry] = OrderedDict()
 
     # -- accounting ---------------------------------------------------------
@@ -184,11 +191,24 @@ class ConntrackTable:
         if self.metrics is not None:
             self.metrics.counter("conntrack_evictions_total",
                                  reason=reason).inc()
-            self.metrics.gauge("conntrack_table_size").set(len(self._table))
 
     def _note_size(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("conntrack_table_size").set(len(self._table))
+        metrics = self.metrics
+        if metrics is not None:
+            registry, gauge = self._size
+            if registry is not metrics:
+                gauge = metrics.gauge("conntrack_table_size", host=self.host)
+                self._size = (metrics, gauge)
+            gauge.set(len(self._table))
+
+    def _trim(self, reason: str) -> int:
+        """Evict LRU-first down to ``capacity``; returns the count."""
+        evicted = 0
+        while self.capacity is not None and len(self._table) > self.capacity:
+            self._table.popitem(last=False)
+            self._count_eviction(reason)
+            evicted += 1
+        return evicted
 
     # -- data path ----------------------------------------------------------
 
@@ -228,9 +248,7 @@ class ConntrackTable:
             self._table[key] = entry
         self._table.move_to_end(key)
         if self.capacity is not None:
-            while len(self._table) > self.capacity:
-                self._table.popitem(last=False)
-                self._count_eviction("lru")
+            self._trim("lru")
         self._note_size()
         return entry
 
@@ -239,6 +257,7 @@ class ConntrackTable:
         rev = self._table.pop(flow.reversed(), None)
         if fwd is not None or rev is not None:
             self._count_eviction(reason)
+            self._note_size()
 
     def purge_host(self, host: str, reason: str = "dead-host") -> int:
         """Evict every flow touching *host*; returns the eviction count.
@@ -262,12 +281,9 @@ class ConntrackTable:
                      reason: str = "pressure") -> int:
         """Re-bound the table, trimming LRU-first; returns evicted count."""
         self.capacity = capacity
-        evicted = 0
-        if capacity is not None:
-            while len(self._table) > capacity:
-                self._table.popitem(last=False)
-                self._count_eviction(reason)
-                evicted += 1
+        evicted = self._trim(reason)
+        if evicted:
+            self._note_size()
         return evicted
 
     def flows(self) -> list[FiveTuple]:
@@ -286,12 +302,11 @@ NfqueueBatchHandler = Callable[[list[Packet]], list[Verdict]]
 class Firewall:
     """Per-host INPUT chain + conntrack + one nfqueue binding.
 
-    ``default_policy`` applies when no rule matches (stock hosts ship
-    ACCEPT).  Metrics are shared with the owning fabric when provided.
+    A packet no rule matches is accepted (stock hosts ship that policy).
+    Metrics are shared with the owning fabric when provided.
     """
 
     rules: list[Rule] = field(default_factory=list)
-    default_policy: Verdict = Verdict.ACCEPT
     conntrack: ConntrackTable = field(default_factory=ConntrackTable)
     metrics: MetricSet = field(default_factory=MetricSet)
     _nfqueue: NfqueueHandler | None = None
@@ -325,13 +340,10 @@ class Firewall:
         self._nfqueue_batch = None
         return handler
 
-    def evaluate(self, pkt: Packet) -> Verdict:
-        """Run a packet through conntrack then the INPUT chain.
-
-        ESTABLISHED fast path: a conntrack hit accepts immediately without
-        touching the rules or the userspace daemon — this is what keeps the
-        UBF's cost off the per-packet path.
-        """
+    def _walk(self, pkt: Packet) -> Verdict:
+        """Conntrack, then the first matching rule (none: ACCEPT).  An
+        ACCEPT is committed; an NFQUEUE is counted and left to the caller
+        to hand to the daemon."""
         entry = self.conntrack.lookup(pkt.flow)
         if entry is not None:
             entry.packets += 1
@@ -339,24 +351,34 @@ class Firewall:
             self.metrics.counter("conntrack_fastpath_packets").inc()
             return Verdict.ACCEPT
         self.metrics.counter("rule_walks").inc()
+        verdict = Verdict.ACCEPT
         for rule in self.rules:
-            if not rule.matches(pkt):
-                continue
-            if rule.verdict is Verdict.NFQUEUE:
-                self.metrics.counter("nfqueue_decisions").inc()
-                if self._nfqueue is None:
-                    # queue with no daemon: kernel drops (fail closed)
-                    return Verdict.DROP
-                verdict = self._nfqueue(pkt)
-                if verdict is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                return verdict
-            if rule.verdict is Verdict.ACCEPT:
-                self.conntrack.commit(pkt.flow)
-            return rule.verdict
-        if self.default_policy is Verdict.ACCEPT:
+            if rule.matches(pkt):
+                verdict = rule.verdict
+                break
+        if verdict is Verdict.ACCEPT:
             self.conntrack.commit(pkt.flow)
-        return self.default_policy
+        elif verdict is Verdict.NFQUEUE:
+            self.metrics.counter("nfqueue_decisions").inc()
+        return verdict
+
+    def evaluate(self, pkt: Packet) -> Verdict:
+        """Run a packet through conntrack then the INPUT chain.
+
+        ESTABLISHED fast path: a conntrack hit accepts immediately without
+        touching the rules or the userspace daemon — this is what keeps the
+        UBF's cost off the per-packet path.
+        """
+        verdict = self._walk(pkt)
+        if verdict is not Verdict.NFQUEUE:
+            return verdict
+        if self._nfqueue is None:
+            # queue with no daemon: kernel drops (fail closed)
+            return Verdict.DROP
+        verdict = self._nfqueue(pkt)
+        if verdict is Verdict.ACCEPT:
+            self.conntrack.commit(pkt.flow)
+        return verdict
 
     def evaluate_batch(self, pkts: list[Packet]) -> list[Verdict]:
         """Run a burst through conntrack/rules with one daemon callback.
@@ -370,42 +392,16 @@ class Firewall:
         later verdicts in the same burst, which mirrors
         :meth:`UBFDaemon.decide_batch`'s coalescing semantics.
         """
-        out: list[Verdict | None] = [None] * len(pkts)
-        queued: list[int] = []
-        for i, pkt in enumerate(pkts):
-            entry = self.conntrack.lookup(pkt.flow)
-            if entry is not None:
-                entry.packets += 1
-                entry.bytes += pkt.payload_len
-                self.metrics.counter("conntrack_fastpath_packets").inc()
-                out[i] = Verdict.ACCEPT
-                continue
-            self.metrics.counter("rule_walks").inc()
-            for rule in self.rules:
-                if not rule.matches(pkt):
-                    continue
-                if rule.verdict is Verdict.NFQUEUE:
-                    self.metrics.counter("nfqueue_decisions").inc()
-                    if self._nfqueue is None and self._nfqueue_batch is None:
-                        out[i] = Verdict.DROP  # no daemon: fail closed
-                    else:
-                        queued.append(i)
-                elif rule.verdict is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                    out[i] = Verdict.ACCEPT
-                else:
-                    out[i] = rule.verdict
-                break
-            else:
-                if self.default_policy is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                out[i] = self.default_policy
+        out = [self._walk(pkt) for pkt in pkts]
+        queued = [i for i, v in enumerate(out) if v is Verdict.NFQUEUE]
         if queued:
             burst = [pkts[i] for i in queued]
             if self._nfqueue_batch is not None:
                 verdicts = self._nfqueue_batch(burst)
-            else:
+            elif self._nfqueue is not None:
                 verdicts = [self._nfqueue(p) for p in burst]
+            else:  # no daemon: fail closed
+                verdicts = [Verdict.DROP] * len(burst)
             for i, verdict in zip(queued, verdicts):
                 if verdict is Verdict.ACCEPT:
                     self.conntrack.commit(pkts[i].flow)
@@ -413,14 +409,14 @@ class Firewall:
         return out
 
 
-def ubf_ruleset(low_port_policy: Verdict = Verdict.ACCEPT) -> list[Rule]:
+def ubf_ruleset() -> list[Rule]:
     """The appendix ruleset: NEW connections to ports ≥1024 go to the UBF
     daemon via nfqueue; privileged ports (root-run system services such as
-    sshd, identd, the scheduler) follow *low_port_policy*; everything
-    ESTABLISHED is conntrack's business and never reaches these rules."""
+    sshd, identd, the scheduler) are accepted; everything ESTABLISHED is
+    conntrack's business and never reaches these rules."""
     return [
         Rule(Verdict.NFQUEUE, dport_min=1024, state=ConnState.NEW,
              comment="UBF: user-port NEW connections to userspace daemon"),
-        Rule(low_port_policy, dport_max=1023, state=ConnState.NEW,
+        Rule(Verdict.ACCEPT, dport_max=1023, state=ConnState.NEW,
              comment="system services on privileged ports"),
     ]

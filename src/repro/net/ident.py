@@ -45,22 +45,15 @@ class IdentReply:
     groups: frozenset[int]
 
 
-class IdentService:
-    """One responder per host (conceptually the identd daemon on port 113).
-
-    ``query_local`` models the daemon consulting its own kernel socket
-    table; ``query_remote`` models the receiving host's UBF daemon asking
-    the initiating host's identd over the fabric (one RTT)."""
-
-    def __init__(self, stack: HostStack):
-        self.stack = stack
-
-    def query_local(self, proto: Proto, port: int) -> IdentReply | None:
-        owner = self.stack.socket_owner(proto, port)
-        if owner is None:
-            return None
-        creds = owner.creds
-        return IdentReply(uid=creds.uid, egid=creds.egid, groups=creds.groups)
+def local_ident(stack: HostStack, proto: Proto,
+                port: int) -> IdentReply | None:
+    """The identd answer about a port on *stack*'s own host: its owner's
+    uid, current egid and groups, or None when nobody owns it."""
+    owner = stack.socket_owner(proto, port)
+    if owner is None:
+        return None
+    creds = owner.creds
+    return IdentReply(uid=creds.uid, egid=creds.egid, groups=creds.groups)
 
 
 def remote_ident_query(fabric: Fabric, from_host: str, target_host: str,
@@ -91,6 +84,6 @@ def remote_ident_query(fabric: Fabric, from_host: str, target_host: str,
             # for the querying daemon's local cross-check to catch
             fabric.metrics.counter("ident_round_trips").inc()
             return forged
-    responder = IdentService(fabric.host(target_host))
+    responder = fabric.host(target_host)  # an unknown host costs no trip
     fabric.metrics.counter("ident_round_trips").inc()
-    return responder.query_local(proto, port)
+    return local_ident(responder, proto, port)

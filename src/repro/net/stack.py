@@ -175,6 +175,7 @@ class HostStack:
         self.firewall = firewall or Firewall(metrics=fabric.metrics)
         self.firewall.metrics = fabric.metrics
         self.firewall.conntrack.metrics = fabric.metrics
+        self.firewall.conntrack.host = node.name
         self._sockets: dict[tuple[Proto, int], BoundSocket] = {}
         self._abstract: dict[str, BoundSocket] = {}
         self._ephemeral = itertools.count(EPHEMERAL_START)
@@ -288,46 +289,44 @@ class HostStack:
     def sendto(self, process: Process, dst_host: str, dst_port: int,
                data: bytes, *, src_sock: BoundSocket | None = None) -> None:
         """Datagram send; every datagram traverses the destination firewall,
-        with conntrack providing the reply/established fast path."""
-        auto_bound = src_sock is None
-        if src_sock is None:
+        with conntrack providing the reply/established fast path.  Without
+        *src_sock* it leaves from an implicit socket, released however the
+        send ends: nobody holds it to receive a reply on."""
+        implicit = src_sock is None
+        if implicit:
             src_sock = self.bind_ephemeral(process, Proto.UDP)
         elif src_sock.closed:
             # its port may be someone else's now: a send would track a
             # flow that delivers the peer's replies to the new owner
             raise NotConnected(f"sendto on closed socket :{src_sock.port}")
-        dst = self.fabric.host(dst_host)
-        flow = FiveTuple(Proto.UDP, self.hostname, src_sock.port,
-                         dst_host, dst_port)
-        pkt = Packet(flow, ConnState.NEW, payload_len=len(data),
-                     src_uid=process.creds.uid)
-        self.fabric.metrics.counter("packets_sent").inc()
         try:
+            dst = self.fabric.host(dst_host)
+            flow = FiveTuple(Proto.UDP, self.hostname, src_sock.port,
+                             dst_host, dst_port)
+            pkt = Packet(flow, ConnState.NEW, payload_len=len(data),
+                         src_uid=process.creds.uid)
+            self.fabric.metrics.counter("packets_sent").inc()
             self.fabric.check_transit(self.hostname, dst_host)
-        except TimedOut:
-            if auto_bound:
+            verdict = dst.firewall.evaluate(pkt)
+            if verdict is not Verdict.ACCEPT:
+                self.fabric.metrics.counter("packets_dropped").inc()
+                raise TimedOut(f"datagram to {dst_host}:{dst_port} dropped")
+            receiver = dst.lookup(Proto.UDP, dst_port)
+            if receiver is None:
+                # Mirror the TCP refusal path: the verdict committed a flow
+                # that delivered nothing; left behind, it would let the
+                # sender reach whoever binds this port later via the fast
+                # path, with no UBF decision.
+                dst.firewall.conntrack.evict(flow, reason="refused")
+                raise ConnectionRefused(f"{dst_host}:{dst_port}/udp")
+            self.firewall.conntrack.commit(flow)  # replies ride conntrack
+            src_sock.flows.add(flow)
+            receiver.flows.add(flow)
+            receiver.datagrams.append(
+                Datagram(self.hostname, src_sock.port, data))
+        finally:
+            if implicit:
                 self.close(src_sock)
-            raise
-        verdict = dst.firewall.evaluate(pkt)
-        if verdict is not Verdict.ACCEPT:
-            self.fabric.metrics.counter("packets_dropped").inc()
-            if auto_bound:
-                self.close(src_sock)
-            raise TimedOut(f"datagram to {dst_host}:{dst_port} dropped")
-        receiver = dst.lookup(Proto.UDP, dst_port)
-        if receiver is None:
-            # Mirror the TCP refusal path: the verdict committed this flow
-            # to conntrack, but no datagram was ever delivered.  Leaving the
-            # entry behind would let the sender reach whoever binds this
-            # port later via the fast path, with no UBF decision.
-            dst.firewall.conntrack.evict(flow, reason="refused")
-            if auto_bound:
-                self.close(src_sock)
-            raise ConnectionRefused(f"{dst_host}:{dst_port}/udp")
-        self.firewall.conntrack.commit(flow)  # replies ride conntrack
-        src_sock.flows.add(flow)
-        receiver.flows.add(flow)
-        receiver.datagrams.append(Datagram(self.hostname, src_sock.port, data))
 
     def recvfrom(self, sock: BoundSocket) -> Datagram:
         if not sock.datagrams:

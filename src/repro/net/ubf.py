@@ -98,8 +98,8 @@ from repro.kernel.users import UserDB
 from repro.net.firewall import Packet, Verdict
 from repro.net.ident import (
     IdentReply,
-    IdentService,
     IdentUnavailable,
+    local_ident,
     remote_ident_query,
 )
 from repro.net.stack import Fabric, HostStack
@@ -236,7 +236,7 @@ class UBFDaemon:
         return verdict
 
     def _decide(self, pkt: Packet) -> Verdict:
-        verdict, listener = self._pre_decide(pkt, IdentService(self.stack))
+        verdict, listener = self._pre_decide(pkt)
         if verdict is not None:
             return verdict
         try:
@@ -286,7 +286,7 @@ class UBFDaemon:
                 "ubf_cache_purged_total",
                 reason="membership-change").inc(purged)
 
-    def _pre_decide(self, pkt: Packet, local_ident: IdentService
+    def _pre_decide(self, pkt: Packet
                     ) -> tuple[Verdict | None, IdentReply | None]:
         """The pre-ident phase: listener lookup + cache/root short-circuits.
 
@@ -296,7 +296,7 @@ class UBFDaemon:
         if self.cache_enabled:
             self._revalidate_generation()
         flow = pkt.flow
-        listener = local_ident.query_local(flow.proto, flow.dst_port)
+        listener = local_ident(self.stack, flow.proto, flow.dst_port)
         if listener is None:
             # nothing listening; let the stack produce ECONNREFUSED rather
             # than leaking whether the port is filtered
@@ -385,11 +385,10 @@ class UBFDaemon:
         return results
 
     def _decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
-        local_ident = IdentService(self.stack)
         results: list[Verdict | None] = [None] * len(pkts)
         waiters: dict[tuple, list[tuple[int, IdentReply]]] = {}
         for i, pkt in enumerate(pkts):
-            verdict, listener = self._pre_decide(pkt, local_ident)
+            verdict, listener = self._pre_decide(pkt)
             if verdict is not None:
                 results[i] = verdict
                 continue

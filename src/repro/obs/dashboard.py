@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.markdown import md_table
 from repro.monitor.events import (
     EventKind,
     SecurityEventLog,
@@ -32,14 +33,6 @@ _ENFORCEMENT_FAMILIES = (
     ("GPU", "gpu_scrubs_total"),
     ("portal", "portal_requests_total"),
 )
-
-
-def _md_table(header: list[str], rows: list[list[object]]) -> str:
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join("---" for _ in header) + "|"]
-    for r in rows:
-        out.append("| " + " | ".join(str(c) for c in r) + " |")
-    return "\n".join(out)
 
 
 def _series_label(metric) -> str:
@@ -125,7 +118,7 @@ def shard_posture(report, metrics) -> str:
         zones = ",".join(str(z) for z in info["zones"])
         rows.append([sid, "up", info["events"], f"{rate:,.0f}",
                      f"{zones} ({int(pend)} pending)"])
-    lines.append(_md_table(
+    lines.append(md_table(
         ["shard", "state", "events", "events/s", "zones"], rows))
     lines.append("")
     traffic = [[_series_label(m), int(m.value)]
@@ -137,7 +130,7 @@ def shard_posture(report, metrics) -> str:
         + (f" · {dropped} dropped to fenced shards" if dropped else ""))
     if traffic:
         lines.append("")
-        lines.append(_md_table(["series", "value"], traffic))
+        lines.append(md_table(["series", "value"], traffic))
     lines.append("")
     wait = metrics.samples("shard_barrier_wait").summary()
     if wait["n"]:
@@ -174,7 +167,7 @@ def campaign_posture(result) -> str:
         rows.append([r.attack_id, r.name, r.outcome.value,
                      r.blocked_by or "-", r.audit_trace or "-",
                      r.invariant, r.deny_records])
-    lines.append(_md_table(
+    lines.append(md_table(
         ["attack", "name", "outcome", "blocked by", "trace", "invariant",
          "denials"], rows))
     return "\n".join(lines).rstrip() + "\n"
@@ -214,7 +207,7 @@ def recovery_posture(cluster) -> str:
     report = spine.last_report
     if report is not None:
         lines.append("")
-        lines.append(_md_table(
+        lines.append(md_table(
             ["last recovery", "value"],
             [["digest", "intact" if report.identical else "DIVERGED"],
              ["replayed records", report.replayed],
@@ -261,7 +254,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
             seen.add(id(metric))
             rows.append([area, _series_label(metric), int(metric.value)])
     if rows:
-        lines.append(_md_table(["area", "series", "value"], rows))
+        lines.append(md_table(["area", "series", "value"], rows))
     else:
         lines.append("No enforcement metrics recorded yet.")
     lines.append("")
@@ -282,7 +275,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
     else:
         counts = log.counts()
         if counts:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["event kind", "count"],
                 [[k.value, v] for k, v in sorted(
                     counts.items(), key=lambda kv: kv[0].value)]))
@@ -297,7 +290,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
             min_distinct_targets=min_distinct_targets,
             window=window, now=now)
         if alerts:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["user", "denials", "distinct targets", "kinds",
                  "active (s)"],
                 [[_username(cluster.userdb, a.subject_uid), a.denials,
@@ -311,7 +304,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
         lines += ["## Per-user denial posture", ""]
         posture = denial_posture(log, cluster.userdb)
         if posture:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["user", "denials", "by kind", "distinct targets"],
                 [[r["user"], r["denials"],
                   ", ".join(f"{k}:{v}" for k, v in r["kinds"].items()),
@@ -335,13 +328,13 @@ def ops_dashboard(cluster, *, window: float | None = None,
             f"({oracle.shadow_checks} shadow-reference) · "
             f"{len(oracle.violations)} violations")
         lines.append("")
-        lines.append(_md_table(
+        lines.append(md_table(
             ["invariant", "paper §", "title", "checks", "violations"],
             [[r["id"], r["section"], r["title"], r["checks"],
               r["violations"]] for r in oracle.summary()]))
         lines.append("")
         if oracle.violations:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["time", "invariant", "subject", "detail"],
                 [[f"{v.time:g}", v.invariant, v.subject, v.detail]
                  for v in oracle.violations]))
@@ -360,7 +353,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
             f"{len(engine.alerts)} alert(s) fired")
         lines.append("")
         if engine.alerts:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["time", "rule", "severity", "subject", "detail"],
                 [[f"{a.time:g}", a.rule, a.severity,
                   _username(cluster.userdb, a.subject)
@@ -384,13 +377,13 @@ def ops_dashboard(cluster, *, window: float | None = None,
             f"{unresolved} unattributed principal records")
         lines.append("")
         if by_mech:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["mechanism", "records"],
                 [[m, n] for m, n in sorted(by_mech.items())]))
             lines.append("")
         flight = forensics.flight
         if flight.dumps:
-            lines.append(_md_table(
+            lines.append(md_table(
                 ["dump", "time", "trigger", "node", "detail"],
                 [[d.dump_id, f"{d.time:g}", d.trigger, d.node or "-",
                   d.detail] for d in flight.dumps]))
@@ -407,7 +400,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
     faults = getattr(cluster.fabric, "faults", None)
     active = faults.active() if faults is not None else []
     if active:
-        lines.append(_md_table(
+        lines.append(md_table(
             ["fault", "host", "detail"],
             [[f.kind.value, f.host, f.describe()] for f in active]))
     else:
@@ -447,7 +440,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
                              key=lambda m: (m.name, m.labels)):
             rows.append([_series_label(metric), int(metric.value)])
     if rows:
-        lines.append(_md_table(["series", "value"], rows))
+        lines.append(md_table(["series", "value"], rows))
         lines.append("")
 
     # -- traces ------------------------------------------------------------
@@ -457,7 +450,7 @@ def ops_dashboard(cluster, *, window: float | None = None,
         by_name: dict[str, list[float]] = defaultdict(list)
         for s in telemetry.tracer.finished_spans():
             by_name[s.name].append(s.duration)
-        lines.append(_md_table(
+        lines.append(md_table(
             ["span", "count", "mean duration (s)"],
             [[name, len(ds), f"{sum(ds) / len(ds):.3f}"]
              for name, ds in sorted(by_name.items())]))

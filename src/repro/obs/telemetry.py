@@ -49,14 +49,16 @@ class ObservedSyscalls:
 
     Every syscall outcome increments ``syscalls_total{result=allow|deny}``;
     nothing else changes — arguments, return values and exceptions flow
-    through untouched.  The first access to each method builds its wrapper
-    and installs it as an instance attribute, so the steady state never
-    re-enters ``__getattr__``: one extra frame and one counter increment
-    per call (the E15 telemetry-overhead benchmark holds this under 5%).
+    through untouched (a spawned child's interface comes back wrapped
+    too).  The first access to each method builds its wrapper and installs
+    it as an instance attribute, so the steady state never re-enters
+    ``__getattr__``: one extra frame and one counter increment per call
+    (the E15 telemetry-overhead benchmark holds this under 5%).
     """
 
     def __init__(self, inner, metrics: MetricSet):
         self._inner = inner
+        self._metrics = metrics
         self._allow = metrics.counter("syscalls_total", result="allow")
         self._deny = metrics.counter("syscalls_total", result="deny")
 
@@ -86,6 +88,12 @@ class ObservedSyscalls:
                 raise
             allow.value += 1
             return result
+
+        if name == "spawn_child":
+            metrics, counted = self._metrics, call
+
+            def call(*args, **kwargs):
+                return ObservedSyscalls(counted(*args, **kwargs), metrics)
 
         setattr(self, name, call)  # steady state bypasses __getattr__
         return call

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.kernel.users import User
 from repro.sched.accounting import UsageRecord
-from repro.sched.jobs import JobState
+from repro.sched.jobs import Job, JobState
 from repro.sched.scheduler import Scheduler
 
 
@@ -62,13 +62,21 @@ class SchedulerView:
     def _privileged(self, viewer: User) -> bool:
         return viewer.is_root or viewer.uid in self.operators
 
+    def sees_all_jobs(self, viewer: User) -> bool:
+        """PrivateData.jobs hides nobody's jobs from *viewer*."""
+        return not self.private.jobs or self._privileged(viewer)
+
+    def sees_job(self, viewer: User, job: Job) -> bool:
+        """*job* exists as far as *viewer* can tell."""
+        return job.uid == viewer.uid or self.sees_all_jobs(viewer)
+
     def squeue(self, viewer: User) -> list[JobRow]:
         """Pending + running jobs visible to *viewer*, in job-id order.
 
         A plain viewer under ``PrivateData.jobs`` reads only their own
         entry of the scheduler's per-uid live index; root, operators and
         PrivateData-off walk every job."""
-        if self.private.jobs and not self._privileged(viewer):
+        if not self.sees_all_jobs(viewer):
             jobs = self.scheduler.live_jobs(viewer.uid)
         else:
             jobs = [j for j in self.scheduler.jobs.values()

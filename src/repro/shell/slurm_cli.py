@@ -157,10 +157,7 @@ def scancel(session: Session, job_id: int) -> str:
     """``scancel <id>``: owner or root; PrivateData hides foreign ids."""
     cluster = session.cluster
     job = cluster.scheduler.jobs.get(job_id)
-    view = cluster.scheduler_view
-    if job is None or (view.private.jobs
-                       and not view._privileged(session.user)
-                       and job.uid != session.user.uid):
+    if job is None or not cluster.scheduler_view.sees_job(session.user, job):
         return f"scancel: error: Invalid job id {job_id}"
     try:
         cluster.scheduler.cancel(job, by=session.user)
@@ -196,8 +193,7 @@ def scontrol_show_node(session: Session, node_name: str) -> str:
         f"   Gres=gpu:{len(cn.gpus)}"
         f" GresUsed=gpu:{len(cn.used_gpu_indices)}",
     ]
-    view = cluster.scheduler_view
-    if view._privileged(session.user) or not view.private.jobs:
+    if cluster.scheduler_view.sees_all_jobs(session.user):
         uids = cn.running_uids()
         users = ",".join(sorted(cluster.userdb.user(u).name for u in uids))
         lines.append(f"   AllocUsers={users or '(none)'}")
@@ -208,10 +204,7 @@ def scontrol_show_job(session: Session, job_id: int) -> str:
     """``scontrol show job <id>`` — PrivateData-gated existence."""
     cluster = session.cluster
     job = cluster.scheduler.jobs.get(job_id)
-    view = cluster.scheduler_view
-    if job is None or (view.private.jobs
-                       and not view._privileged(session.user)
-                       and job.uid != session.user.uid):
+    if job is None or not cluster.scheduler_view.sees_job(session.user, job):
         return f"slurm_load_jobs error: Invalid job id specified ({job_id})"
     lines = [
         f"JobId={job.job_id} JobName={job.spec.name}",

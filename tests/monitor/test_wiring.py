@@ -182,3 +182,24 @@ class TestTelemetryHandshake:
         from repro.monitor import detect_probe_patterns
         (alert,) = detect_probe_patterns(log)
         assert alert.subject_uid == mallory.user.uid
+
+
+class TestChildSyscalls:
+    def test_child_denial_is_counted_and_audited(self, cluster):
+        """A child spawned through an audited, telemetry-counted session
+        keeps both wrappers: its refused listdir is one FS_DENY under the
+        child's uid and node, and one deny count."""
+        tele = attach_telemetry(cluster)
+        log = instrument_cluster(cluster)
+        bob = cluster.login("bob")
+        deny = tele.metrics.counter("syscalls_total", result="deny")
+        before = deny.value
+        child = audited_session(bob, log).spawn_child(["bob-tool"])
+        assert child.process.ppid == bob.process.pid
+        with pytest.raises(AccessDenied):
+            child.listdir("/home/alice")
+        (event,) = log.by_kind(EventKind.FS_DENY)
+        assert event.subject_uid == child.creds.uid == bob.user.uid
+        assert event.node == bob.node.name
+        assert event.target == "/home/alice"
+        assert deny.value == before + 1

@@ -74,8 +74,7 @@ class TestRules:
         assert fw.evaluate(Packet(flow(6000), ConnState.NEW)) is Verdict.ACCEPT
 
     def test_default_policy_when_no_match(self):
-        fw = Firewall(rules=[Rule(Verdict.DROP, proto=Proto.UDP)],
-                      default_policy=Verdict.ACCEPT)
+        fw = Firewall(rules=[Rule(Verdict.DROP, proto=Proto.UDP)])
         assert fw.evaluate(Packet(flow(), ConnState.NEW)) is Verdict.ACCEPT
 
 
@@ -181,13 +180,14 @@ class TestConntrackBound:
         from repro.sim.metrics import MetricSet
         m = MetricSet()
         ct = ConntrackTable(metrics=m)
+        ct.host = "c2"
         for i in range(6):
             ct.commit(flow(src_port=50000 + i))
         evicted = ct.set_capacity(2, reason="pressure")
         assert evicted == 4 and len(ct) == 2
         assert m.counter("conntrack_evictions_total",
                          reason="pressure").value == 4
-        assert m.gauge("conntrack_table_size").value == 2
+        assert m.gauge("conntrack_table_size", host="c2").value == 2
 
     def test_eviction_reasons_labeled(self):
         from repro.sim.metrics import MetricSet

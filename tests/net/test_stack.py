@@ -130,6 +130,25 @@ class TestTcp:
         conn.send(b"hi")
         assert nodes["c1"].net.accept(listener).recv() == b"hi"
 
+    def test_conntrack_size_reported_per_host(self, open_fabric, userdb):
+        """Each host's table reports its own length: c1 tracks both of its
+        connections, c2 and c3 one each, and a close moves both ends."""
+        fabric, nodes, _ = open_fabric
+        for host in ("c2", "c3"):
+            self._serve(nodes, userdb, host, "alice", 5000)
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        conn = nodes["c1"].net.connect(cli, "c2", 5000)
+        nodes["c1"].net.connect(cli, "c3", 5000)
+
+        def sizes():
+            return {h: fabric.metrics.gauge("conntrack_table_size",
+                                            host=h).value
+                    for h in ("c1", "c2", "c3")}
+
+        assert sizes() == {"c1": 2, "c2": 1, "c3": 1}
+        conn.close()
+        assert sizes() == {"c1": 1, "c2": 0, "c3": 1}
+
     def test_metrics_count_connections(self, open_fabric, userdb):
         fabric, nodes, _ = open_fabric
         listener, _ = self._serve(nodes, userdb, "c2", "alice", 5000)

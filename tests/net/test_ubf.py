@@ -1,10 +1,19 @@
 """Unit + integration tests: the User-Based Firewall decision rule,
 conntrack amortisation, cache, and cross-user denial semantics."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.kernel.errors import ConnectionRefused, NotConnected, TimedOut
+from repro.faults.injector import FaultKind
+from repro.kernel.errors import (
+    ConnectionRefused,
+    NoSuchEntity,
+    NotConnected,
+    TimedOut,
+)
 from repro.net import Proto, Verdict, firewall_cost_us
+from repro.net.stack import EPHEMERAL_START
 
 from tests.net.conftest import build_fabric, proc_on, recorded, traced
 
@@ -315,6 +324,40 @@ class TestConntrackHygiene:
             nodes["c1"].net.sendto(alice_c1, "c2", 5000, b"y", src_sock=src)
         assert not bob_sock.datagrams
 
+    def test_implicit_socket_sends_never_run_out_of_ports(self, userdb):
+        """A send without a socket leaves from an implicit ephemeral one
+        that nobody holds, released when the send ends: more sends than
+        the 16,384-port ephemeral range all succeed, and neither host
+        keeps a flow."""
+        _, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        inbox, _ = serve(nodes, userdb, "c2", "alice", 5000, Proto.UDP)
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        for _ in range(16_400):
+            nodes["c1"].net.sendto(alice, "c2", 5000, b"x")
+        assert len(inbox.datagrams) == 16_400
+        assert len(nodes["c1"].net.firewall.conntrack) == 0
+        assert len(nodes["c2"].net.firewall.conntrack) == 0
+
+    @pytest.mark.parametrize("dst, port, unreachable, raised", [
+        ("c2", 5000, False, None),
+        ("c2", 5001, False, TimedOut),           # bob's port: UBF drop
+        ("c2", 5002, False, ConnectionRefused),  # nobody bound
+        ("c2", 5000, True, TimedOut),            # lost in transit
+        ("c9", 5000, False, NoSuchEntity),
+    ], ids=["delivered", "dropped", "refused", "lost", "unknown-host"])
+    def test_implicit_socket_released_on_every_exit(self, userdb, dst, port,
+                                                    unreachable, raised):
+        fabric, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=True)
+        serve(nodes, userdb, "c2", "alice", 5000, Proto.UDP)
+        serve(nodes, userdb, "c2", "bob", 5001, Proto.UDP)
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        if unreachable:
+            fabric.faults.inject(FaultKind.HOST_UNREACHABLE, "c2")
+        with pytest.raises(raised) if raised else nullcontext():
+            nodes["c1"].net.sendto(alice, dst, port, b"x")
+        assert nodes["c1"].net.lookup(Proto.UDP, EPHEMERAL_START) is None
+        assert len(nodes["c1"].net.firewall.conntrack) == 0
+        assert len(nodes["c2"].net.firewall.conntrack) == 0
 
 class TestReplies:
     """The initiating host commits its own connection to conntrack once
