@@ -211,7 +211,6 @@ def _measure_writer_us(cluster) -> dict:
     from repro.sched.jobs import JobState
     job = next(j for j in cluster.scheduler.jobs.values()
                if j.allocations)
-    clock = cluster.engine.clock
     writers = {
         "submit": lambda j_: j_.job_submitted(job),
         "arrive": lambda j_: j_.job_arrived(job),
@@ -225,7 +224,7 @@ def _measure_writer_us(cluster) -> dict:
     for op, call in writers.items():
         best = float("inf")
         for _ in range(3):
-            jn = Journal(MemoryRunStore(), clock=lambda: clock.now,
+            jn = Journal(MemoryRunStore(), clock=lambda: cluster.engine.now,
                          snapshot_every=10**9)
             gc.collect()
             gc.disable()

@@ -28,6 +28,7 @@ from repro.kernel.vfs import Filesystem
 from repro.net.firewall import Firewall, ubf_ruleset
 from repro.net.rdma import RDMAFabric
 from repro.net.stack import Fabric, HostStack
+from repro.observer import Observers
 from repro.portal.gateway import Portal
 from repro.sched.jobs import Job, JobSpec
 from repro.sched.nodes import ComputeNode
@@ -114,7 +115,7 @@ class Cluster:
     #: :meth:`recover` can rebuild the control plane after a crash.
     persist: "object | None" = None
     #: every plane subscribed so far (:meth:`subscribe`), in order
-    observers: list = field(default_factory=list)
+    observers: Observers = field(default_factory=Observers)
 
     # ------------------------------------------------------------------ build
 

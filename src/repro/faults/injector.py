@@ -35,6 +35,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
+from repro.observer import Observers
 from repro.sim.rng import DEFAULT_SEED, make_rng
 
 
@@ -98,7 +99,7 @@ class FaultInjector:
         self._ids = itertools.count(1)
         self._active: list[Fault] = []
         #: optional planes (repro.observer) told of each fresh injection
-        self.observers: list = []
+        self.observers = Observers()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -107,8 +108,8 @@ class FaultInjector:
         self._active.append(fault)
         self.metrics.counter("faults_injected_total", kind=kind.value).inc()
         self.metrics.gauge("faults_active").set(len(self._active))
-        for o in self.observers:
-            o.fault_injected(fault)
+        for f in self.observers.fault_injected:
+            f(fault)
         return fault
 
     def clear(self, fault: Fault) -> None:

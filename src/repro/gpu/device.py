@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.observer import Observers, as_observers
+
 
 @dataclass
 class GPUDevice:
@@ -33,10 +35,11 @@ class GPUDevice:
     #: name of the node the device is installed in
     host: str = ""
     #: optional planes (repro.observer) told of reads and refused opens
-    observers: list = field(default_factory=list, repr=False,
+    observers: Observers = field(default_factory=Observers, repr=False,
                             compare=False)
 
     def __post_init__(self):
+        self.observers = as_observers(self.observers)
         self.memory = np.zeros(self.mem_bytes, dtype=np.uint8)
         self.registers = np.zeros(64, dtype=np.uint64)
 
@@ -54,8 +57,8 @@ class GPUDevice:
     def dev_read(self, creds) -> bytes:
         """Map device memory: returns whatever is resident — including a
         previous user's data if nobody scrubbed."""
-        for o in self.observers:
-            o.gpu_read(self, creds)
+        for f in self.observers.gpu_read:
+            f(self, creds)
         return self.memory.tobytes()
 
     def on_access_denied(self, creds, path: str) -> None:
@@ -64,8 +67,8 @@ class GPUDevice:
         Purely observational — the refusal has already been decided; this
         only forwards it to the observers.
         """
-        for o in self.observers:
-            o.gpu_denied(self, creds, path)
+        for f in self.observers.gpu_denied:
+            f(self, creds, path)
 
     # -- direct (driver-level) operations ------------------------------------
 

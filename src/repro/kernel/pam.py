@@ -23,6 +23,7 @@ from typing import Callable, Protocol
 
 from repro.kernel.errors import AccessDenied
 from repro.kernel.users import Credentials, User
+from repro.observer import Observers, as_observers
 
 
 class PamModule(Protocol):
@@ -101,7 +102,10 @@ class PamStack:
 
     modules: list[PamModule] = field(default_factory=lambda: [PamUnix()])
     #: optional planes (repro.observer) told every verdict
-    observers: list = field(default_factory=list, repr=False)
+    observers: Observers = field(default_factory=Observers, repr=False)
+
+    def __post_init__(self):
+        self.observers = as_observers(self.observers)
 
     def open_session(self, user: User, node_name: str,
                      base_creds: Credentials) -> Credentials:
@@ -114,12 +118,12 @@ class PamStack:
             try:
                 mod.account(user, node_name)
             except AccessDenied:
-                for o in self.observers:
-                    o.pam_session(user, node_name, mod)
+                for f in self.observers.pam_session:
+                    f(user, node_name, mod)
                 raise
         creds = base_creds
         for mod in self.modules:
             creds = mod.session(user, node_name, creds)
-        for o in self.observers:
-            o.pam_session(user, node_name, None)
+        for f in self.observers.pam_session:
+            f(user, node_name, None)
         return creds

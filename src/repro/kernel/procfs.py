@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.kernel.errors import AccessDenied, NoSuchProcess
 from repro.kernel.process import Process, ProcessTable
 from repro.kernel.users import Credentials
+from repro.observer import Observers
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class ProcFS:
         self.options = options
         self.naive = naive
         #: optional planes (repro.observer) shown every listing and read
-        self.observers: list = []
+        self.observers = Observers()
 
     # -- visibility predicates ----------------------------------------------
 
@@ -106,8 +107,8 @@ class ProcFS:
         else:
             procs = [p for p in self.table.processes()
                      if self.pid_visible(viewer, p)]
-        for o in self.observers:
-            o.procfs_viewed(self, viewer, procs, "list_pids")
+        for f in self.observers.procfs_viewed:
+            f(self, viewer, procs, "list_pids")
         return [p.pid for p in procs]
 
     def _lookup(self, viewer: Credentials, pid: int) -> Process:
@@ -127,16 +128,16 @@ class ProcFS:
         proc = self._lookup(viewer, pid)
         if not self.pid_readable(viewer, proc):
             raise AccessDenied(f"/proc/{pid}/cmdline")
-        for o in self.observers:
-            o.procfs_viewed(self, viewer, [proc], "read")
+        for f in self.observers.procfs_viewed:
+            f(self, viewer, [proc], "read")
         return proc.cmdline
 
     def read_status(self, viewer: Credentials, pid: int) -> dict[str, object]:
         proc = self._lookup(viewer, pid)
         if not self.pid_readable(viewer, proc):
             raise AccessDenied(f"/proc/{pid}/status")
-        for o in self.observers:
-            o.procfs_viewed(self, viewer, [proc], "read")
+        for f in self.observers.procfs_viewed:
+            f(self, viewer, [proc], "read")
         return {
             "Name": proc.comm,
             "Pid": proc.pid,
@@ -161,8 +162,8 @@ class ProcFS:
             procs = [p for p in self.table.processes()
                      if self.pid_visible(viewer, p)
                      and self.pid_readable(viewer, p)]
-        for o in self.observers:
-            o.procfs_viewed(self, viewer, procs, "ps")
+        for f in self.observers.procfs_viewed:
+            f(self, viewer, procs, "ps")
         return [PsEntry(pid=proc.pid, uid=proc.creds.uid,
                         comm=proc.comm, cmdline=proc.cmdline,
                         state=proc.state.value, rss_mb=proc.rss_mb)
@@ -176,8 +177,8 @@ class ProcFS:
             uids = {viewer.uid} if self.table.of_user(viewer.uid) else set()
         else:
             uids = {p.uid for p in self.ps(viewer)}
-        for o in self.observers:
-            o.procfs_viewed(self, viewer, (), "visible_users", uids=uids)
+        for f in self.observers.procfs_viewed:
+            f(self, viewer, (), "visible_users", uids=uids)
         return uids
 
     # -- aggregate files (hidepid does NOT hide these) ------------------------

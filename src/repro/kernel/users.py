@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.kernel.errors import Exists, InvalidArgument, NoSuchEntity, PermissionError_
+from repro.observer import Observers
 
 #: uid of the superuser.
 ROOT_UID = 0
@@ -157,7 +158,7 @@ class UserDB:
         self._creds: dict[tuple[int, int, int, int], Credentials] = {}
         self._creds_gen = 0
         #: optional planes (repro.observer) told every account mutation
-        self.observers: list = []
+        self.observers = Observers()
         self._users: dict[str, User] = {}
         self._users_by_uid: dict[int, User] = {}
         self._groups: dict[str, Group] = {}
@@ -200,8 +201,8 @@ class UserDB:
         self._users[name] = user
         self._users_by_uid[uid] = user
         self.generation += 1
-        for o in self.observers:
-            o.user_added(user, self.generation)
+        for f in self.observers.user_added:
+            f(user, self.generation)
         return user
 
     def add_project_group(self, name: str, steward: User) -> Group:
@@ -216,8 +217,8 @@ class UserDB:
         grp = Group(name, gid, members={steward.uid}, stewards={steward.uid})
         self.generation += 1
         self._register_group(grp)
-        for o in self.observers:
-            o.project_group_added(grp, self.generation)
+        for f in self.observers.project_group_added:
+            f(grp, self.generation)
         return grp
 
     def add_to_project(self, group: Group | str, user: User, *, approver: User) -> None:
@@ -231,8 +232,8 @@ class UserDB:
             )
         grp.members.add(user.uid)
         self.generation += 1
-        for o in self.observers:
-            o.member_added(grp, user.uid, self.generation)
+        for f in self.observers.member_added:
+            f(grp, user.uid, self.generation)
 
     def remove_from_project(self, group: Group | str, user: User, *, approver: User) -> None:
         grp = self.group(group) if isinstance(group, str) else group
@@ -244,8 +245,8 @@ class UserDB:
             )
         grp.members.discard(user.uid)
         self.generation += 1
-        for o in self.observers:
-            o.member_removed(grp, user.uid, self.generation)
+        for f in self.observers.member_removed:
+            f(grp, user.uid, self.generation)
 
     def add_system_group(self, name: str, members: set[int] | None = None) -> Group:
         """Create a plain system group (e.g. the hidepid exemption group)."""
@@ -253,8 +254,8 @@ class UserDB:
         self._next_gid += 1
         self.generation += 1
         grp = self._register_group(Group(name, gid, members=set(members or ())))
-        for o in self.observers:
-            o.system_group_added(grp, self.generation)
+        for f in self.observers.system_group_added:
+            f(grp, self.generation)
         return grp
 
     # -- lookup ------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.kernel.errors import (
 )
 from repro.kernel.smask import STOCK_KERNEL, FilePermissionHandler
 from repro.kernel.users import Credentials
+from repro.observer import Observers
 
 R_OK = 4
 W_OK = 2
@@ -254,7 +255,7 @@ class VFS:
         # simulation engine's clock
         self.clock: Callable[[], float] = lambda: 0.0
         #: optional planes (repro.observer) shown every stored mode and ACL
-        self.observers: list = []
+        self.observers = Observers()
         self._mounts: dict[str, Mount] = {"/": Mount("/", self.rootfs)}
         #: components in the deepest mount point (no lookup probes deeper)
         self._mount_depth = 0
@@ -412,8 +413,8 @@ class VFS:
             eff |= S_ISGID  # setgid propagates to subdirectories
         inode = fs.alloc_inode(kind, creds.uid, gid, eff)
         if fs.honors_smask:
-            for o in self.observers:
-                o.vfs_mode_set(self, path, creds, eff, "create")
+            for f in self.observers.vfs_mode_set:
+                f(self, path, creds, eff, "create")
         inode.mtime = inode.atime = self.clock()
         if data:
             inode.data.extend(data)
@@ -644,8 +645,8 @@ class VFS:
         if not creds.is_root and creds.uid != inode.uid:
             raise PermissionError_(f"chmod {path!r}: not owner")
         inode.mode = self.handler.effective_mode(mode, creds)
-        for o in self.observers:
-            o.vfs_mode_set(self, path, creds, inode.mode, "chmod")
+        for f in self.observers.vfs_mode_set:
+            f(self, path, creds, inode.mode, "chmod")
         return inode.mode
 
     def chown(self, path: str, creds: Credentials, *, uid: int | None = None,
@@ -682,8 +683,8 @@ class VFS:
         inode.acl = [e for e in inode.acl
                      if (e.tag, e.qualifier) != (entry.tag, entry.qualifier)]
         inode.acl.append(entry)
-        for o in self.observers:
-            o.vfs_acl_set(self, path, creds, entry)
+        for f in self.observers.vfs_acl_set:
+            f(self, path, creds, entry)
 
     def getfacl(self, path: str, creds: Credentials) -> list[AclEntry]:
         return list(self.resolve(path, creds).acl)

@@ -32,7 +32,7 @@ from typing import Callable
 
 from repro.net.firewall import Verdict
 from repro.net.ubf import DecisionReason
-from repro.observer import Observer
+from repro.observer import Observer, Observers, as_observers
 
 
 class EventKind(enum.Enum):
@@ -88,14 +88,17 @@ class SecurityEventLog(Observer):
 
     events: list[SecurityEvent] = field(default_factory=list)
     #: fed each event at record time, in order of subscription
-    observers: list = field(default_factory=list)
+    observers: Observers = field(default_factory=Observers)
     #: time of decisions that carry none (a cluster's sim clock)
     clock: Callable[[], float] = staticmethod(lambda: 0.0)
 
+    def __post_init__(self):
+        self.observers = as_observers(self.observers)
+
     def record(self, event: SecurityEvent) -> None:
         self.events.append(event)
-        for o in self.observers:
-            o.observe_event(event)
+        for f in self.observers.observe_event:
+            f(event)
 
     def emit(self, time: float, kind: EventKind, subject_uid: int,
              target: str, detail: str = "", *, job_id: int | None = None,

@@ -226,9 +226,8 @@ class HostStack:
         left tracked, a flow would let its peer reach whoever binds this
         port next via the fast path, with no UBF decision."""
         sock.closed = True
-        for flow in sock.flows:
+        for flow in list(sock.flows):  # untrack empties the set
             self.fabric.untrack(flow, reason="close")
-        sock.flows.clear()
 
     # -- TCP -------------------------------------------------------------------
 
@@ -240,27 +239,28 @@ class HostStack:
         systems, but neither leaks the listener's identity.
         """
         src_sock = self.bind_ephemeral(process, Proto.TCP)
-        dst = self.fabric.host(dst_host)
-        flow = FiveTuple(Proto.TCP, self.hostname, src_sock.port,
-                         dst_host, dst_port)
-        pkt = Packet(flow, ConnState.NEW, src_uid=process.creds.uid)
-        self.fabric.metrics.counter("connect_attempts").inc()
-        try:
-            self.fabric.check_transit(self.hostname, dst_host)
-        except TimedOut:
+        try:  # every failed exit releases the ephemeral port
+            dst = self.fabric.host(dst_host)
+            flow = FiveTuple(Proto.TCP, self.hostname, src_sock.port,
+                             dst_host, dst_port)
+            pkt = Packet(flow, ConnState.NEW, src_uid=process.creds.uid)
+            self.fabric.metrics.counter("connect_attempts").inc()
+            try:
+                self.fabric.check_transit(self.hostname, dst_host)
+            except TimedOut:
+                self.fabric.metrics.counter("connects_denied").inc()
+                raise
+            verdict = dst.firewall.evaluate(pkt)
+            if verdict is not Verdict.ACCEPT:
+                self.fabric.metrics.counter("connects_denied").inc()
+                raise TimedOut(f"connect {dst_host}:{dst_port} dropped")
+            listener = dst.lookup(Proto.TCP, dst_port)
+            if listener is None or not listener.listening:
+                dst.firewall.conntrack.evict(flow, reason="refused")
+                raise ConnectionRefused(f"{dst_host}:{dst_port}")
+        except BaseException:
             self.close(src_sock)
-            self.fabric.metrics.counter("connects_denied").inc()
             raise
-        verdict = dst.firewall.evaluate(pkt)
-        if verdict is not Verdict.ACCEPT:
-            self.close(src_sock)
-            self.fabric.metrics.counter("connects_denied").inc()
-            raise TimedOut(f"connect {dst_host}:{dst_port} dropped")
-        listener = dst.lookup(Proto.TCP, dst_port)
-        if listener is None or not listener.listening:
-            dst.firewall.conntrack.evict(flow, reason="refused")
-            self.close(src_sock)
-            raise ConnectionRefused(f"{dst_host}:{dst_port}")
         # the initiator tracks its own connection, as Linux conntrack does
         # for an outgoing SYN: replies arrive ESTABLISHED, not NEW
         self.firewall.conntrack.commit(flow)
@@ -441,9 +441,16 @@ class Fabric:
             raise TimedOut(f"packet to {dst_host} lost")
 
     def untrack(self, flow: FiveTuple, reason: str) -> None:
-        """Evict *flow* from the conntrack of both hosts it joins."""
+        """Evict *flow* from the conntrack of both hosts it joins; a
+        datagram flow also leaves the flow sets of its two sockets."""
         for name in (flow.src_host, flow.dst_host):
             self._hosts[name].firewall.conntrack.evict(flow, reason=reason)
+        if flow.proto is Proto.UDP:
+            for name, port in ((flow.src_host, flow.src_port),
+                               (flow.dst_host, flow.dst_port)):
+                sock = self._hosts[name]._sockets.get((Proto.UDP, port))
+                if sock is not None:
+                    sock.flows.discard(flow)
 
     def host(self, name: str) -> HostStack:
         try:

@@ -103,6 +103,7 @@ from repro.net.ident import (
     remote_ident_query,
 )
 from repro.net.stack import Fabric, HostStack
+from repro.observer import Observers, as_observers
 
 
 class DecisionReason(enum.Enum):
@@ -146,7 +147,7 @@ class UBFDaemon:
     ident_retries: int = 2
     ident_backoff_us: float = 200.0
     #: optional planes (repro.observer) told every verdict and decision
-    observers: list = field(default_factory=list, repr=False)
+    observers: Observers = field(default_factory=Observers, repr=False)
     #: original sequential per-packet reference path for differential testing.
     naive: bool = False
     #: decision-cache entry bound, read at every insert; None = unbounded
@@ -160,6 +161,9 @@ class UBFDaemon:
     #: account-database generation the decision cache was filled under;
     #: a mismatch at decide time flushes it (see _revalidate_generation)
     _cache_gen: int = field(default=-1, repr=False)
+
+    def __post_init__(self):
+        self.observers = as_observers(self.observers)
 
     def install(self) -> "UBFDaemon":
         self.stack.firewall.bind_nfqueue(self.decide)
@@ -228,11 +232,11 @@ class UBFDaemon:
         try:
             verdict = self._decide(pkt)
         except Exception as exc:
-            for o in self.observers:
-                o.ubf_decided(self, pkt, None, exc)
+            for f in self.observers.ubf_decided:
+                f(self, pkt, None, exc)
             raise
-        for o in self.observers:
-            o.ubf_decided(self, pkt, verdict, None)
+        for f in self.observers.ubf_decided:
+            f(self, pkt, verdict, None)
         return verdict
 
     def _decide(self, pkt: Packet) -> Verdict:
@@ -314,8 +318,8 @@ class UBFDaemon:
             cached = self._cache_get(key)
             if cached is not None:
                 self.fabric.metrics.counter("ubf_cache_hits").inc()
-                for o in self.observers:
-                    o.ubf_cached(self, key, cached)
+                for f in self.observers.ubf_cached:
+                    f(self, key, cached)
                 return self._log(pkt, pkt.src_uid, cached, "cached",
                                  DecisionReason.CACHED), listener
         return None, listener
@@ -324,8 +328,8 @@ class UBFDaemon:
                   initiator: IdentReply | None) -> Verdict:
         """The post-ident phase: rule, cache store, full-decision metrics."""
         if initiator is None:
-            for o in self.observers:
-                o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
+            for f in self.observers.ubf_concluded:
+                f(self, pkt, listener, None, Verdict.DROP)
             return self._log(pkt, None, Verdict.DROP,
                              "initiator unidentifiable",
                              DecisionReason.UNIDENTIFIABLE)
@@ -336,8 +340,8 @@ class UBFDaemon:
             # compromised — the claimed identity is worthless, so the flow
             # is treated as unidentifiable (never cached, always DROP).
             self.fabric.metrics.counter("ubf_ident_mismatches").inc()
-            for o in self.observers:
-                o.ubf_concluded(self, pkt, listener, None, Verdict.DROP)
+            for f in self.observers.ubf_concluded:
+                f(self, pkt, listener, None, Verdict.DROP)
             return self._log(
                 pkt, None, Verdict.DROP,
                 f"ident reply uid {initiator.uid} contradicts "
@@ -345,8 +349,8 @@ class UBFDaemon:
                 DecisionReason.IDENT_MISMATCH)
         verdict, reason, code = self._rule(initiator.uid, initiator.groups,
                                            listener.uid, listener.egid)
-        for o in self.observers:
-            o.ubf_concluded(self, pkt, listener, initiator, verdict)
+        for f in self.observers.ubf_concluded:
+            f(self, pkt, listener, initiator, verdict)
         if self.cache_enabled and self._cacheable(initiator.uid,
                                                   listener.egid, code):
             self._cache_put((initiator.uid, listener.uid, listener.egid),
@@ -372,16 +376,16 @@ class UBFDaemon:
         pkts = list(pkts)
         if self.naive:
             return [self.decide(p) for p in pkts]
-        for o in self.observers:
-            o.ubf_batch_started(self, pkts)
+        for f in self.observers.ubf_batch_started:
+            f(self, pkts)
         try:
             results = self._decide_batch(pkts)
         except Exception as exc:
-            for o in self.observers:
-                o.ubf_batch_finished(self, None, exc)
+            for f in self.observers.ubf_batch_finished:
+                f(self, None, exc)
             raise
-        for o in self.observers:
-            o.ubf_batch_finished(self, results, None)
+        for f in self.observers.ubf_batch_finished:
+            f(self, results, None)
         return results
 
     def _decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
@@ -404,13 +408,13 @@ class UBFDaemon:
             except IdentUnavailable as exc:
                 for i, listener in parked:
                     results[i] = self._degraded(pkts[i], listener, exc)
-                for o in self.observers:
-                    o.ubf_ident_group(self, gkey, len(parked), None, exc)
+                for f in self.observers.ubf_ident_group:
+                    f(self, gkey, len(parked), None, exc)
                 continue
             for i, listener in parked:
                 results[i] = self._conclude(pkts[i], listener, initiator)
-            for o in self.observers:
-                o.ubf_ident_group(self, gkey, len(parked), initiator, None)
+            for f in self.observers.ubf_ident_group:
+                f(self, gkey, len(parked), initiator, None)
         return results
 
     def _remote_ident(self, flow) -> IdentReply | None:
@@ -451,8 +455,8 @@ class UBFDaemon:
         """
         policy = "fail-open" if self.fail_open else "fail-closed"
         verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
-        for o in self.observers:
-            o.ubf_degraded(self, verdict)
+        for f in self.observers.ubf_degraded:
+            f(self, verdict)
         self.fabric.metrics.counter("ubf_degraded_verdicts",
                                     policy=policy).inc()
         return self._log(pkt, None, verdict, f"degraded: {exc} ({policy})",
@@ -502,8 +506,8 @@ class UBFDaemon:
                                     reason=code.value).inc()
         if verdict is Verdict.DROP:
             self.fabric.metrics.counter("ubf_denials").inc()
-        for o in self.observers:
-            o.ubf_verdict(self, flow, iu, verdict, reason, code)
+        for f in self.observers.ubf_verdict:
+            f(self, flow, iu, verdict, reason, code)
         return verdict
 
     def purge_host(self, host: str) -> int:

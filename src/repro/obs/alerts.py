@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.monitor.events import EventKind, SecurityEvent
-from repro.observer import Observer
+from repro.observer import Observer, as_observers
 
 #: Every denial kind the per-tenant spike rule counts.
 DENY_KINDS = (
@@ -124,7 +124,7 @@ class AlertEngine(Observer):
             else (lambda: 0.0)
         self.rules: list[AlertRule] = []
         #: told of every firing (a cluster's engine shares its planes)
-        self.observers = [] if observers is None else observers
+        self.observers = as_observers(observers)
         self.alerts: list[Alert] = []
         #: (rule name, subject) pairs currently in breach (edge trigger)
         self._active: set[tuple[str, int]] = set()
@@ -157,8 +157,8 @@ class AlertEngine(Observer):
                       value=value, severity=rule.severity, detail=detail)
         self.alerts.append(alert)
         self.metrics.counter("alerts_fired_total", rule=rule.name).inc()
-        for o in self.observers:
-            o.alert_fired(alert)
+        for f in self.observers.alert_fired:
+            f(alert)
 
     def _edge(self, rule: AlertRule, now: float, subject: int,
               breached: bool, value: float, detail: str) -> None:

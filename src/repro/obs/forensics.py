@@ -13,7 +13,7 @@ portal verdicts, faults, control-plane crashes, spans and security events.
 Like :func:`~repro.monitor.wiring.instrument_cluster` and
 :func:`~repro.obs.telemetry.attach_telemetry`, attachment is **idempotent**
 (a second call returns the existing bundle) and **order-free**: events and
-spans reach the plane over the cluster's own observer list, from whichever
+spans reach the plane over the cluster's own observers, from whichever
 log and telemetry are attached before or after it.  Denials reach the
 trail only through the security-event log.
 """

@@ -36,12 +36,36 @@ from repro.kernel.errors import (
     NoSuchProcess,
     PermissionError_,
 )
-from repro.monitor.events import SecurityEventLog
+from repro.kernel.syscalls import SyscallInterface
 from repro.net.firewall import Verdict
 from repro.obs.export import export_jsonl, prometheus_text
 from repro.obs.trace import Span, Tracer
-from repro.observer import Observer
+from repro.observer import Observer, Observers, as_observers
+from repro.sched.jobs import JobState
 from repro.sim.metrics import MetricSet
+
+
+def _counting(name: str):
+    """The counting wrapper of syscall *name*, a method of
+    :class:`ObservedSyscalls`."""
+    def call(self, *args, **kwargs):
+        try:
+            result = getattr(self._inner, name)(*args, **kwargs)
+        except (AccessDenied, PermissionError_, NoSuchProcess):
+            self._deny.value += 1
+            raise
+        self._allow.value += 1
+        return result
+
+    if name == "spawn_child":
+        counted = call
+
+        def call(self, *args, **kwargs):
+            return ObservedSyscalls(counted(self, *args, **kwargs),
+                                    self._metrics)
+
+    call.__name__ = name
+    return call
 
 
 class ObservedSyscalls:
@@ -50,10 +74,11 @@ class ObservedSyscalls:
     Every syscall outcome increments ``syscalls_total{result=allow|deny}``;
     nothing else changes — arguments, return values and exceptions flow
     through untouched (a spawned child's interface comes back wrapped
-    too).  The first access to each method builds its wrapper and installs
-    it as an instance attribute, so the steady state never re-enters
-    ``__getattr__``: one extra frame and one counter increment per call
-    (the E15 telemetry-overhead benchmark holds this under 5%).
+    too).  The counting wrappers are built once, when this module loads:
+    one method per public method of :class:`SyscallInterface`, shared by
+    every façade.  Opening a session builds nothing, and a call costs one
+    extra frame and one counter increment (the E15 telemetry-overhead
+    benchmark holds this under 5%).
     """
 
     def __init__(self, inner, metrics: MetricSet):
@@ -74,29 +99,15 @@ class ObservedSyscalls:
     def creds(self):
         return self._inner.creds
 
-    def __getattr__(self, name):
-        inner = getattr(self._inner, name)
-        if not callable(inner):
-            return inner
-        allow, deny = self._allow, self._deny
 
-        def call(*args, **kwargs):
-            try:
-                result = inner(*args, **kwargs)
-            except (AccessDenied, PermissionError_, NoSuchProcess):
-                deny.value += 1
-                raise
-            allow.value += 1
-            return result
+for _name, _value in vars(SyscallInterface).items():
+    if callable(_value) and not _name.startswith("_"):
+        setattr(ObservedSyscalls, _name, _counting(_name))
+del _name, _value
 
-        if name == "spawn_child":
-            metrics, counted = self._metrics, call
 
-            def call(*args, **kwargs):
-                return ObservedSyscalls(counted(*args, **kwargs), metrics)
-
-        setattr(self, name, call)  # steady state bypasses __getattr__
-        return call
+#: a job's end state -> its ``state`` tag
+_END_STATE = {state: state.name.lower() for state in JobState}
 
 
 @dataclass
@@ -104,16 +115,17 @@ class Telemetry(Observer):
     """One cluster's observability handles, and the observer feeding them.
 
     ``metrics`` is the cluster's shared :class:`MetricSet` (the same object
-    the fabric and scheduler already write to); ``tracer`` collects spans
-    (each passed on to ``observers``, the cluster's planes) and ``events``
-    every security event recorded while telemetry was attached.
-    ``scrub_on_epilog``: the cluster's epilog scrubs each GPU it releases.
+    the fabric and scheduler already write to); ``tracer`` collects spans,
+    each passed on to ``observers`` (the cluster's planes).  ``cluster``
+    is the cluster attached to, whose security-event log the JSONL export
+    reads.  ``scrub_on_epilog``: the cluster's epilog scrubs each GPU it
+    releases.
     """
 
     metrics: MetricSet
     tracer: Tracer
-    events: SecurityEventLog = field(default_factory=SecurityEventLog)
-    observers: list = field(default_factory=list)
+    observers: Observers = field(default_factory=Observers)
+    cluster: object = field(default=None, repr=False)
     tracing: bool = True
     scrub_on_epilog: bool = True
     #: job id -> its open trace: root, queue and run spans
@@ -127,6 +139,7 @@ class Telemetry(Observer):
     _request: Span | None = None
 
     def __post_init__(self):
+        self.observers = as_observers(self.observers)
         # the series exist (at 0) from attachment on, whatever happens
         counter = self.metrics.counter
         self._pam = {r: counter("pam_decisions_total", result=r)
@@ -139,15 +152,17 @@ class Telemetry(Observer):
         return prometheus_text(self.metrics)
 
     def export_jsonl(self, sink: str | IO[str]) -> int:
-        """Write security events + finished spans to *sink* (path or text
-        file object), merged chronologically.  Returns lines written."""
-        return export_jsonl(sink, events=self.events, tracer=self.tracer)
+        """Write the cluster's security events (when its log is attached)
+        and the finished spans to *sink* (path or text file object),
+        merged chronologically.  Returns lines written."""
+        return export_jsonl(sink, tracer=self.tracer,
+                            events=getattr(self.cluster, "security_log",
+                                           None))
 
-    def _span(self, name: str, parent: Span | None = None,
-              **tags) -> Span:
-        span = self.tracer.start_span(name, parent=parent, **tags)
-        for o in self.observers:
-            o.span_started(span)
+    def _span(self, name: str, parent: Span | None, tags: dict) -> Span:
+        span = self.tracer.open_span(name, parent, tags)
+        for f in self.observers.span_started:
+            f(span)
         return span
 
     # -- job traces: submit -> queue -> prolog -> run -> epilog --------------
@@ -155,11 +170,13 @@ class Telemetry(Observer):
     def job_arrived(self, job):
         if not self.tracing:
             return
-        root = self._span("job", job_id=job.job_id, user=job.spec.user.name,
-                          partition=job.spec.partition,
-                          ntasks=job.spec.ntasks, attempt=job.attempt)
+        spec = job.spec
+        root = self._span("job", None, {
+            "job_id": job.job_id, "user": spec.user.name,
+            "partition": spec.partition, "ntasks": spec.ntasks,
+            "attempt": job.attempt})
         self._job_spans[job.job_id] = {
-            "root": root, "queue": self._span("sched.queue", parent=root)}
+            "root": root, "queue": self._span("sched.queue", root, {})}
 
     # each attempt gets its own trace (the failed one closed NODE_FAIL)
     job_requeued = job_arrived
@@ -168,7 +185,7 @@ class Telemetry(Observer):
         spans = self._job_spans.pop(job.job_id, None)
         if spans is None:
             return
-        end = job.state.name.lower()  # a cancel passes no *state*
+        end = _END_STATE[job.state]  # a cancel passes no *state*
         for key in ("queue", "run"):
             span = spans.get(key)
             if span is not None and span.end is None:
@@ -180,9 +197,8 @@ class Telemetry(Observer):
     def _hook_span(self, which: str, job, node) -> None:
         spans = self._job_spans.get(job.job_id)
         if spans is not None:
-            self.tracer.finish(self._span(f"sched.{which}",
-                                          parent=spans["root"],
-                                          node=node.name))
+            self.tracer.finish(self._span(f"sched.{which}", spans["root"],
+                                          {"node": node.name}))
 
     def job_starting(self, scheduler, job, plan):
         spans = self._job_spans.get(job.job_id)
@@ -193,9 +209,11 @@ class Telemetry(Observer):
     def job_started(self, job, charged, useful):
         spans = self._job_spans.get(job.job_id)
         if spans is not None:
-            spans["run"] = self._span(
-                "job.run", parent=spans["root"],
-                nodes=",".join(sorted({a.node for a in job.allocations})))
+            allocs = job.allocations
+            nodes = allocs[0].node if len(allocs) == 1 \
+                else ",".join(sorted({a.node for a in allocs}))
+            spans["run"] = self._span("job.run", spans["root"],
+                                      {"nodes": nodes})
 
     def prolog_ran(self, job, node, gpus):
         self._hook_span("prolog", job, node)
@@ -220,8 +238,9 @@ class Telemetry(Observer):
         result = "allow" if refused_by is None else "deny"
         self._pam[result].inc()
         if self.tracing:
-            self.tracer.finish(self._span("pam.open_session",
-                                          user=user.name, node=node_name),
+            self.tracer.finish(self._span("pam.open_session", None,
+                                          {"user": user.name,
+                                           "node": node_name}),
                                result=result)
 
     def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
@@ -231,9 +250,10 @@ class Telemetry(Observer):
         if not self.tracing:
             return
         flow = pkt.flow
-        span = self._span("ubf.decide", host=daemon.stack.hostname,
-                          src=f"{flow.src_host}:{flow.src_port}",
-                          dst=f"{flow.dst_host}:{flow.dst_port}")
+        span = self._span("ubf.decide", None, {
+            "host": daemon.stack.hostname,
+            "src": f"{flow.src_host}:{flow.src_port}",
+            "dst": f"{flow.dst_host}:{flow.dst_port}"})
         if exc is not None:
             self.tracer.finish(span, status="error",
                                error=type(exc).__name__)
@@ -243,16 +263,15 @@ class Telemetry(Observer):
 
     def ubf_batch_started(self, daemon, pkts):
         if self.tracing:
-            self._batch = self._span("ubf.decide_batch",
-                                     host=daemon.stack.hostname,
-                                     n=len(pkts))
+            self._batch = self._span("ubf.decide_batch", None, {
+                "host": daemon.stack.hostname, "n": len(pkts)})
 
     def ubf_ident_group(self, daemon, key, waiters, initiator, exc):
         if self._batch is None:
             return
-        child = self._span("ubf.ident_group", parent=self._batch,
-                           src=f"{key[0]}:{key[2]}", proto=key[1].value,
-                           waiters=waiters)
+        child = self._span("ubf.ident_group", self._batch, {
+            "src": f"{key[0]}:{key[2]}", "proto": key[1].value,
+            "waiters": waiters})
         if exc is not None:
             self.tracer.finish(child, status="degraded",
                                error=type(exc).__name__)
@@ -276,7 +295,8 @@ class Telemetry(Observer):
 
     def portal_request(self, portal, app_id):
         if self.tracing:
-            self._request = self._span("portal.connect", app_id=app_id)
+            self._request = self._span("portal.connect", None,
+                                       {"app_id": app_id})
 
     def portal_response(self, portal, app_id, user, exc):
         span, self._request = self._request, None
@@ -288,9 +308,6 @@ class Telemetry(Observer):
             self.tracer.finish(span, error=type(exc).__name__)
         else:
             self.tracer.finish(span, outcome="ok")
-
-    def observe_event(self, event):
-        self.events.record(event)
 
 
 def attach_telemetry(cluster, *, tracing: bool = True) -> Telemetry:
@@ -306,7 +323,7 @@ def attach_telemetry(cluster, *, tracing: bool = True) -> Telemetry:
     telemetry = Telemetry(
         metrics=cluster.metrics,
         tracer=Tracer(clock=lambda: cluster.engine.now),
-        observers=cluster.observers, tracing=tracing,
+        observers=cluster.observers, cluster=cluster, tracing=tracing,
         scrub_on_epilog=cluster.config.gpu_scrub)
     cluster.telemetry = telemetry
     cluster.subscribe(telemetry)

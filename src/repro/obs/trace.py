@@ -123,6 +123,12 @@ class Tracer:
 
     def start_span(self, name: str, *, parent: Span | None = None,
                    **tags: object) -> Span:
+        return self.open_span(name, parent, tags)
+
+    def open_span(self, name: str, parent: Span | None,
+                  tags: dict[str, object]) -> Span:
+        """:meth:`start_span` with the tags passed as a dict, which the
+        span keeps as its own (the caller builds a fresh one)."""
         if parent is not None:
             trace_num, parent_num = parent._trace_num, parent._span_num
         else:

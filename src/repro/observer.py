@@ -1,19 +1,20 @@
-"""The enforcement-event seam: one observer list per enforcement point.
+"""The enforcement-event seam: one observer container per enforcement point.
 
 Every enforcement object (``Scheduler``, ``HealthMonitor``, ``UserDB``,
 ``ProcFS``, ``VFS``, ``PamStack``, ``GPUDevice``, ``UBFDaemon``,
-``Portal``, ``FaultInjector``) carries an ``observers`` list, empty by
-default, and at each decision calls the matching method of every
-observer in subscription order (``for o in self.observers:
-o.job_finished(job, state)``).  :class:`Observer` is the whole decision
-vocabulary: each method is a documented no-op, and an optional plane
-overrides only the decisions it consumes.  Decisions are method calls on
-the point's own arguments, so a point without observers allocates
-nothing.  :meth:`repro.core.cluster.Cluster.subscribe` adds one observer
-to every point of a cluster.  Observers watch; they never decide.
+``Portal``, ``FaultInjector``) carries an ``observers`` container
+(:class:`Observers`), empty by default.  :class:`Observer` is the whole
+decision vocabulary: each method is a documented no-op, and an optional
+plane overrides only the decisions it consumes.  At each decision a point
+calls the observers that override it, in subscription order (``for f in
+self.observers.job_finished: f(job, state)``); a plane never hears a
+decision it does not consume.  Decisions are method calls on the point's
+own arguments, so a point without observers allocates nothing.
+:meth:`repro.core.cluster.Cluster.subscribe` adds one observer to every
+point of a cluster.  Observers watch; they never decide.
 
 The last group carries what planes derive from decisions to the other
-planes over the cluster's own list, so no plane holds another.
+planes over the cluster's own container, so no plane holds another.
 """
 
 from __future__ import annotations
@@ -149,3 +150,82 @@ class Observer:
         """An alert rule fired."""
     def span_started(self, span):
         """Telemetry opened *span*."""
+
+
+#: every decision name, in the order :class:`Observer` declares them
+DECISIONS = tuple(name for name, value in vars(Observer).items()
+                  if callable(value) and not name.startswith("_"))
+
+
+class Observers:
+    """The observers of one point, fanned out per decision.
+
+    Reading a decision name (``observers.job_finished``) gives the tuple
+    of the subscribed observers' bound methods for it, in subscription
+    order, keeping only the observers that override the :class:`Observer`
+    no-op: by a method of their class, an alias such as ``job_requeued =
+    job_arrived``, or an instance attribute.  A tuple is built at its
+    first read and dropped by every :meth:`append`, so it always reflects
+    the observers subscribed so far, and a point pays nothing for the
+    decisions nobody consumes.  Iteration (and so ``in``) sees the
+    observers themselves.  ``Observers()`` is empty and costs one bare
+    object; :meth:`of` starts from a list.
+    """
+
+    #: the subscribed observers, in order; every append makes a new tuple
+    _planes: tuple = ()
+
+    @classmethod
+    def of(cls, planes) -> "Observers":
+        """A container subscribed to *planes*, in order."""
+        fans = cls()
+        fans._planes = tuple(planes)
+        return fans
+
+    def append(self, observer) -> None:
+        """Subscribe *observer* after the ones already there."""
+        planes = self._planes + (observer,)
+        self.__dict__.clear()
+        self._planes = planes
+
+    def __iter__(self):
+        return iter(self._planes)
+
+    def __repr__(self) -> str:
+        return f"Observers({self._planes!r})"
+
+
+class _FanOut:
+    """One decision of :class:`Observers`: builds and caches its tuple."""
+
+    __slots__ = ("name", "noop")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.noop = getattr(Observer, name)
+
+    def __get__(self, fans, owner=None):
+        if fans is None:
+            return self
+        name, noop, planes = self.name, self.noop, fans._planes
+        bound = ()
+        if planes:
+            bound = tuple(getattr(o, name) for o in planes
+                          if getattr(type(o), name) is not noop
+                          or name in getattr(o, "__dict__", ()))
+        fans.__dict__[name] = bound
+        return bound
+
+
+for _name in DECISIONS:
+    setattr(Observers, _name, _FanOut(_name))
+del _name
+
+
+def as_observers(planes=None) -> Observers:
+    """*planes* itself when it is an :class:`Observers` (shared by
+    reference, as planes share the cluster's), else a container over the
+    given list of observers."""
+    if isinstance(planes, Observers):
+        return planes
+    return Observers.of(() if planes is None else planes)

@@ -36,7 +36,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.observer import Observer
+from repro.observer import Observer, as_observers
 from repro.oracle.invariants import BY_ID, CATALOG, Invariant
 
 #: default seed for the sampling RNG — fixed so two identical runs sample
@@ -97,7 +97,7 @@ class SeparationOracle(Observer):
         self.fail_fast = fail_fast
         self.metrics = metrics
         #: told every violation (in a cluster: the cluster's planes)
-        self.observers = [] if observers is None else observers
+        self.observers = as_observers(observers)
         #: the Section IV-F measures the cluster's prolog/epilog enforce
         #: (GPU decisions go unchecked while both are off)
         self.gpu_perms = self.gpu_scrub = False
@@ -215,8 +215,8 @@ class SeparationOracle(Observer):
         if self.metrics is not None:
             self.metrics.counter("oracle_violations_total",
                                  invariant=invariant_id).inc()
-        for o in self.observers:
-            o.oracle_violation(violation, uid, job_id, node)
+        for f in self.observers.oracle_violation:
+            f(violation, uid, job_id, node)
         if self.fail_fast and self._attack is None:
             raise SeparationViolation(
                 f"[{invariant_id}] {subject}: {detail}")

@@ -163,8 +163,8 @@ def crash_control_plane(cluster) -> str:
     sched = cluster.scheduler
     if getattr(sched, "crashed", False):
         raise RuntimeError("control plane is already crashed")
-    for o in sched.observers:
-        o.control_plane_crashed(spine.journal.seq)
+    for f in sched.observers.control_plane_crashed:
+        f(spine.journal.seq)
 
     digest = state_digest(cluster)
     spine.last_crash_digest = digest
@@ -288,8 +288,8 @@ def recover_cluster(cluster) -> RecoveryReport:
     )
     spine.last_report = report
     cluster.metrics.counter("sched_recoveries_total").inc()
-    for o in sched.observers:
-        o.control_plane_recovered(cluster, report)
+    for f in sched.observers.control_plane_recovered:
+        f(cluster, report)
 
     spine.snapshot()  # fresh restore point: bounds the next replay
     return report

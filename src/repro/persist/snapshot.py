@@ -23,6 +23,10 @@ transition histories (append-only commentary), engine sequence numbers
 *delayed* recovery rebuilds the crash-time tables perfectly at a later
 instant, and that is preservation, not divergence (job start/end times
 already pin every timing fact that matters).
+
+A snapshot carries no digest: recovery computes it from the live tables,
+once at the crash and once after the rebuild
+(:mod:`repro.persist.recovery`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def capture(cluster, *, seq: int, cache: dict | None = None) -> dict:
     O(everything that ever ran).  Without it every row is rebuilt.
     """
     sched = cluster.scheduler
-    snap = {
+    return {
         "v": PERSIST_SCHEMA_VERSION,
         "seq": seq,
         "t": cluster.engine.now,
@@ -56,8 +60,6 @@ def capture(cluster, *, seq: int, cache: dict | None = None) -> dict:
         "accounting": _capture_accounting(sched.accounting, cache),
         "health": _capture_health(getattr(cluster, "health", None)),
     }
-    snap["digest"] = state_digest(cluster)
-    return snap
 
 
 def _capture_userdb(db) -> dict:

@@ -32,6 +32,7 @@ from repro.kernel.errors import AccessDenied, NoSuchEntity, TimedOut
 from repro.kernel.node import LinuxNode
 from repro.kernel.users import User, UserDB
 from repro.net.stack import Fabric
+from repro.observer import Observers, as_observers
 from repro.portal.webapp import WebApp
 
 
@@ -57,10 +58,13 @@ class Portal:
     #: time source; the cluster wires this to the simulation clock
     clock: "Callable[[], float]" = staticmethod(lambda: 0.0)
     #: optional planes (repro.observer) told of every request
-    observers: list = field(default_factory=list, repr=False)
+    observers: Observers = field(default_factory=Observers, repr=False)
     _routes: dict[int, WebApp] = field(default_factory=dict)
     _sessions: dict[str, PortalSession] = field(default_factory=dict)
     _rng_counter: itertools.count = field(default_factory=lambda: itertools.count(1))
+
+    def __post_init__(self):
+        self.observers = as_observers(self.observers)
 
     # -- authentication --------------------------------------------------------
 
@@ -98,8 +102,8 @@ class Portal:
         """Apps the portal lists for this user: their own only."""
         apps = [a for a in self._routes.values()
                 if a.owner_uid == session.user.uid]
-        for o in self.observers:
-            o.portal_routes(self, session, apps)
+        for f in self.observers.portal_routes:
+            f(self, session, apps)
         return apps
 
     # -- forwarding ------------------------------------------------------------------
@@ -115,8 +119,8 @@ class Portal:
         is required) and :class:`~repro.kernel.errors.TimedOut` when the
         UBF drops the forwarded hop (cross-user access attempt).
         """
-        for o in self.observers:
-            o.portal_request(self, app_id)
+        for f in self.observers.portal_request:
+            f(self, app_id)
         user = exc = None
         try:
             user = self._authenticate(token, app_id)
@@ -125,8 +129,8 @@ class Portal:
             exc = raised
             raise
         finally:
-            for o in self.observers:
-                o.portal_response(self, app_id, user, exc)
+            for f in self.observers.portal_response:
+                f(self, app_id, user, exc)
 
     def _authenticate(self, token: str | None, app_id: int) -> User:
         if not self.require_auth:
@@ -138,8 +142,8 @@ class Portal:
             self._count("deny-auth")
             detail = ("authentication required (missing, invalid, or "
                       "expired token)")
-            for o in self.observers:
-                o.portal_denied(self, -1, app_id, detail)
+            for f in self.observers.portal_denied:
+                f(self, -1, app_id, detail)
             raise AccessDenied(f"portal: {detail}")
         return session.user
 
@@ -159,8 +163,8 @@ class Portal:
             page = conn.recv()
             conn.close()
             self._count("allow")
-            for o in self.observers:
-                o.portal_forwarded(self, user, creds, app)
+            for f in self.observers.portal_forwarded:
+                f(self, user, creds, app)
             return page
         except TimedOut:
             # the forwarded hop was dropped by the destination's UBF; the

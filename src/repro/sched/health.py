@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.injector import FaultInjector, FaultKind
 from repro.kernel.node import ROOT_CREDS
+from repro.observer import Observers
 from repro.sched.prolog_epilog import GPU_MODE_UNASSIGNED, gpu_dev_path
 
 
@@ -120,7 +121,7 @@ class HealthMonitor:
         self.flap_hold = flap_hold
         self.dead_host_ttl = dead_host_ttl
         #: optional planes (repro.observer) told every state change
-        self.observers: list = list(observers)
+        self.observers = Observers.of(observers)
         #: optional callable(host) -> dict purging the dead host's
         #: conntrack/verdict-cache state on surviving hosts (wired by
         #: :func:`attach_health`; None in raw-scheduler scenarios)
@@ -163,8 +164,8 @@ class HealthMonitor:
         self._tick_armed = True
         self._tick_due = self.engine.now + self.interval
         self._tick_event = self.engine.at(self._tick_due, self._tick)
-        for o in self.observers:
-            o.tick_armed(self._tick_due)
+        for f in self.observers.tick_armed:
+            f(self._tick_due)
 
     def state_of(self, name: str) -> NodeHealth:
         return self.nodes[name].state
@@ -182,8 +183,8 @@ class HealthMonitor:
         self._tick_armed = False
         self._tick_event = None
         self._tick_due = None
-        for o in self.observers:
-            o.tick_fired()
+        for f in self.observers.tick_fired:
+            f()
         now = self.engine.now
         for lc in self.nodes.values():
             if self.faults.heartbeat_ok(lc.name):
@@ -218,9 +219,8 @@ class HealthMonitor:
         lc.transitions.append((now, state))
         self.metrics.counter("node_state_transitions_total",
                              state=state.value).inc()
-        for o in self.observers:
-            o.node_lifecycle(now, lc.name, f"{state.value}: {detail}",
-                             node=lc.name)
+        for f in self.observers.node_lifecycle:
+            f(now, lc.name, f"{state.value}: {detail}", node=lc.name)
 
     def _miss(self, lc: NodeLifecycle, now: float) -> None:
         lc.missed += 1
@@ -250,8 +250,8 @@ class HealthMonitor:
             self._journal_hb(lc)
 
     def _journal_hb(self, lc: NodeLifecycle) -> None:
-        for o in self.observers:
-            o.heartbeat_state(lc)
+        for f in self.observers.heartbeat_state:
+            f(lc)
 
     # -- fencing ------------------------------------------------------------
 
@@ -259,8 +259,8 @@ class HealthMonitor:
         """The node is DOWN: record residue, fence, requeue, purge peers."""
         node = self.scheduler.nodes[lc.name]
         lc.residue = self._record_residue(node, now)
-        for o in self.observers:
-            o.residue_recorded(lc.residue)
+        for f in self.observers.residue_recorded:
+            f(lc.residue)
         self.scheduler.fail_node(lc.name)
         for kind, count in (
                 ("orphan-procs", len(lc.residue.orphan_pids)),
@@ -274,8 +274,8 @@ class HealthMonitor:
             self.purge_host(lc.name)
             lc.purged = True
         r = lc.residue
-        for o in self.observers:
-            o.node_lifecycle(
+        for f in self.observers.node_lifecycle:
+            f(
                 now, lc.name,
                 f"fenced with residue: jobs={list(r.jobs)} "
                 f"orphans={len(r.orphan_pids)} dirty_gpus={len(r.dirty_gpus)} "
@@ -321,8 +321,8 @@ class HealthMonitor:
             lc.quarantined_until = now + self.flap_hold
             lc.rejoin_times = recent
             self.metrics.counter("node_flap_quarantines_total").inc()
-            for o in self.observers:
-                o.node_lifecycle(
+            for f in self.observers.node_lifecycle:
+                f(
                     now, lc.name,
                     f"flap damping: {len(recent)} rejoins within "
                     f"{self.flap_window:g}s; quarantined "
@@ -331,8 +331,8 @@ class HealthMonitor:
         lc.rejoin_times = recent + [now]
         self.scheduler.resume(lc.name)  # remediates before rescheduling
         lc.residue = None
-        for o in self.observers:
-            o.residue_cleared(lc.name)
+        for f in self.observers.residue_cleared:
+            f(lc.name)
         self._purged_hosts.discard(lc.name)
         lc.purged = False
         self._transition(lc, now, NodeHealth.UP,
@@ -356,14 +356,14 @@ class HealthMonitor:
         for host in affected:
             if host not in self._unreachable_since:
                 self._unreachable_since[host] = now
-                for o in self.observers:
-                    o.host_unreachable(host, now)
+                for f in self.observers.host_unreachable:
+                    f(host, now)
         for host in list(self._unreachable_since):
             if host not in affected:
                 del self._unreachable_since[host]
                 self._purged_hosts.discard(host)
-                for o in self.observers:
-                    o.host_reachable(host)
+                for f in self.observers.host_reachable:
+                    f(host)
                 continue
             since = self._unreachable_since[host]
             if (now - since >= self.dead_host_ttl
@@ -372,8 +372,8 @@ class HealthMonitor:
                 self.purge_host(host)
                 self._purged_hosts.add(host)
                 self.metrics.counter("dead_host_purges_total").inc()
-                for o in self.observers:
-                    o.dead_host_purged(host)
+                for f in self.observers.dead_host_purged:
+                    f(host)
 
 
 def attach_health(cluster, **kw) -> HealthMonitor:

@@ -45,6 +45,7 @@ from typing import Callable, Iterable
 
 from repro.kernel.errors import NoSuchEntity, PermissionError_
 from repro.kernel.users import User
+from repro.observer import Observers
 from repro.sched.accounting import AccountingDB
 from repro.sched.dispatch_index import PartitionIndex
 from repro.sched.jobs import Job, JobSpec, JobState
@@ -108,7 +109,7 @@ class Scheduler:
         self.epilog = epilog
         self.accounting = AccountingDB()
         #: optional planes (repro.observer) told every decision, in order
-        self.observers: list = []
+        self.observers = Observers()
         #: optional remediation hook run by :meth:`remediate` before a
         #: fenced node rejoins (GPU scrub + /dev perm reset; see
         #: :func:`repro.sched.prolog_epilog.make_remediator`).  None means
@@ -169,8 +170,8 @@ class Scheduler:
         self._live.setdefault(job.uid, {})[job.job_id] = job
         arrival = self.engine.now if at is None else at
         job.submit_time = arrival
-        for o in self.observers:
-            o.job_submitted(job)
+        for f in self.observers.job_submitted:
+            f(job)
         self._arm_arrival(job, arrival)
         return job
 
@@ -246,8 +247,8 @@ class Scheduler:
             return  # cancelled before its arrival event fired
         self._enqueue(job)
         self.metrics.counter("jobs_submitted").inc()
-        for o in self.observers:
-            o.job_arrived(job)
+        for f in self.observers.job_arrived:
+            f(job)
         self._note_queue_depth()
         self._try_dispatch()
 
@@ -265,8 +266,8 @@ class Scheduler:
             self._drop_live(job)
             job.state = JobState.CANCELLED
             job.end_time = self.engine.now
-            for o in self.observers:
-                o.job_cancelled(job)
+            for f in self.observers.job_cancelled:
+                f(job)
             self._note_queue_depth()
         elif job.state is JobState.RUNNING:
             self._finish(job, JobState.CANCELLED)
@@ -561,8 +562,8 @@ class Scheduler:
     def _start(self, job: Job, plan: list[tuple[ComputeNode, int]]) -> None:
         # before any allocation mutates node state: observers (the oracle)
         # see exactly the co-residence/capacity facts the dispatcher did
-        for o in self.observers:
-            o.job_starting(self, job, plan)
+        for f in self.observers.job_starting:
+            f(self, job, plan)
         now = self.engine.now
         job.state = JobState.RUNNING
         job.start_time = now
@@ -579,8 +580,8 @@ class Scheduler:
                 # job fails rather than run without its controls, and
                 # _finish unwinds whatever was already allocated/spawned.
                 self._core_charge[job.job_id] = (0, 0)
-                for o in self.observers:
-                    o.job_start_failed(job)
+                for f in self.observers.job_start_failed:
+                    f(job)
                 self._finish(job, JobState.FAILED)
                 return
             creds = node.node.userdb.credentials_for(job.spec.user)
@@ -600,8 +601,8 @@ class Scheduler:
         self.metrics.counter("jobs_started").inc()
         # after the core-charge/time-weighted updates, so a snapshot the
         # journal takes here sees them consistently applied
-        for o in self.observers:
-            o.job_started(job, charged, useful)
+        for f in self.observers.job_started:
+            f(job, charged, useful)
         if job.spec.script is not None:
             self._run_batch_script(job, plan[0][0])
             if job.state is not JobState.RUNNING:
@@ -692,8 +693,8 @@ class Scheduler:
             self._node_changed(node, freed=True)
         self.accounting.record(job)
         self.metrics.counter(f"jobs_{state.name.lower()}").inc()
-        for o in self.observers:
-            o.job_finished(job, state)
+        for f in self.observers.job_finished:
+            f(job, state)
         self._try_dispatch()
 
     def _run_hook(self, which: str, hook, job: Job,
@@ -716,11 +717,10 @@ class Scheduler:
             self._hook_failed(which, job, node, exc)
             return False
         gpus = node.allocations[job.job_id].gpu_indices
-        for o in self.observers:
-            if which == "prolog":
-                o.prolog_ran(job, node, gpus)
-            else:
-                o.epilog_ran(job, node, gpus)
+        observers = self.observers
+        for f in (observers.prolog_ran if which == "prolog"
+                  else observers.epilog_ran):
+            f(job, node, gpus)
         return True
 
     def _hook_failed(self, which: str, job: Job, node: ComputeNode,
@@ -735,8 +735,8 @@ class Scheduler:
         node.needs_remediation = True
         self._node_changed(node, freed=False)
         self.metrics.counter("hook_failures_total", hook=which).inc()
-        for o in self.observers:
-            o.hook_failed(which, job, node, exc)
+        for f in self.observers.hook_failed:
+            f(which, job, node, exc)
 
     def _trigger_oom(self, job: Job) -> None:
         """The misbehaving job exhausts memory on each of its nodes; the
@@ -762,8 +762,8 @@ class Scheduler:
         node = self.nodes[node_name]
         node.drained = True
         self._node_changed(node, freed=False)
-        for o in self.observers:
-            o.node_drained(node_name)
+        for f in self.observers.node_drained:
+            f(node_name)
 
     def resume(self, node_name: str) -> None:
         """scontrol update state=RESUME; a fenced node remediates first.
@@ -779,8 +779,8 @@ class Scheduler:
         node.drained = False
         node.failed = False
         self._node_changed(node, freed=True)
-        for o in self.observers:
-            o.node_resumed(node_name)
+        for f in self.observers.node_resumed:
+            f(node_name)
         self._try_dispatch()
 
     def remediate(self, node_name: str) -> dict[str, int]:
@@ -805,8 +805,8 @@ class Scheduler:
         node.remediations += 1
         self._node_changed(node, freed=False)
         self.metrics.counter("node_remediations_total").inc()
-        for o in self.observers:
-            o.node_remediated(self, node, summary)
+        for f in self.observers.node_remediated:
+            f(self, node, summary)
         return summary
 
     def fail_node(self, node_name: str) -> list[Job]:
@@ -823,8 +823,8 @@ class Scheduler:
         self._node_changed(node, freed=False)
         self.metrics.counter("node_fencings_total").inc()
         victims = [self.jobs[jid] for jid in list(node.allocations)]
-        for o in self.observers:
-            o.node_fenced(node_name, len(victims))
+        for f in self.observers.node_fenced:
+            f(node_name, len(victims))
         for job in victims:
             self._finish(job, JobState.NODE_FAIL)
             self._maybe_requeue(job)
@@ -843,9 +843,9 @@ class Scheduler:
             job.reason = (f"requeue limit exhausted after "
                           f"{job.attempt} attempts")
             self.metrics.counter("jobs_requeue_exhausted").inc()
-            for o in self.observers:
-                o.node_lifecycle(self.engine.now, f"job{job.job_id}",
-                                 job.reason, job_id=job.job_id)
+            for f in self.observers.node_lifecycle:
+                f(self.engine.now, f"job{job.job_id}", job.reason,
+                  job_id=job.job_id)
             return False
         self._requeue(job)
         return True
@@ -861,8 +861,8 @@ class Scheduler:
         self.metrics.counter("jobs_requeued").inc()
         self._live.setdefault(job.uid, {})[job.job_id] = job
         self._enqueue(job)
-        for o in self.observers:
-            o.job_requeued(job)
+        for f in self.observers.job_requeued:
+            f(job)
         self._note_queue_depth()
         self._try_dispatch()
 

@@ -1,6 +1,6 @@
 """Discrete-event simulation engine, sharding, metrics and RNG utilities."""
 
-from repro.sim.engine import Engine, SimClock
+from repro.sim.engine import Engine
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -21,7 +21,7 @@ from repro.sim.shard import (
 )
 
 __all__ = [
-    "Engine", "SimClock",
+    "Engine",
     "Counter", "Gauge", "Histogram", "MetricSet", "Samples", "TimeWeighted",
     "DEFAULT_SEED", "make_rng", "poisson_arrivals", "spawn", "substream",
     "MergeProtocolError", "Outbox", "ShardedEngine", "ShardHost",

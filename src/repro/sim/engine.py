@@ -25,27 +25,12 @@ class _Event:
     done: bool = field(compare=False, default=False)
 
 
-class SimClock:
-    """Virtual clock; only the engine advances it."""
-
-    def __init__(self):
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def _advance(self, t: float) -> None:
-        if t < self._now:
-            raise ValueError(f"time cannot run backwards: {t} < {self._now}")
-        self._now = t
-
-
 class Engine:
     """Event loop: schedule callables at absolute or relative virtual times."""
 
     def __init__(self):
-        self.clock = SimClock()
+        #: virtual time; only :meth:`_advance` moves it, never backwards
+        self.now = 0.0
         self._heap: list[_Event] = []
         self._seq = itertools.count()
         self.events_processed = 0
@@ -56,10 +41,6 @@ class Engine:
         #: completed amortized compaction sweeps (observability + the
         #: cancel-storm regression test assert on this)
         self.compactions = 0
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     def at(self, time: float, action: Callable[[], None]) -> _Event:
         """Schedule *action* at absolute virtual time *time*."""
@@ -102,6 +83,11 @@ class Engine:
                 and self._cancelled_in_heap > 32:
             self._compact()
 
+    def _advance(self, t: float) -> None:
+        if t < self.now:
+            raise ValueError(f"time cannot run backwards: {t} < {self.now}")
+        self.now = t
+
     def _compact(self) -> None:
         self._heap = [e for e in self._heap if not e.cancelled]
         heapq.heapify(self._heap)
@@ -116,18 +102,18 @@ class Engine:
         self._maybe_compact()
         while self._heap:
             if until is not None and self._heap[0].time > until:
-                self.clock._advance(until)
+                self._advance(until)
                 return self.now
             ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self.clock._advance(ev.time)
+            self._advance(ev.time)
             self.events_processed += 1
             ev.done = True
             ev.action()
         if until is not None and until > self.now:
-            self.clock._advance(until)
+            self._advance(until)
         return self.now
 
     def step(self) -> bool:
@@ -138,7 +124,7 @@ class Engine:
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self.clock._advance(ev.time)
+            self._advance(ev.time)
             self.events_processed += 1
             ev.done = True
             ev.action()

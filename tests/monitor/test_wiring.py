@@ -1,5 +1,8 @@
 """Tests: instrument_cluster wiring — idempotency, round-trips, new kinds."""
 
+import io
+import json
+
 import pytest
 
 from repro import Cluster, LLSC
@@ -11,7 +14,7 @@ from repro.monitor import (
     instrument_cluster,
 )
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
-from repro.obs import attach_telemetry
+from repro.obs import attach_telemetry, event_lines
 
 
 @pytest.fixture
@@ -153,20 +156,27 @@ class TestTelemetryHandshake:
     """instrument_cluster and attach_telemetry compose in either order:
     telemetry's export sees every event the log records."""
 
+    @staticmethod
+    def exported_events(tele) -> list[str]:
+        sink = io.StringIO()
+        tele.export_jsonl(sink)
+        return [ln for ln in sink.getvalue().splitlines()
+                if json.loads(ln)["type"] == "event"]
+
     def test_instrument_then_attach(self, cluster):
         log = instrument_cluster(cluster)
         tele = attach_telemetry(cluster)
         with pytest.raises(AccessDenied):
             cluster.ssh("bob", "c1")
-        assert tele.events.events == log.events != []
+        assert self.exported_events(tele) == list(event_lines(log)) != []
 
     def test_attach_then_instrument(self, cluster):
         tele = attach_telemetry(cluster)
-        assert tele.events.events == []
+        assert self.exported_events(tele) == []
         log = instrument_cluster(cluster)
         with pytest.raises(AccessDenied):
             cluster.ssh("bob", "c1")
-        assert tele.events.events == log.events != []
+        assert self.exported_events(tele) == list(event_lines(log)) != []
 
     def test_probe_detection_unaffected_by_telemetry(self, cluster):
         attach_telemetry(cluster)

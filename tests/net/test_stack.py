@@ -6,11 +6,13 @@ from repro.kernel.errors import (
     AddressInUse,
     ConnectionRefused,
     InvalidArgument,
+    NoSuchEntity,
     NotConnected,
     PermissionError_,
     TimedOut,
 )
 from repro.net import Proto
+from repro.net.stack import EPHEMERAL_START
 
 from tests.net.conftest import proc_on
 
@@ -77,6 +79,23 @@ class TestTcp:
         client = proc_on(nodes, "c1", userdb, "alice")
         with pytest.raises(ConnectionRefused):
             nodes["c1"].net.connect(client, "c2", 7777)
+
+    @pytest.mark.parametrize("dst,port,exc", [
+        ("nohost", 5000, NoSuchEntity),
+        ("c2", 7777, ConnectionRefused),
+    ])
+    def test_failed_connect_releases_its_port(self, open_fabric, userdb,
+                                              dst, port, exc):
+        """A connect that fails, to an unknown host too, leaves none of
+        its ephemeral ports bound."""
+        _, nodes, _ = open_fabric
+        client = proc_on(nodes, "c1", userdb, "alice")
+        stack = nodes["c1"].net
+        for _ in range(3):
+            with pytest.raises(exc):
+                stack.connect(client, dst, port)
+        assert [p for p in range(EPHEMERAL_START, EPHEMERAL_START + 3)
+                if stack.lookup(Proto.TCP, p) is not None] == []
 
     def test_bound_but_not_listening_refused(self, open_fabric, userdb):
         _, nodes, _ = open_fabric
@@ -193,6 +212,38 @@ class TestUdp:
         nodes["c2"].net.sendto(srv, d.src_host, d.src_port, b"a",
                                src_sock=inbox)
         assert nodes["c1"].net.recvfrom(cli_sock).data == b"a"
+
+    def test_implicit_sends_leave_no_flow_behind(self, open_fabric, userdb):
+        """An implicit socket's flow goes with it: untracked on both
+        hosts and gone from the receiver's flow set."""
+        fabric, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        inbox = nodes["c2"].net.bind(srv, 6000, Proto.UDP)
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        for _ in range(300):
+            nodes["c1"].net.sendto(cli, "c2", 6000, b"x")
+        assert len(inbox.datagrams) == 300
+        assert inbox.flows == set()
+        for host in ("c1", "c2"):
+            assert fabric.host(host).firewall.conntrack.flows() == []
+
+    def test_evicting_a_flow_clears_both_sockets(self, open_fabric, userdb):
+        """``Fabric.untrack`` and closing either end remove a datagram
+        flow from the flow sets of both its sockets."""
+        fabric, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        inbox = nodes["c2"].net.bind(srv, 6000, Proto.UDP)
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        a = nodes["c1"].net.bind_ephemeral(cli, Proto.UDP)
+        b = nodes["c1"].net.bind_ephemeral(cli, Proto.UDP)
+        nodes["c1"].net.sendto(cli, "c2", 6000, b"1", src_sock=a)
+        nodes["c1"].net.sendto(cli, "c2", 6000, b"2", src_sock=b)
+        (flow_a,), (flow_b,) = a.flows, b.flows
+        assert inbox.flows == {flow_a, flow_b}
+        fabric.untrack(flow_a, reason="test")
+        assert a.flows == set() and inbox.flows == {flow_b}
+        nodes["c2"].net.close(inbox)
+        assert b.flows == set() and inbox.flows == set()
 
 
 class TestAbstractUds:

@@ -15,6 +15,7 @@ from repro.persist import (
     PERSIST_SCHEMA_VERSION,
     Journal,
     MemoryRunStore,
+    state_digest,
 )
 from repro.persist.recovery import _REPLAY
 from repro.sched.health import attach_health
@@ -115,13 +116,18 @@ class TestSnapshotCadence:
         assert snap["seq"] >= 10          # genesis was superseded
         assert journal.seq - snap["seq"] < 10
 
-    def test_snapshot_digest_stable_across_identical_runs(self):
-        digests = []
+    def test_snapshot_stable_across_identical_runs(self):
+        """Identical runs capture identical snapshots and reach the same
+        state digest, which recovery computes and no snapshot carries."""
+        snaps, digests = [], []
         for _ in range(2):
             cluster = build_cluster(snapshot_every=10)
             submit_batch(cluster, 10)
             cluster.engine.run()
-            digests.append(cluster.persist.store.get("snapshot")["digest"])
+            snaps.append(cluster.persist.store.get("snapshot"))
+            digests.append(state_digest(cluster))
+        assert "digest" not in snaps[0]
+        assert snaps[0] == snaps[1]
         assert digests[0] == digests[1]
 
 

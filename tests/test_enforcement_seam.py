@@ -1,14 +1,17 @@
 """Structural gate: optional planes reach enforcement points one way only.
 
-Every enforcement object reports its decisions to one ``observers`` list
-(:mod:`repro.observer`); the security-event log, telemetry, the forensic
-plane, the oracle and the journal are observers on it.  This stdlib-``ast``
-gate (the same approach as ``test_docstring_coverage.py``) keeps it that
-way: none of the ten enforcement classes may declare or assign a
-per-plane hook field again, nor keep a private per-decision ``log``
-beside its observers, each must declare ``observers``, and no
+Every enforcement object reports its decisions to one ``observers``
+container (:mod:`repro.observer`); the security-event log, telemetry, the
+forensic plane, the oracle and the journal are observers on it.  This
+stdlib-``ast`` gate (the same approach as ``test_docstring_coverage.py``)
+keeps it that way: none of the ten enforcement classes may declare or
+assign a per-plane hook field again, nor keep a private per-decision
+``log`` beside its observers, each must declare ``observers``, no
 module may mark a hook with a ``_wrapped`` flag (the idiom closures that
-wrap an enforcement hook need to avoid wrapping it twice).
+wrap an enforcement hook need to avoid wrapping it twice), and no module
+may loop over every observer calling a method of each: a decision goes
+only to the observers that override it (``for f in
+self.observers.job_finished: f(job, state)``).
 """
 
 from __future__ import annotations
@@ -109,4 +112,31 @@ def test_no_module_sets_a_wrapped_flag():
     offenders = [f"{path.relative_to(SRC.parent)}:{line}"
                  for path in sorted(SRC.rglob("*.py"))
                  for line in wrapped_flags(ast.parse(path.read_text()))]
+    assert not offenders, "\n".join(offenders)
+
+
+def all_observer_loops(tree: ast.Module) -> list[int]:
+    """Lines of loops over a whole ``observers`` container (``for o in
+    self.observers:``) that call a method of each element, no-op or not."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.For)
+                and isinstance(node.target, ast.Name)
+                and any(isinstance(n, ast.Attribute) and n.attr == "observers"
+                        for n in ast.walk(node.iter))):
+            continue
+        var = node.target.id
+        if any(isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Attribute)
+               and isinstance(n.func.value, ast.Name)
+               and n.func.value.id == var
+               for stmt in node.body for n in ast.walk(stmt)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_decisions_reach_only_their_overriders():
+    offenders = [f"{path.relative_to(SRC.parent)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line in all_observer_loops(ast.parse(path.read_text()))]
     assert not offenders, "\n".join(offenders)
