@@ -116,7 +116,7 @@ class TestSnapshotCadence:
         assert snap["seq"] >= 10          # genesis was superseded
         assert journal.seq - snap["seq"] < 10
 
-    def test_snapshot_stable_across_identical_runs(self):
+    def test_snapshot_digest_stable_across_identical_runs(self):
         """Identical runs capture identical snapshots and reach the same
         state digest, which recovery computes and no snapshot carries."""
         snaps, digests = [], []
