@@ -224,7 +224,7 @@ def _measure_writer_us(cluster) -> dict:
     for op, call in writers.items():
         best = float("inf")
         for _ in range(3):
-            jn = Journal(MemoryRunStore(), clock=lambda: cluster.engine.now,
+            jn = Journal(MemoryRunStore(), clock=cluster.engine,
                          snapshot_every=10**9)
             gc.collect()
             gc.disable()

@@ -168,10 +168,16 @@ class Cluster:
                                 honors_smask=config.lustre_honors_smask)
 
         ubf_daemons: dict[str, UBFDaemon] = {}
+        # Each node gets its PAM stack once, here; pam_slurm needs the
+        # scheduler, so it joins the compute nodes' stacks further down.
+        base_modules: list[PamModule] = [PamUnix()]
+        if config.file_permission_handler and config.smask:
+            base_modules.append(PamSmask(config.smask))
 
         def make_node(name: str, role: NodeRole, spec: NodeSpec) -> LinuxNode:
             node = LinuxNode(name, userdb, role=role, spec=spec,
                              handler=handler, proc_options=proc_options,
+                             pam=PamStack(list(base_modules)),
                              protected_symlinks=config.protected_symlinks,
                              protected_hardlinks=config.protected_hardlinks)
             node.vfs.clock = lambda: engine.now
@@ -232,17 +238,10 @@ class Cluster:
         # run by Scheduler.remediate before the node rejoins dispatch.
         scheduler.remediator = make_remediator(gpu_cfg)
 
-        # PAM stacks need the scheduler (pam_slurm callback), so wire last.
-        base_modules: list[PamModule] = [PamUnix()]
-        if config.file_permission_handler and config.smask:
-            base_modules.append(PamSmask(config.smask))
-        for node in login_nodes + dtn_nodes + [portal_node]:
-            node.pam = PamStack(list(base_modules))
-        for cn in compute_nodes:
-            modules = list(base_modules)
-            if config.pam_slurm:
-                modules.append(PamSlurm(has_job_on=scheduler.user_has_job_on))
-            cn.node.pam = PamStack(modules)
+        if config.pam_slurm:
+            for cn in compute_nodes:
+                cn.node.pam.modules.append(
+                    PamSlurm(has_job_on=scheduler.user_has_job_on))
 
         cluster = cls(
             config=config, userdb=userdb, engine=engine, metrics=metrics,

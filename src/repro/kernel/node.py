@@ -68,7 +68,7 @@ class LinuxNode:
         self.devfs = Filesystem(f"{name}:devtmpfs")
         self.procs = ProcessTable(name)
         self.procfs = ProcFS(self.procs, proc_options)
-        self.pam = pam or PamStack()
+        self.pam = pam if pam is not None else PamStack()
         self.net = None  # attached by repro.net.stack.HostStack
         self._build_local_layout()
 
@@ -99,8 +99,13 @@ class LinuxNode:
         return self.pam.open_session(user, self.name, base)
 
     def set_proc_options(self, options: ProcMountOptions) -> None:
-        """Remount /proc with new hidepid options (admin action)."""
-        self.procfs = ProcFS(self.procs, options)
+        """Remount /proc with new hidepid options (admin action).
+
+        ``mount -o remount`` changes the options of the mount in place:
+        the same :class:`ProcFS` keeps its observers and ``naive`` flag,
+        so planes attached before the remount keep seeing every listing.
+        """
+        self.procfs.options = options
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LinuxNode {self.name} role={self.role.value}>"

@@ -42,7 +42,12 @@ JOURNAL_STREAM = "journal"
 
 
 class Journal(Observer):
-    """Typed writer of control-plane journal records over a RunStore."""
+    """Typed writer of control-plane journal records over a RunStore.
+
+    ``clock`` is what carries the virtual time as its ``now`` attribute:
+    the cluster's :class:`~repro.sim.engine.Engine`.  Each record reads
+    it once.
+    """
 
     def __init__(self, store, clock, *, snapshot_every: int = 256):
         if snapshot_every < 1:
@@ -72,7 +77,7 @@ class Journal(Observer):
         literal each and come straight here."""
         rec["v"] = PERSIST_SCHEMA_VERSION
         rec["seq"] = self.seq
-        rec["t"] = self.clock()
+        rec["t"] = self.clock.now
         self.store.append(JOURNAL_STREAM, rec)
         self.seq += 1
         self._since_snapshot += 1
@@ -117,8 +122,10 @@ class Journal(Observer):
                       "charged": charged, "useful": useful, "rows": rows})
 
     def job_finished(self, job, state) -> None:
+        # the state code is the member's ``_value_``: what the ``value``
+        # property returns, without the property's descriptor call
         self._append({"op": "finish", "job_id": job.job_id,
-                      "state": state.value})
+                      "state": state._value_})
 
     def job_requeued(self, job) -> None:
         self._append({"op": "requeue", "job_id": job.job_id,

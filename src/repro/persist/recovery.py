@@ -90,7 +90,7 @@ class PersistSpine:
         #: makes its amortised cost grow linearly with the job table).
         self.adaptive = snapshot_every is None
         self.journal = Journal(
-            store, clock=lambda: cluster.engine.now,
+            store, clock=cluster.engine,
             snapshot_every=self.SNAPSHOT_FLOOR if self.adaptive
             else snapshot_every)
         self.journal.on_snapshot = self.snapshot

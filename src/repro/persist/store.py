@@ -96,7 +96,9 @@ class MemoryRunStore(RunStore):
         self._keys: dict[str, dict] = {}
 
     def append(self, stream: str, record: dict) -> int:
-        rows = self._streams.setdefault(stream, [])
+        rows = self._streams.get(stream)
+        if rows is None:  # not setdefault: no empty list built per record
+            rows = self._streams[stream] = []
         rows.append(record)
         return len(rows)
 

@@ -55,44 +55,53 @@ class PartitionIndex:
     # -- maintenance --------------------------------------------------------
 
     def update(self, node: ComputeNode) -> None:
-        """Re-derive this node's index membership from its O(1) counters.
+        """Bring this node's index membership in line with its counters.
 
         Called after every allocate/release/drain/resume/fail touching the
-        node; recomputing membership from scratch per node keeps the index
-        immune to delta-tracking bugs while staying O(1) per event.
+        node.  The node's idle flag, free-core bucket and sole uid are
+        derived afresh from its O(1) counters and compared with what was
+        recorded for it; only the sets whose key changed are touched.
         """
         pos = self.order.get(node.name)
         if pos is None:
             return
-        self.idle.discard(pos)
-        old_bucket = self._bucket_of.pop(pos, None)
-        if old_bucket is not None:
-            members = self.by_cores.get(old_bucket)
-            if members is not None:
+        if node.failed or node.drained:
+            idle, bucket, sole = False, None, None
+        else:
+            idle = not node.allocations
+            bucket = node.free_cores if node.free_cores > 0 else None
+            sole = node.sole_uid
+        if idle != (pos in self.idle):
+            if idle:
+                self.idle.add(pos)
+            else:
+                self.idle.discard(pos)
+        old_bucket = self._bucket_of.get(pos)
+        if bucket != old_bucket:
+            if old_bucket is not None:
+                members = self.by_cores[old_bucket]
                 members.discard(pos)
                 if not members:
                     del self.by_cores[old_bucket]
-            self.open_all.discard(pos)
-        old_uid = self._user_of.pop(pos, None)
-        if old_uid is not None:
-            owners = self.user_nodes.get(old_uid)
-            if owners is not None:
+            if bucket is None:
+                del self._bucket_of[pos]
+                self.open_all.discard(pos)
+            else:
+                self.by_cores.setdefault(bucket, set()).add(pos)
+                self._bucket_of[pos] = bucket
+                self.open_all.add(pos)
+        old_uid = self._user_of.get(pos)
+        if sole != old_uid:
+            if old_uid is not None:
+                owners = self.user_nodes[old_uid]
                 owners.discard(pos)
                 if not owners:
                     del self.user_nodes[old_uid]
-        if node.failed or node.drained:
-            return
-        if node.idle:
-            self.idle.add(pos)
-        free = node.free_cores
-        if free > 0:
-            self.by_cores.setdefault(free, set()).add(pos)
-            self._bucket_of[pos] = free
-            self.open_all.add(pos)
-        sole = node.sole_uid
-        if sole is not None:
-            self.user_nodes.setdefault(sole, set()).add(pos)
-            self._user_of[pos] = sole
+            if sole is None:
+                del self._user_of[pos]
+            else:
+                self.user_nodes.setdefault(sole, set()).add(pos)
+                self._user_of[pos] = sole
 
     # -- queries ------------------------------------------------------------
 

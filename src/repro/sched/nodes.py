@@ -20,11 +20,15 @@ from repro.sched.jobs import Allocation, Job
 class ComputeNode:
     """One schedulable node.
 
-    Capacity accounting (used cores/memory/GPUs, the running-uid multiset)
-    is maintained **incrementally** by :meth:`allocate`/:meth:`release`, so
-    the scheduler's hot placement loop reads O(1) properties instead of
-    re-summing the allocation table per candidate node.  ``allocations`` is
-    only ever mutated through those two methods.
+    Free capacity is kept **incrementally** by :meth:`allocate` and
+    :meth:`release` as plain attributes, one counter per resource:
+    ``free_cores``, ``free_mem_mb`` and ``free_gpus`` (a count).
+    ``used_cores`` and ``used_mem_mb`` derive from them; the set of held
+    GPU indices says which GPUs the count leaves out.  ``uids`` is a live
+    view of the uids holding an allocation here.  The scheduler's hot
+    placement loop reads these directly instead of re-summing the
+    allocation table or building a set per candidate node.
+    ``allocations`` is only ever mutated through those two methods.
     """
 
     node: LinuxNode
@@ -42,19 +46,24 @@ class ComputeNode:
     needs_remediation: bool = False
     #: completed remediation passes (each reboot remediates exactly once).
     remediations: int = field(default=0, repr=False)
-    _used_cores: int = field(default=0, repr=False)
-    _used_mem_mb: int = field(default=0, repr=False)
+    #: indices of the GPUs some allocation holds
     _used_gpus: set[int] = field(default_factory=set, repr=False)
     #: uid -> number of this user's jobs allocated here (running-uid multiset)
     _uid_counts: dict[int, int] = field(default_factory=dict, repr=False)
     _alloc_uids: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        # Rebuild the caches if constructed with a pre-seeded table (tests).
+        spec = self.node.spec
+        self.free_cores = spec.cores
+        self.free_mem_mb = spec.mem_mb
+        # Charge a pre-seeded table (tests) against the counters.
         for alloc in self.allocations.values():
-            self._used_cores += alloc.cores
-            self._used_mem_mb += alloc.mem_mb
+            self.free_cores -= alloc.cores
+            self.free_mem_mb -= alloc.mem_mb
             self._used_gpus.update(alloc.gpu_indices)
+        self.free_gpus = len(self.gpus) - len(self._used_gpus)
+        #: uids holding an allocation here: a live view, never rebuilt
+        self.uids = self._uid_counts.keys()
 
     @classmethod
     def create(cls, node: LinuxNode, *, gpu_mem_bytes: int = 65536,
@@ -89,19 +98,11 @@ class ComputeNode:
 
     @property
     def used_cores(self) -> int:
-        return self._used_cores
+        return self.total_cores - self.free_cores
 
     @property
     def used_mem_mb(self) -> int:
-        return self._used_mem_mb
-
-    @property
-    def free_cores(self) -> int:
-        return self.total_cores - self._used_cores
-
-    @property
-    def free_mem_mb(self) -> int:
-        return self.total_mem_mb - self._used_mem_mb
+        return self.total_mem_mb - self.free_mem_mb
 
     @property
     def used_gpu_indices(self) -> set[int]:
@@ -116,7 +117,7 @@ class ComputeNode:
         return not self.allocations
 
     def running_uids(self) -> set[int]:
-        """Distinct uids with an allocation here (O(distinct uids))."""
+        """Distinct uids with an allocation here, as a new set."""
         return set(self._uid_counts)
 
     def uid_present(self, uid: int) -> bool:
@@ -159,9 +160,11 @@ class ComputeNode:
                            mem_mb=mem, gpu_indices=gpu_indices)
         self.allocations[job.job_id] = alloc
         job.allocations.append(alloc)
-        self._used_cores += cores
-        self._used_mem_mb += mem
-        self._used_gpus.update(gpu_indices)
+        self.free_cores -= cores
+        self.free_mem_mb -= mem
+        if gpu_indices:
+            self._used_gpus.update(gpu_indices)
+            self.free_gpus -= len(gpu_indices)
         uid = job.uid
         self._alloc_uids[job.job_id] = uid
         self._uid_counts[uid] = self._uid_counts.get(uid, 0) + 1
@@ -171,9 +174,11 @@ class ComputeNode:
         alloc = self.allocations.pop(job_id, None)
         if alloc is None:
             return None
-        self._used_cores -= alloc.cores
-        self._used_mem_mb -= alloc.mem_mb
-        self._used_gpus.difference_update(alloc.gpu_indices)
+        self.free_cores += alloc.cores
+        self.free_mem_mb += alloc.mem_mb
+        if alloc.gpu_indices:
+            self._used_gpus.difference_update(alloc.gpu_indices)
+            self.free_gpus += len(alloc.gpu_indices)
         uid = self._alloc_uids.pop(job_id, None)
         if uid is not None:
             left = self._uid_counts.get(uid, 0) - 1

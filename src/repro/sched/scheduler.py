@@ -35,6 +35,17 @@ Two dispatch implementations coexist (DESIGN.md "Performance architecture"):
   full pending x nodes rescan on every event, kept verbatim for
   differential testing: both paths must produce byte-identical placements
   (asserted by ``tests/prop/test_prop_dispatch.py`` and benchmark E24).
+
+The reference is ``_plan_over`` (first fit through
+:func:`~repro.sched.policies.tasks_placeable`), ``_placement_for`` and
+``_dispatch_naive``.  The oracle's I4 shadow replays ``_placement_for``
+against every indexed plan, and E24 times the indexed path against the
+naive one.  The indexed path's first fit (``_placement_indexed``) is its
+own loop: the policy resolved once, ``tasks_placeable`` written out over
+the nodes' plain counters and live uid view.  The reference keeps its
+own reads, which build a uid set and a GPU list per node, on purpose:
+it is the specification the checks compare against, and E24's speedup
+would otherwise measure read style rather than the index (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -57,6 +68,9 @@ from repro.sim.metrics import MetricSet, TimeWeighted
 
 PrologHook = Callable[[Job, ComputeNode], None]
 EpilogHook = Callable[[Job, ComputeNode], None]
+
+#: the counter a job's final state bumps (``jobs_completed``, ...)
+_FINISH_COUNTER = {s: f"jobs_{s.name.lower()}" for s in JobState}
 
 
 def _gather(groups: dict, key, jobs: dict[int, Job]) -> None:
@@ -142,6 +156,9 @@ class Scheduler:
         self._dirty_parts: set[str] = set()
         self.reindex_partitions()  # dispatch and squeue indexes
         self._scan_counter = self.metrics.counter("sched_dispatch_scan")
+        #: (wait_time, sched_wait_seconds, jobs_started), resolved by the
+        #: first job start
+        self._start_series = None
 
     # -- submission -----------------------------------------------------------
 
@@ -346,19 +363,61 @@ class Scheduler:
                            ) -> list[tuple[ComputeNode, int]] | None:
         """Indexed placement: only nodes the free-capacity index says could
         accept this job are examined, in the same first-fit order, and
-        counted in ``sched_dispatch_scan``."""
-        index = self._pindex[job.spec.partition]
+        counted in ``sched_dispatch_scan``.
+
+        The fast path: the policy is resolved once, and the first fit of
+        :meth:`_plan_over` runs here with :func:`tasks_placeable` written
+        out over the nodes' plain counters, so a candidate costs a few
+        attribute reads.  The oracle's shadow replays the reference
+        against every plan this returns."""
+        spec = job.spec
+        index = self._pindex[spec.partition]
         if not index.any_open:
             return None  # every policy needs an open node
-        policy = self._policy_for(job)
-        whole = policy is NodeSharing.EXCLUSIVE or job.spec.exclusive
-        names = index.candidates(policy=policy, whole=whole, uid=job.uid,
-                                 cores_per_task=job.spec.cores_per_task)
+        policy = self._partition_policy(spec.partition)
+        whole = policy is NodeSharing.EXCLUSIVE or spec.exclusive
+        uid, cpt = job.uid, spec.cores_per_task
+        names = index.candidates(policy=policy, whole=whole, uid=uid,
+                                 cores_per_task=cpt)
         if not names:
             return None
-        plan, examined = self._plan_over(job, (self.nodes[n] for n in names))
+        # The index already leaves out failed and drained nodes and nodes
+        # the policy closes to this job; the loop checks both again, as
+        # the reference does, so a stale index could cost time but never
+        # a placement.  A busy node takes no whole-node job, and under
+        # whole-node-per-user only jobs of its sole tenant.
+        own_only = not whole and policy is NodeSharing.WHOLE_NODE_USER
+        mpt, gpt = spec.mem_mb_per_task, spec.gpus_per_task
+        nodes = self.nodes
+        remaining = spec.ntasks
+        plan: list[tuple[ComputeNode, int]] = []
+        examined = 0
+        for name in names:
+            node = nodes[name]
+            if node.failed or node.drained:
+                continue
+            examined += 1
+            if node.allocations and (whole or own_only and (
+                    len(node.uids) != 1 or uid not in node.uids)):
+                continue
+            n = node.free_cores // cpt if cpt else 0
+            if mpt:
+                by_mem = node.free_mem_mb // mpt
+                if by_mem < n:
+                    n = by_mem
+            if gpt:
+                by_gpus = node.free_gpus // gpt
+                if by_gpus < n:
+                    n = by_gpus
+            if n <= 0:
+                continue
+            take = n if n < remaining else remaining
+            plan.append((node, take))
+            remaining -= take
+            if remaining == 0:
+                break
         self._scan_counter.inc(examined)
-        return plan
+        return plan if remaining == 0 else None
 
     def _any_node_open(self) -> bool:
         """Cheap pre-check: could *any* pending job conceivably start?
@@ -434,8 +493,8 @@ class Scheduler:
                 continue
             policy = self._partition_policy(pname)
             free_cores, free_mem_mb = node.free_cores, node.free_mem_mb
-            free_gpus = len(node.free_gpu_indices)
-            idle, sole, uids = node.idle, node.sole_uid, node.running_uids()
+            free_gpus, uids = node.free_gpus, node.uids
+            idle, sole = node.idle, node.sole_uid
             # a shape that carries a uid fits a busy node only when that
             # uid is the node's sole tenant, and no shape fits a node with
             # fewer free cores than one task needs: skip those unasked
@@ -569,10 +628,13 @@ class Scheduler:
         job.start_time = now
         self._running[job.job_id] = job
         self._qseq.pop(job.job_id, None)
+        spec = job.spec
         whole = (self._policy_for(job) is NodeSharing.EXCLUSIVE
-                 or job.spec.exclusive)
+                 or spec.exclusive)
+        charged = useful = 0
         for node, tasks in plan:
-            node.allocate(job, tasks, whole_node=whole)
+            charged += node.allocate(job, tasks, whole_node=whole).cores
+            useful += tasks * spec.cores_per_task
             self._node_changed(node, freed=False)
             if self.prolog is not None and not self._run_hook(
                     "prolog", self.prolog, job, node):
@@ -584,21 +646,26 @@ class Scheduler:
                     f(job)
                 self._finish(job, JobState.FAILED)
                 return
-            creds = node.node.userdb.credentials_for(job.spec.user)
+            creds = node.node.userdb.credentials_for(spec.user)
             for _ in range(tasks):
                 node.node.procs.spawn(
-                    creds, [job.spec.command], job_id=job.job_id,
-                    cwd=job.spec.workdir, rss_mb=job.spec.mem_mb_per_task)
-        charged = sum(a.cores for a in job.allocations)
-        useful = sum(a.tasks * job.spec.cores_per_task
-                     for a in job.allocations)
+                    creds, [spec.command], job_id=job.job_id,
+                    cwd=spec.workdir, rss_mb=spec.mem_mb_per_task)
         self._core_charge[job.job_id] = (charged, useful)
         self._busy_cores.add(now, charged)
         self._useful_cores.add(now, useful)
         wait = now - job.submit_time
-        self.metrics.samples("wait_time").add(wait)
-        self.metrics.histogram("sched_wait_seconds").observe(wait)
-        self.metrics.counter("jobs_started").inc()
+        series = self._start_series
+        if series is None:  # registered at the first start, not before
+            metrics = self.metrics
+            series = self._start_series = (
+                metrics.samples("wait_time"),
+                metrics.histogram("sched_wait_seconds"),
+                metrics.counter("jobs_started"))
+        waits, wait_hist, started = series
+        waits.add(wait)
+        wait_hist.observe(wait)
+        started.inc()
         # after the core-charge/time-weighted updates, so a snapshot the
         # journal takes here sees them consistently applied
         for f in self.observers.job_started:
@@ -667,11 +734,12 @@ class Scheduler:
         for timer in self._job_events.pop(job.job_id, ()):
             self.engine.cancel(timer)
         self._write_stdout_file(job)
-        charged, useful = self._core_charge.pop(
-            job.job_id,
-            (sum(a.cores for a in job.allocations),
-             sum(a.tasks * job.spec.cores_per_task
-                 for a in job.allocations)))
+        charge = self._core_charge.pop(job.job_id, None)
+        if charge is None:
+            charge = (sum(a.cores for a in job.allocations),
+                      sum(a.tasks * job.spec.cores_per_task
+                          for a in job.allocations))
+        charged, useful = charge
         self._busy_cores.add(now, -charged)
         self._useful_cores.add(now, -useful)
         for alloc in job.allocations:
@@ -692,7 +760,7 @@ class Scheduler:
             node.release(job.job_id)
             self._node_changed(node, freed=True)
         self.accounting.record(job)
-        self.metrics.counter(f"jobs_{state.name.lower()}").inc()
+        self.metrics.counter(_FINISH_COUNTER[state]).inc()
         for f in self.observers.job_finished:
             f(job, state)
         self._try_dispatch()

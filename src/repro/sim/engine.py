@@ -6,23 +6,30 @@ deliberately tiny — a monotonic clock plus a heap — because the paper's
 mechanisms are policy functions, not timing-sensitive protocols.  Events at
 equal timestamps fire in insertion order (a sequence number breaks ties), so
 runs are fully deterministic.
+
+The heap holds ``(time, seq, event)`` tuples: ``heapq`` orders them with
+the interpreter's own tuple comparison, and the unique ``seq`` settles
+every tie before the event itself would be compared.  The event is the
+handle :meth:`Engine.at` returns, which :meth:`Engine.cancel` tombstones.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    """A scheduled action: the handle :meth:`Engine.at` returns."""
+
+    __slots__ = ("time", "action", "cancelled", "done")
+
+    def __init__(self, time: float, action: Callable[[], None]):
+        self.time = time
+        self.action = action
+        self.cancelled = False
+        self.done = False
 
 
 class Engine:
@@ -31,7 +38,8 @@ class Engine:
     def __init__(self):
         #: virtual time; only :meth:`_advance` moves it, never backwards
         self.now = 0.0
-        self._heap: list[_Event] = []
+        #: ``(time, seq, event)`` entries (see the module docstring)
+        self._heap: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.events_processed = 0
         #: cancelled events still sitting in the heap.  ``pending`` is then
@@ -47,8 +55,8 @@ class Engine:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         self._maybe_compact()
-        ev = _Event(time, next(self._seq), action)
-        heapq.heappush(self._heap, ev)
+        ev = _Event(time, action)
+        heapq.heappush(self._heap, (time, next(self._seq), ev))
         return ev
 
     def after(self, delay: float, action: Callable[[], None]) -> _Event:
@@ -89,7 +97,7 @@ class Engine:
         self.now = t
 
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
@@ -101,14 +109,14 @@ class Engine:
         """
         self._maybe_compact()
         while self._heap:
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 self._advance(until)
                 return self.now
-            ev = heapq.heappop(self._heap)
+            t, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._advance(ev.time)
+            self._advance(t)
             self.events_processed += 1
             ev.done = True
             ev.action()
@@ -120,11 +128,11 @@ class Engine:
         """Process exactly one event; False when the heap is empty."""
         self._maybe_compact()
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            t, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._advance(ev.time)
+            self._advance(t)
             self.events_processed += 1
             ev.done = True
             ev.action()

@@ -3,10 +3,18 @@ support tools (seepid / smask_relax)."""
 
 import pytest
 
-from repro import BASELINE, LLSC, seepid, smask_relax
+from repro import BASELINE, LLSC, Cluster, seepid, smask_relax
 from repro.core import standard_cluster
-from repro.kernel import PAPER_SMASK, ROOT_CREDS
+from repro.kernel import (
+    PAPER_SMASK,
+    ROOT_CREDS,
+    PamSlurm,
+    PamStack,
+    ProcMountOptions,
+)
 from repro.kernel.errors import AccessDenied, PermissionError_
+from repro.observer import Observer
+from repro.oracle import attach_oracle
 from repro.sched import NodeSharing
 
 
@@ -119,6 +127,51 @@ class TestSessions:
         from repro.kernel.errors import NoSuchEntity
         with pytest.raises(NoSuchEntity):
             llsc.node("zzz")
+
+
+class TestNodeWiring:
+    def test_one_pam_stack_per_node(self, monkeypatch):
+        built = []
+        post_init = PamStack.__post_init__
+
+        def counted(stack):
+            built.append(stack)
+            post_init(stack)
+
+        monkeypatch.setattr(PamStack, "__post_init__", counted)
+        cluster = Cluster.build(LLSC, n_compute=64, gpus_per_node=2)
+        nodes = (cluster.login_nodes + cluster.dtn_nodes
+                 + [cluster.portal_node]
+                 + [cn.node for cn in cluster.compute_nodes])
+        assert len(built) == len(nodes) == 66
+        assert {id(n.pam) for n in nodes} == {id(s) for s in built}
+        for cn in cluster.compute_nodes:
+            assert isinstance(cn.node.pam.modules[-1], PamSlurm)
+
+    def test_proc_remount_keeps_attached_planes(self):
+        """A /proc remount changes the mount's options, not who watches
+        it: a listing after the remount still reaches every plane."""
+        cluster = Cluster.build(LLSC, n_compute=1)
+        oracle = attach_oracle(cluster)
+        listings = []
+
+        class Listings(Observer):
+            def procfs_viewed(self, fs, viewer, procs, op, uids=None):
+                listings.append((viewer.uid, op))
+
+        cluster.subscribe(Listings())
+        job = cluster.submit("bob", duration=10.0)
+        cluster.run(until=1.0)
+        node = cluster.compute_nodes[0].node
+        node.set_proc_options(ProcMountOptions(hidepid=0))
+        alice = cluster.userdb.credentials_for(cluster.userdb.user("alice"))
+        del listings[:]
+        checks = oracle.checks_for("I1")
+        rows = node.procfs.ps(alice)
+        assert job.uid in {row.uid for row in rows}  # hidepid=0 holds
+        # (the oracle's shadow lists once more, as the same viewer)
+        assert set(listings) == {(alice.uid, "ps")}
+        assert oracle.checks_for("I1") == checks + 1
 
 
 class TestSeepid:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kernel import ProcMountOptions, UserDB
+from repro.kernel import ProcMountOptions
 from repro.kernel.errors import NoSuchProcess
 from repro.kernel.process import ProcessTable
 from repro.kernel.procfs import ProcFS

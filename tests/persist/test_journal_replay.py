@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.persist import (
-    JOURNAL_STREAM,
     PERSIST_SCHEMA_VERSION,
     Journal,
     MemoryRunStore,
@@ -20,6 +19,7 @@ from repro.persist import (
 from repro.persist.recovery import _REPLAY
 from repro.sched.health import attach_health
 from repro.sched.jobs import JobState
+from repro.sim import Engine
 
 from tests.persist.conftest import build_cluster, submit_batch
 
@@ -45,7 +45,7 @@ class TestEnvelope:
 
     def test_snapshot_every_must_be_positive(self):
         with pytest.raises(ValueError):
-            Journal(MemoryRunStore(), clock=lambda: 0.0, snapshot_every=0)
+            Journal(MemoryRunStore(), clock=Engine(), snapshot_every=0)
 
 
 class TestOpVocabulary:

@@ -9,6 +9,10 @@ demands, node failures and drains — through both implementations and
 requires byte-identical outcomes: per-job allocations, start/end times,
 final states, and the accounting record sequence (completion order).
 
+A second property pins the fast first fit itself: every indexed
+placement must equal the reference first fit (``Scheduler._plan_over``)
+over the same index candidates, plan and examined-node count alike.
+
 The streams also carry the paths where a dispatch pass is re-entered:
 prologs that fail (the hook failure drains the node and the job's finish
 frees the rest of its allocation in the middle of the pass), batch
@@ -101,7 +105,7 @@ def _cancel_unless_finished(sched, job):
 
 
 def _run_side(*, naive, jobs, admin, n_nodes, cores, mem_mb, gpus,
-              policy, backfill, requeue, faults=NO_FAULTS):
+              policy, backfill, requeue, faults=NO_FAULTS, on_build=None):
     userdb = UserDB()
     users = [userdb.add_user(f"user{i}") for i in range(4)]
     engine = Engine()
@@ -121,6 +125,8 @@ def _run_side(*, naive, jobs, admin, n_nodes, cores, mem_mb, gpus,
                                       naive=naive),
                       partitions=partitions,
                       prolog=_failing_prolog(faults["prolog"]))
+    if on_build is not None:
+        on_build(sched)
     submitted = []
     for i, (u, ntasks, cpt, mpt, gpt, excl, dur, at) in enumerate(jobs):
         spec = JobSpec(user=users[u], name=f"j{i}", ntasks=ntasks,
@@ -193,6 +199,50 @@ def test_indexed_dispatch_identical_to_naive(jobs, admin, n_nodes, cores,
     assert {j.job_id for j in fast_sched.pending()} == {
         j.job_id for j in fast_sched.jobs.values()
         if j.state is JobState.PENDING}
+
+
+def _check_each_placement(sched):
+    """Wrap the scheduler's fast first fit so that every call is checked
+    against the reference first fit over the same candidates."""
+    fast = sched._placement_indexed
+    scan = sched.metrics.counter("sched_dispatch_scan")
+
+    def checked(job):
+        spec = job.spec
+        policy = sched._policy_for(job)
+        names = sched._pindex[spec.partition].candidates(
+            policy=policy, uid=job.uid, cores_per_task=spec.cores_per_task,
+            whole=policy is NodeSharing.EXCLUSIVE or spec.exclusive)
+        want, examined = sched._plan_over(
+            job, (sched.nodes[n] for n in names))
+        before = scan.value
+        plan = fast(job)
+        assert scan.value - before == examined
+        assert _named(plan) == _named(want)
+        return plan
+    sched._placement_indexed = checked
+
+
+def _named(plan):
+    return None if plan is None else [(n.name, t) for n, t in plan]
+
+
+@settings(max_examples=50)
+@given(jobs=jobs_strategy, admin=admin_strategy,
+       n_nodes=st.integers(min_value=1, max_value=6),
+       cores=st.integers(min_value=2, max_value=8),
+       mem_mb=st.sampled_from([4000, 16000]),
+       gpus=st.integers(min_value=0, max_value=2),
+       policy=policies, backfill=st.booleans(), requeue=st.booleans(),
+       faults=faults_strategy)
+@example(backfill=True, **MEMORY_FULL_CORES_FREE)
+def test_fast_first_fit_equals_reference_over_candidates(
+        jobs, admin, n_nodes, cores, mem_mb, gpus, policy, backfill,
+        requeue, faults):
+    _run_side(naive=False, jobs=jobs, admin=admin, n_nodes=n_nodes,
+              cores=cores, mem_mb=mem_mb, gpus=gpus, policy=policy,
+              backfill=backfill, requeue=requeue, faults=faults,
+              on_build=_check_each_placement)
 
 
 @settings(max_examples=25)

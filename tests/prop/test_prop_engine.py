@@ -1,7 +1,7 @@
 """Property-based tests: engine ordering, metrics integrals, RNG."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim import Engine, TimeWeighted, make_rng, poisson_arrivals
@@ -34,6 +34,76 @@ def test_cancellation_removes_exactly_that_event(ts, cut):
     eng.run()
     assert victim not in fired
     assert len(fired) == len(ts) - 1
+
+
+engine_ops = st.lists(
+    st.one_of(
+        # schedule *count* events *delay* after now (ties are the point);
+        # a spawning event schedules one more at its own time when it fires
+        st.tuples(st.just("at"), st.integers(0, 3), st.integers(1, 20),
+                  st.booleans()),
+        # cancel *span* handles from the *start*-th one on (modulo the
+        # handles issued): fired, cancelled or live alike
+        st.tuples(st.just("cancel"), st.integers(0, 400),
+                  st.integers(1, 60), st.just(False)),
+        st.tuples(st.just("step"), st.just(0), st.just(0), st.just(False)),
+        st.tuples(st.just("run"), st.integers(0, 3), st.just(0),
+                  st.just(False)),
+    ),
+    max_size=60)
+
+
+#: a cancel storm: 60 of 80 tied events cancelled, then a sweep
+CANCEL_STORM = [("at", 1, 20, True)] * 4 + [("cancel", 10, 60, False),
+                                            ("step", 0, 0, False),
+                                            ("run", 3, 0, False)]
+
+
+@given(ops=engine_ops)
+@example(ops=CANCEL_STORM)
+def test_ties_fire_in_insertion_order_and_pending_stays_exact(ops):
+    """Against a model of the live events: every firing is the earliest
+    (time, insertion) pair alive, a cancelled event never fires, and
+    ``pending`` equals the model's count after every operation, through
+    the tombstone compactions that cancel storms trigger."""
+    eng = Engine()
+    live: dict[int, float] = {}     # insertion index -> time
+    handles = []
+    fired: list[tuple[float, int]] = []
+
+    def schedule(t, spawns):
+        i = len(handles)
+
+        def action():
+            assert live.pop(i) == eng.now
+            fired.append((eng.now, i))
+            if spawns:
+                schedule(eng.now, False)
+        handles.append(eng.at(t, action))
+        live[i] = t
+
+    for op, a, b, spawns in ops:
+        if op == "at":
+            for _ in range(b):
+                schedule(eng.now + a, spawns)
+        elif op == "cancel":
+            start = a % max(1, len(handles))
+            for i in range(start, min(start + b, len(handles))):
+                eng.cancel(handles[i])
+                live.pop(i, None)
+        elif op == "step":
+            due = min(((t, i) for i, t in live.items()), default=None)
+            assert eng.step() is (due is not None)
+            if due is not None:
+                assert fired[-1] == due
+        else:
+            until = eng.now + a
+            eng.run(until=until)
+            assert eng.now == until
+            assert all(t > until for t in live.values())
+        assert eng.pending == len(live)
+    assert fired == sorted(fired)
+    assert len(set(fired)) == len(fired)
 
 
 segments = st.lists(

@@ -9,7 +9,12 @@ step, structural invariants must hold regardless of order:
 * finished jobs hold no allocations, and every running job's allocations
   are mirrored on the nodes;
 * a plain user's ``squeue`` under PrivateData, served from the per-uid
-  live-job index, equals a full filter of the job table by uid.
+  live-job index, equals a full filter of the job table by uid;
+* each node's free counters and tenant-uid view equal what its
+  allocation table sums to;
+* each partition's free-capacity index equals one rebuilt from scratch
+  (drains, resumes and failures included), so incremental updates move
+  every membership they should and no other.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.sched import (
     Scheduler,
     SchedulerConfig,
 )
+from repro.sched.dispatch_index import PartitionIndex
 from repro.sched.privatedata import PrivateData, SchedulerView
 from repro.sim import Engine
 
@@ -72,6 +78,17 @@ class SchedulerMachine(RuleBasedStateMachine):
         if not job.state.finished:
             self.sched.cancel(job, by=job.spec.user)
 
+    @rule(kind=st.sampled_from(["drain", "resume", "fail"]),
+          node_i=st.integers(0, 2))
+    def administer(self, kind, node_i):
+        name = self.cnodes[node_i].name
+        if kind == "drain":
+            self.sched.drain(name)
+        elif kind == "resume":
+            self.sched.resume(name)
+        else:
+            self.sched.fail_node(name)
+
     @invariant()
     def no_overcommit(self):
         for node in self.cnodes:
@@ -106,6 +123,31 @@ class SchedulerMachine(RuleBasedStateMachine):
     @invariant()
     def private_squeue_is_own_unfinished_jobs(self):
         assert_private_squeue_matches_job_table(self.sched, self.users)
+
+    @invariant()
+    def node_counters_match_allocation_table(self):
+        for node in self.cnodes:
+            allocs = node.allocations.values()
+            assert node.free_cores == \
+                node.total_cores - sum(a.cores for a in allocs)
+            assert node.free_mem_mb == \
+                node.total_mem_mb - sum(a.mem_mb for a in allocs)
+            held = [i for a in allocs for i in a.gpu_indices]
+            assert node.free_gpus == len(node.gpus) - len(held)
+            assert node.uids == {self.sched.jobs[jid].uid
+                                 for jid in node.allocations}
+
+    @invariant()
+    def dispatch_index_matches_a_rebuild(self):
+        for index in self.sched._pindex.values():
+            fresh = PartitionIndex(index.partition, self.sched.nodes)
+            assert index_state(index) == index_state(fresh)
+
+
+def index_state(index: PartitionIndex) -> tuple:
+    """Every membership a :class:`PartitionIndex` records."""
+    return (index.idle, index.by_cores, index.open_all, index.user_nodes,
+            index._bucket_of, index._user_of)
 
 
 def assert_private_squeue_matches_job_table(sched, users):

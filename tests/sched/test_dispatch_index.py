@@ -9,8 +9,10 @@ maintained queues and core-second accumulators stay truthful.
 
 from __future__ import annotations
 
-from repro.sched import JobState, NodeSharing
+from repro.kernel import LinuxNode, NodeSpec
+from repro.sched import ComputeNode, JobState, NodeSharing
 from repro.sched.dispatch_index import PartitionIndex
+from repro.sched.jobs import Allocation
 from tests.sched.conftest import build_sched, spec
 
 
@@ -65,6 +67,18 @@ class TestIndexMaintenance:
         sched.submit(spec(userdb, "bob"), duration=10.0)
         engine.run(until=1.0)
         assert _index(sched).user_nodes == {}
+
+    def test_preseeded_allocation_table_charges_counters(self, userdb):
+        node = ComputeNode.create(LinuxNode(
+            "n1", userdb, spec=NodeSpec(cores=8, mem_mb=8000, gpus=2)))
+        seeded = ComputeNode(node=node.node, gpus=node.gpus, allocations={
+            7: Allocation(node="n1", tasks=2, cores=3, mem_mb=2500,
+                          gpu_indices=[1])})
+        assert (seeded.free_cores, seeded.free_mem_mb, seeded.free_gpus) \
+            == (5, 5500, 1)
+        assert (seeded.used_cores, seeded.used_mem_mb) == (3, 2500)
+        assert seeded.used_gpu_indices == {1}
+        assert seeded.free_gpu_indices == [0]
 
     def test_candidates_preserve_declaration_order(self, userdb):
         engine, sched = build_sched(userdb, n_nodes=4)
