@@ -383,9 +383,9 @@ class Scheduler:
             return None
         # The index already leaves out failed and drained nodes and nodes
         # the policy closes to this job; the loop checks both again, as
-        # the reference does, so a stale index could cost time but never
-        # a placement.  A busy node takes no whole-node job, and under
-        # whole-node-per-user only jobs of its sole tenant.
+        # the reference does, so a node the index failed to drop costs
+        # time, never a separation.  A busy node takes no whole-node job,
+        # and under whole-node-per-user only jobs of its sole tenant.
         own_only = not whole and policy is NodeSharing.WHOLE_NODE_USER
         mpt, gpt = spec.mem_mb_per_task, spec.gpus_per_task
         nodes = self.nodes
