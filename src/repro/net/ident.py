@@ -49,15 +49,15 @@ def local_ident(stack: HostStack, proto: Proto,
                 port: int) -> IdentReply | None:
     """The identd answer about a port on *stack*'s own host: its owner's
     uid, current egid and groups, or None when nobody owns it."""
-    owner = stack.socket_owner(proto, port)
-    if owner is None:
+    sock = stack.lookup(proto, port)
+    if sock is None:
         return None
-    creds = owner.creds
+    creds = sock.owner.creds
     return IdentReply(uid=creds.uid, egid=creds.egid, groups=creds.groups)
 
 
-def remote_ident_query(fabric: Fabric, from_host: str, target_host: str,
-                       proto: Proto, port: int) -> IdentReply | None:
+def remote_ident_query(fabric: Fabric, target_host: str, proto: Proto,
+                       port: int) -> IdentReply | None:
     """The receiving system's daemon querying the initiating system.
 
     Counts one round trip in the fabric metrics (priced by the E8 cost
@@ -73,17 +73,16 @@ def remote_ident_query(fabric: Fabric, from_host: str, target_host: str,
     counted under ``ident_query_failures`` and does **not** count as a
     completed round trip.
     """
-    faults = getattr(fabric, "faults", None)
-    if faults is not None and not faults.ident_attempt_ok(target_host):
+    faults = fabric.faults
+    if not faults.ident_attempt_ok(target_host):
         fabric.metrics.counter("ident_query_failures").inc()
         raise IdentUnavailable(f"ident query to {target_host} unanswered")
-    if faults is not None:
-        forged = faults.spoofed_reply(target_host)
-        if forged is not None:
-            # a compromised responder still costs a round trip; the lie is
-            # for the querying daemon's local cross-check to catch
-            fabric.metrics.counter("ident_round_trips").inc()
-            return forged
+    forged = faults.spoofed_reply(target_host)
+    if forged is not None:
+        # a compromised responder still costs a round trip; the lie is
+        # for the querying daemon's local cross-check to catch
+        fabric.metrics.counter("ident_round_trips").inc()
+        return forged
     responder = fabric.host(target_host)  # an unknown host costs no trip
     fabric.metrics.counter("ident_round_trips").inc()
     return local_ident(responder, proto, port)

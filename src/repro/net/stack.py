@@ -1,16 +1,17 @@
 """Simulated IP fabric: per-host stacks, TCP connections, UDP datagrams.
 
 The fabric connects the cluster's :class:`~repro.kernel.node.LinuxNode`
-hosts.  Every inbound packet traverses the destination host's
-:class:`~repro.net.firewall.Firewall` INPUT chain, so the UBF's
-nfqueue/conntrack data path is exercised exactly as deployed: connection
-*setup* pays the userspace decision, established traffic rides the conntrack
-fast path.
+hosts.  Every packet — SYN, segment or datagram — takes one transmit step
+through the destination host's :class:`~repro.net.firewall.Firewall` INPUT
+chain, so the UBF's nfqueue/conntrack data path is exercised exactly as
+deployed: connection *setup* pays the userspace decision, established
+traffic rides the conntrack fast path.
 
 Sockets are owned by kernel processes; the owning process's *current*
 credentials are what ident reports and what the UBF's group rule reads
 (paper: "the primary group of the listening process can be controlled via
-standard Linux tools such as newgrp or sg").
+standard Linux tools such as newgrp or sg").  Only :meth:`HostStack.close`
+releases a socket; a closing connection goes through it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class BoundSocket:
     listening: bool = False
     accept_queue: deque = field(default_factory=deque)
     datagrams: deque = field(default_factory=deque)  # UDP inbox
-    closed: bool = False
+    closed: bool = False  # released: written by HostStack.close only
     #: UDP flows committed through this socket, at either end; closing it
     #: evicts them on both hosts, as Connection.close does for TCP
     flows: set = field(default_factory=set)
@@ -63,10 +64,6 @@ class BoundSocket:
     @property
     def owner_uid(self) -> int:
         return self.owner.creds.uid
-
-    @property
-    def owner_egid(self) -> int:
-        return self.owner.creds.egid
 
 
 class ConnectionEnd:
@@ -98,12 +95,15 @@ class ConnectionEnd:
 class Connection:
     """An established TCP connection (both directions)."""
 
-    def __init__(self, fabric: "Fabric", flow: FiveTuple,
-                 client_proc: Process, server_sock: BoundSocket,
+    def __init__(self, client_stack: "HostStack", flow: FiveTuple,
+                 client_proc: Process, server_stack: "HostStack",
+                 server_sock: BoundSocket,
                  client_sock: BoundSocket | None = None):
-        self.fabric = fabric
+        self.fabric = client_stack.fabric
         self.flow = flow  # client -> server orientation
+        self.client_stack = client_stack
         self.client_proc = client_proc
+        self.server_stack = server_stack
         self.server_sock = server_sock
         self.client_sock = client_sock
         self._to_server: deque[bytes] = deque()
@@ -117,26 +117,18 @@ class Connection:
         return self.client_proc.creds.uid
 
     def send(self, side: str, data: bytes) -> int:
-        """Send data; the packet traverses the *receiving* host's firewall
-        (conntrack fast path after setup)."""
+        """Send data; the segment takes the transmit step to the
+        *receiving* host (conntrack fast path after setup)."""
         if self.closed:
             raise NotConnected("connection closed")
         if side == "client":
-            flow, inbox = self.flow, self._to_server
-            dst = self.flow.dst_host
-            sender_uid = self.client_uid
+            flow, dst, inbox = self.flow, self.server_stack, self._to_server
+            sender = self.client_proc
         else:
-            flow, inbox = self.flow.reversed(), self._to_client
-            dst = self.flow.src_host
-            sender_uid = self.server_sock.owner_uid
-        self.fabric.check_transit(flow.src_host, dst)
-        pkt = Packet(flow, ConnState.NEW, payload_len=len(data),
-                     src_uid=sender_uid)
-        verdict = self.fabric.host(dst).firewall.evaluate(pkt)
-        self.fabric.metrics.counter("packets_sent").inc()
-        if verdict is not Verdict.ACCEPT:
-            self.fabric.metrics.counter("packets_dropped").inc()
-            raise TimedOut(f"packet dropped by {dst} firewall")
+            flow, dst, inbox = (self.flow.reversed(), self.client_stack,
+                                self._to_client)
+            sender = self.server_sock.owner
+        self.fabric._transmit(flow, dst, sender.creds.uid, data)
         inbox.append(bytes(data))
         return len(data)
 
@@ -149,10 +141,12 @@ class Connection:
         return inbox.popleft()
 
     def close(self) -> None:
+        """Close both ends: release the client's ephemeral port and evict
+        the flow on both hosts."""
         if not self.closed:
             self.closed = True
             if self.client_sock is not None:
-                self.client_sock.closed = True  # release the ephemeral port
+                self.client_stack.close(self.client_sock)
             self.fabric.untrack(self.flow, reason="close")
 
 
@@ -216,15 +210,11 @@ class HostStack:
         sock = self._sockets.get((proto, port))
         return None if sock is None or sock.closed else sock
 
-    def socket_owner(self, proto: Proto, port: int) -> Process | None:
-        """What the local identd consults: who owns this port."""
-        sock = self.lookup(proto, port)
-        return sock.owner if sock else None
-
     def close(self, sock: BoundSocket) -> None:
-        """Release *sock*.  Its datagram flows go with it, on both hosts:
-        left tracked, a flow would let its peer reach whoever binds this
-        port next via the fast path, with no UBF decision."""
+        """Release *sock*: the one release path, which a closing connection
+        takes too.  Its datagram flows go with it, on both hosts: left
+        tracked, a flow would let its peer reach whoever binds this port
+        next via the fast path, with no UBF decision."""
         sock.closed = True
         for flow in list(sock.flows):  # untrack empties the set
             self.fabric.untrack(flow, reason="close")
@@ -243,17 +233,7 @@ class HostStack:
             dst = self.fabric.host(dst_host)
             flow = FiveTuple(Proto.TCP, self.hostname, src_sock.port,
                              dst_host, dst_port)
-            pkt = Packet(flow, ConnState.NEW, src_uid=process.creds.uid)
-            self.fabric.metrics.counter("connect_attempts").inc()
-            try:
-                self.fabric.check_transit(self.hostname, dst_host)
-            except TimedOut:
-                self.fabric.metrics.counter("connects_denied").inc()
-                raise
-            verdict = dst.firewall.evaluate(pkt)
-            if verdict is not Verdict.ACCEPT:
-                self.fabric.metrics.counter("connects_denied").inc()
-                raise TimedOut(f"connect {dst_host}:{dst_port} dropped")
+            self.fabric._transmit(flow, dst, process.creds.uid)
             listener = dst.lookup(Proto.TCP, dst_port)
             if listener is None or not listener.listening:
                 dst.firewall.conntrack.evict(flow, reason="refused")
@@ -264,8 +244,7 @@ class HostStack:
         # the initiator tracks its own connection, as Linux conntrack does
         # for an outgoing SYN: replies arrive ESTABLISHED, not NEW
         self.firewall.conntrack.commit(flow)
-        conn = Connection(self.fabric, flow, process, listener,
-                          client_sock=src_sock)
+        conn = Connection(self, flow, process, dst, listener, src_sock)
         listener.accept_queue.append(conn)
         self.fabric.metrics.counter("connects_established").inc()
         return conn.client
@@ -303,14 +282,7 @@ class HostStack:
             dst = self.fabric.host(dst_host)
             flow = FiveTuple(Proto.UDP, self.hostname, src_sock.port,
                              dst_host, dst_port)
-            pkt = Packet(flow, ConnState.NEW, payload_len=len(data),
-                         src_uid=process.creds.uid)
-            self.fabric.metrics.counter("packets_sent").inc()
-            self.fabric.check_transit(self.hostname, dst_host)
-            verdict = dst.firewall.evaluate(pkt)
-            if verdict is not Verdict.ACCEPT:
-                self.fabric.metrics.counter("packets_dropped").inc()
-                raise TimedOut(f"datagram to {dst_host}:{dst_port} dropped")
+            self.fabric._transmit(flow, dst, process.creds.uid, data)
             receiver = dst.lookup(Proto.UDP, dst_port)
             if receiver is None:
                 # Mirror the TCP refusal path: the verdict committed a flow
@@ -362,7 +334,7 @@ class HostStack:
         flow = FiveTuple(Proto.TCP, self.hostname,
                          -next(self._abstract_flow_ids),
                          self.hostname, -1)
-        conn = Connection(self.fabric, flow, process, sock)
+        conn = Connection(self, flow, process, self, sock)
         # bypass the firewall entirely: local kernel object, not IP
         self.firewall.conntrack.commit(flow)
         sock.accept_queue.append(conn)
@@ -439,6 +411,25 @@ class Fabric:
                 raise TimedOut(f"host unreachable: {endpoint}")
         if self.faults.drop_packet(dst_host):
             raise TimedOut(f"packet to {dst_host} lost")
+
+    def _transmit(self, flow: FiveTuple, dst: HostStack, uid: int,
+                  data: bytes | None = None) -> None:
+        """The one transmit step of every SYN (*data* None), segment and
+        datagram, to *dst*, the stack its caller resolved: count the
+        attempt, cross the fabric (a loss raises there and is counted only
+        by the fault counters), walk *dst*'s INPUT chain, and on a DROP
+        count it and raise :class:`TimedOut`."""
+        syn = data is None
+        self.metrics.counter("connect_attempts" if syn
+                             else "packets_sent").inc()
+        self.check_transit(flow.src_host, flow.dst_host)
+        pkt = Packet(flow, ConnState.NEW, payload_len=0 if syn else len(data),
+                     src_uid=uid)
+        if dst.firewall.evaluate(pkt) is not Verdict.ACCEPT:
+            self.metrics.counter("connects_denied" if syn
+                                 else "packets_dropped").inc()
+            raise TimedOut(f"{'connect' if syn else 'packet to'} "
+                           f"{flow.dst_host}:{flow.dst_port} dropped")
 
     def untrack(self, flow: FiveTuple, reason: str) -> None:
         """Evict *flow* from the conntrack of both hosts it joins; a

@@ -429,9 +429,8 @@ class UBFDaemon:
         attempts = 1 + max(0, self.ident_retries)
         for attempt in range(attempts):
             try:
-                return remote_ident_query(self.fabric, self.stack.hostname,
-                                          flow.src_host, flow.proto,
-                                          flow.src_port)
+                return remote_ident_query(self.fabric, flow.src_host,
+                                          flow.proto, flow.src_port)
             except NoSuchEntity as exc:
                 raise IdentUnavailable(
                     f"peer host {flow.src_host!r} unknown") from exc
