@@ -45,6 +45,10 @@ class Process:
     rss_mb: int = 10
     environ: dict[str, str] = field(default_factory=dict)
     exit_code: int | None = None
+    #: each socket the process holds open — bound sockets and the TCP
+    #: connections it is either end of — mapped to the call that releases
+    #: it; exit makes every call (None until the process holds one)
+    sockets: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def comm(self) -> str:
@@ -148,10 +152,16 @@ class ProcessTable:
             self.reap(pid, exit_code=-sig)
 
     def reap(self, pid: int, exit_code: int = 0) -> None:
+        """Exit *pid*: mark it dead and close every socket it holds."""
         proc = self.get(pid)
         self._unindex(proc)
         proc.state = ProcState.DEAD
         proc.exit_code = exit_code
+        held = proc.sockets
+        if held is not None:
+            proc.sockets = None  # so no release pops from the dict walked
+            for handle, release in held.items():
+                release(handle)
 
     def kill_job(self, job_id: int) -> list[int]:
         """Kernel-side cleanup of every process of a job (scheduler epilog).

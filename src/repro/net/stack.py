@@ -11,7 +11,7 @@ Sockets are owned by kernel processes; the owning process's *current*
 credentials are what ident reports and what the UBF's group rule reads
 (paper: "the primary group of the listening process can be controlled via
 standard Linux tools such as newgrp or sg").  Only :meth:`HostStack.close`
-releases a socket; a closing connection goes through it.
+releases a socket; a closing connection and the owner's exit go through it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from repro.sim.metrics import MetricSet
 EPHEMERAL_START = 49152
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundSocket:
-    """A socket bound to (host, proto, port) by a process."""
+    """A socket bound to (host, proto, port) by a process; hashed by
+    identity, as its owner's ``sockets`` table keys on it."""
 
     host: str
     proto: Proto
@@ -93,7 +94,10 @@ class ConnectionEnd:
 
 
 class Connection:
-    """An established TCP connection (both directions)."""
+    """An established TCP connection (both directions).
+
+    Its client process and the listener's owner both hold it, so either
+    one's exit closes it."""
 
     def __init__(self, client_stack: "HostStack", flow: FiveTuple,
                  client_proc: Process, server_stack: "HostStack",
@@ -111,6 +115,9 @@ class Connection:
         self.closed = False
         self.client = ConnectionEnd(self, "client")
         self.server = ConnectionEnd(self, "server")
+        # both have a table: each bound a socket, or abstract_connect made it
+        client_proc.sockets[self] = server_sock.owner.sockets[self] = \
+            Connection.close
 
     @property
     def client_uid(self) -> int:
@@ -145,6 +152,9 @@ class Connection:
         the flow on both hosts."""
         if not self.closed:
             self.closed = True
+            for proc in (self.client_proc, self.server_sock.owner):
+                if proc.sockets is not None:
+                    proc.sockets.pop(self, None)
             if self.client_sock is not None:
                 self.client_stack.close(self.client_sock)
             self.fabric.untrack(self.flow, reason="close")
@@ -174,6 +184,7 @@ class HostStack:
         self._abstract: dict[str, BoundSocket] = {}
         self._ephemeral = itertools.count(EPHEMERAL_START)
         self._abstract_flow_ids = itertools.count(2)  # -1 is the UDS "port"
+        self._release = self.close  # one bound method for every socket
         node.net = self
         fabric.attach(self)
 
@@ -193,6 +204,9 @@ class HostStack:
             raise AddressInUse(f"{self.hostname}:{port}/{proto.value}")
         sock = BoundSocket(self.hostname, proto, port, process)
         self._sockets[key] = sock
+        if process.sockets is None:
+            process.sockets = {}
+        process.sockets[sock] = self._release
         return sock
 
     def bind_ephemeral(self, process: Process, proto: Proto) -> BoundSocket:
@@ -212,10 +226,12 @@ class HostStack:
 
     def close(self, sock: BoundSocket) -> None:
         """Release *sock*: the one release path, which a closing connection
-        takes too.  Its datagram flows go with it, on both hosts: left
-        tracked, a flow would let its peer reach whoever binds this port
-        next via the fast path, with no UBF decision."""
+        and the owner's exit take too.  Its datagram flows go with it, on
+        both hosts: left tracked, a flow would let its peer reach whoever
+        binds this port next via the fast path, with no UBF decision."""
         sock.closed = True
+        if sock.owner.sockets is not None:
+            sock.owner.sockets.pop(sock, None)
         for flow in list(sock.flows):  # untrack empties the set
             self.fabric.untrack(flow, reason="close")
 
@@ -313,20 +329,25 @@ class HostStack:
         Abstract sockets live in a per-host namespace with *no* filesystem
         permissions — one of the residual cross-user channels Section V
         admits remains even under the full LLSC configuration.  Nothing here
-        checks credentials, faithfully."""
-        if name in self._abstract:
+        checks credentials, faithfully.  A closed socket's name is free."""
+        existing = self._abstract.get(name)
+        if existing is not None and not existing.closed:
             raise AddressInUse(f"@{name}")
         sock = BoundSocket(self.hostname, Proto.TCP, -1, process,
                            listening=True)
         self._abstract[name] = sock
+        if process.sockets is None:
+            process.sockets = {}
+        process.sockets[sock] = self._release
         return sock
 
     def abstract_connect(self, process: Process, name: str) -> ConnectionEnd:
         """Connect to an abstract UDS on this host: no firewall, no DAC."""
-        try:
-            sock = self._abstract[name]
-        except KeyError:
-            raise ConnectionRefused(f"@{name}") from None
+        sock = self._abstract.get(name)
+        if sock is None or sock.closed:
+            raise ConnectionRefused(f"@{name}")
+        if process.sockets is None:  # Connection needs the client's table
+            process.sockets = {}
         # Deterministic flow identity: a per-stack counter in the negative
         # port space (dst is -1, sources are -2, -3, ...).  A salted
         # hash(name) here would make flows, conntrack keys and exported

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import LLSC, Cluster
 from repro.kernel.errors import (
     AddressInUse,
     ConnectionRefused,
@@ -269,6 +270,32 @@ class TestAbstractUds:
         conn.send(b"hello")
         assert nodes["c1"].net.abstract_accept("ipc").recv() == b"hello"
 
+    def test_closed_name_is_released(self, open_fabric, userdb):
+        """Closing an abstract socket frees its name: a connect is refused
+        and the name can be bound again."""
+        _, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        net.close(net.abstract_bind(alice, "ipc"))
+        with pytest.raises(ConnectionRefused):
+            net.abstract_connect(alice, "ipc")
+        bob = proc_on(nodes, "c1", userdb, "bob")
+        fresh = net.abstract_bind(bob, "ipc")
+        net.abstract_connect(alice, "ipc").send(b"to bob")
+        assert fresh.accept_queue
+        assert net.abstract_accept("ipc").recv() == b"to bob"
+
+    def test_owner_exit_releases_the_name(self, open_fabric, userdb):
+        _, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        net.abstract_bind(alice, "ipc")
+        conn = net.abstract_connect(proc_on(nodes, "c1", userdb, "alice"),
+                                    "ipc")
+        nodes["c1"].procs.reap(alice.pid)
+        assert not conn.open
+        net.abstract_bind(proc_on(nodes, "c1", userdb, "bob"), "ipc")
+
 
 class TestSocketAPI:
     def test_endpoint_via_syscalls(self, open_fabric, userdb):
@@ -282,3 +309,99 @@ class TestSocketAPI:
         conn = cli_sys.socket().connect("c2", 5000)
         conn.send(b"via syscalls")
         assert srv_sys.socket().accept(listener).recv() == b"via syscalls"
+
+
+class TestProcessExit:
+    """A process's exit closes what it holds: its sockets and every
+    connection it is either end of, untracked on both hosts."""
+
+    def _tracked(self, fabric):
+        return {h: fabric.host(h).firewall.conntrack.flows()
+                for h in ("c1", "c2")}
+
+    def test_exit_releases_bound_ports(self, open_fabric, userdb):
+        _, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        net.listen(net.bind(alice, 5000))
+        net.bind(alice, 6000, Proto.UDP)
+        nodes["c1"].procs.reap(alice.pid)
+        assert net.lookup(Proto.TCP, 5000) is None
+        assert net.lookup(Proto.UDP, 6000) is None
+        assert alice.sockets is None
+        net.bind(proc_on(nodes, "c1", userdb, "bob"), 5000)
+
+    def test_dead_process_udp_flows_leave_both_hosts(self, open_fabric,
+                                                     userdb):
+        fabric, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        inbox = nodes["c2"].net.bind(srv, 6000, Proto.UDP)
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        out = nodes["c1"].net.bind_ephemeral(cli, Proto.UDP)
+        nodes["c1"].net.sendto(cli, "c2", 6000, b"q", src_sock=out)
+        assert all(self._tracked(fabric).values())
+        nodes["c1"].procs.reap(cli.pid)
+        assert out.closed and inbox.flows == set()
+        assert self._tracked(fabric) == {"c1": [], "c2": []}
+
+    @pytest.mark.parametrize("who", ["server", "client"])
+    def test_either_ends_exit_closes_the_connection(self, open_fabric,
+                                                    userdb, who):
+        fabric, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        listener = nodes["c2"].net.listen(nodes["c2"].net.bind(srv, 5000))
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        client = nodes["c1"].net.connect(cli, "c2", 5000)
+        server = nodes["c2"].net.accept(listener)
+        port = client._conn.client_sock.port
+        host, dead = ("c2", srv) if who == "server" else ("c1", cli)
+        nodes[host].procs.reap(dead.pid)
+        for end in (client, server):
+            assert not end.open
+            with pytest.raises(NotConnected):
+                end.send(b"x")
+        assert self._tracked(fabric) == {"c1": [], "c2": []}
+        assert nodes["c1"].net.lookup(Proto.TCP, port) is None
+        assert cli.sockets in (None, {})
+
+    def test_pending_connection_closes_with_its_listener_owner(
+            self, open_fabric, userdb):
+        """A connection still in the accept queue is the listener owner's
+        too."""
+        fabric, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        nodes["c2"].net.listen(nodes["c2"].net.bind(srv, 5000))
+        client = nodes["c1"].net.connect(
+            proc_on(nodes, "c1", userdb, "alice"), "c2", 5000)
+        nodes["c2"].procs.reap(srv.pid)
+        assert not client.open
+        assert self._tracked(fabric) == {"c1": [], "c2": []}
+
+    def test_closed_handles_are_not_kept(self, open_fabric, userdb):
+        """A process keeps no entry for what it already closed."""
+        _, nodes, _ = open_fabric
+        srv = proc_on(nodes, "c2", userdb, "alice")
+        listener = nodes["c2"].net.listen(nodes["c2"].net.bind(srv, 5000))
+        cli = proc_on(nodes, "c1", userdb, "alice")
+        for _ in range(3):
+            nodes["c1"].net.connect(cli, "c2", 5000).close()
+        assert cli.sockets == {}
+        assert list(srv.sockets) == [listener]
+
+    def test_next_tenant_binds_a_finished_jobs_port(self):
+        """The epilog's kill releases the job's ports: the next tenant of
+        the node can bind them."""
+        cluster = Cluster.build(LLSC, n_compute=1, users=("alice", "bob"))
+        first = cluster.submit("alice", duration=100.0)
+        cluster.run(until=1.0)
+        shell = cluster.job_session(first)
+        net = shell.node.net
+        sock = net.listen(net.bind(shell.process, 5000))
+        assert net.lookup(Proto.TCP, 5000) is sock
+        second = cluster.submit("bob", duration=100.0)
+        cluster.run(until=150.0)
+        assert first.state.finished and second.allocations
+        assert net.lookup(Proto.TCP, 5000) is None
+        bob = cluster.job_session(second)
+        assert bob.node is shell.node
+        net.listen(net.bind(bob.process, 5000))

@@ -11,7 +11,7 @@ import pytest
 from repro import Cluster, LLSC, run_battery, smask_relax
 from repro.core.compliance import check_compliance
 from repro.core.report import posture_report
-from repro.kernel.errors import KernelError
+from repro.kernel.errors import ConnectionRefused, KernelError
 from repro.modules import ModuleFile, ModuleSystem, publish_module
 from repro.monitor import audited_session, detect_probe_patterns, instrument_cluster
 from repro.portal.webapp import launch_webapp
@@ -71,10 +71,14 @@ def world():
     with pytest.raises(KernelError):
         scp(cluster, mallory, "dtn1:/scratch/stage.bin", "/tmp/loot")
 
+    # alice reaches her notebook through the portal while its job runs
+    page = cluster.portal.connect(cluster.portal.login("alice").token,
+                                  app.app_id)
+
     cluster.run(until=6000.0)
     return cluster, log, {
         "sb_jobs": sb_jobs, "pi_job": pi_job, "train": train,
-        "nb_job": nb_job, "app": app,
+        "nb_job": nb_job, "app": app, "page": page,
     }
 
 
@@ -90,9 +94,11 @@ class TestEverythingAtOnce:
 
     def test_portal_worked_for_owner(self, world):
         cluster, _, jobs = world
+        assert b"alice-nb" in jobs["page"]
+        # the notebook's job has ended, and its listener went with it
         token = cluster.portal.login("alice").token
-        assert b"alice-nb" in cluster.portal.connect(token,
-                                                     jobs["app"].app_id)
+        with pytest.raises(ConnectionRefused):
+            cluster.portal.connect(token, jobs["app"].app_id)
 
     def test_project_sharing_worked(self, world):
         cluster, _, _ = world
@@ -134,3 +140,10 @@ class TestEverythingAtOnce:
                         if p.job_id is not None
                         and cluster.scheduler.jobs[p.job_id].state.finished]
             assert leftover == []
+
+    def test_no_leftover_sockets(self, world):
+        cluster, _, _ = world
+        for stack in cluster.fabric.hosts():
+            held = [*stack._sockets.values(), *stack._abstract.values()]
+            assert [s for s in held
+                    if not s.closed and not s.owner.alive] == []
