@@ -133,8 +133,8 @@ def build_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
         sched.observers.append(oracle)
     if attribution is not None:
         # E26 measures the forensic plane's cost on this exact trial:
-        # `attribution` is a factory(engine) -> AttributionRegistry
-        sched.observers.append(attribution(engine))
+        # `attribution` is a factory(sched) -> AttributionRegistry
+        sched.observers.append(attribution(sched))
     for u, ntasks, cpt, duration, at in _workload(n_nodes, n_events):
         sched.submit(JobSpec(user=users[u], name="j", ntasks=ntasks,
                              cores_per_task=cpt, mem_mb_per_task=500),

@@ -69,9 +69,10 @@ def overhead_section(n_nodes: int, n_events: int, rounds: int = 3) -> dict:
     """
     registries: list[AttributionRegistry] = []
 
-    def factory(engine):
-        registry = AttributionRegistry(lambda: engine.now)
-        trail = AuditTrail(lambda: engine.now, registry)
+    def factory(sched):
+        clock = lambda: sched.engine.now  # noqa: E731
+        registry = AttributionRegistry(sched, clock)
+        trail = AuditTrail(clock, registry)
         registry.audit = trail
         registries.append(registry)
         return registry

@@ -75,10 +75,14 @@ class ProcessTable:
     def __init__(self, node_name: str = "node"):
         self.node_name = node_name
         self._pids = itertools.count(2)
-        self._procs: dict[int, Process] = {}
-        # Live-process indexes: procfs queries for a non-exempt viewer and
-        # the scheduler epilog must not scan every process ever spawned.
-        self._live: dict[int, Process] = {}          # pid -> live process
+        # Live processes only: reap drops a process from every index, so
+        # procfs queries for a non-exempt viewer and the scheduler epilog
+        # never scan what already exited.
+        self._procs: dict[int, Process] = {}         # pid -> live process
+        #: the process reaped last, which :meth:`get` still returns (a
+        #: caller may read the owner of a pid it listed just before the
+        #: exit); every earlier exit is gone
+        self._last_exit: Process | None = None
         self._by_uid: dict[int, dict[int, Process]] = {}
         self._by_job: dict[int, set[int]] = {}       # job_id -> live pids
         self._rss_mb = 0
@@ -90,15 +94,12 @@ class ProcessTable:
 
     def _index(self, proc: Process) -> None:
         self._procs[proc.pid] = proc
-        self._live[proc.pid] = proc
         self._by_uid.setdefault(proc.creds.uid, {})[proc.pid] = proc
         if proc.job_id is not None:
             self._by_job.setdefault(proc.job_id, set()).add(proc.pid)
         self._rss_mb += proc.rss_mb
 
     def _unindex(self, proc: Process) -> None:
-        if self._live.pop(proc.pid, None) is None:
-            return
         owned = self._by_uid.get(proc.creds.uid)
         if owned is not None:
             owned.pop(proc.pid, None)
@@ -124,26 +125,29 @@ class ProcessTable:
         return proc
 
     def get(self, pid: int) -> Process:
-        try:
-            return self._procs[pid]
-        except KeyError:
-            raise NoSuchProcess(f"pid {pid}") from None
+        """The live process *pid*, or the one reaped last."""
+        proc = self._procs.get(pid)
+        if proc is None:
+            proc = self._last_exit
+            if proc is None or proc.pid != pid:
+                raise NoSuchProcess(f"pid {pid}")
+        return proc
 
     def exists(self, pid: int) -> bool:
         return pid in self._procs
 
     def pids(self) -> list[int]:
         """All live pids — the *kernel's* view; procfs filters this."""
-        return sorted(self._live)
+        return sorted(self._procs)
 
     def processes(self) -> list[Process]:
-        return [self._live[p] for p in sorted(self._live)]
+        return [self._procs[p] for p in sorted(self._procs)]
 
     def kill(self, sender: Credentials, pid: int, sig: int = SIGTERM) -> None:
         """Signal *pid*; unprivileged senders need a uid match."""
-        proc = self.get(pid)
-        if not proc.alive:
-            raise NoSuchProcess(f"pid {pid} already dead")
+        proc = self._procs.get(pid)
+        if proc is None:
+            raise NoSuchProcess(f"pid {pid}")
         if not sender.is_root and sender.uid != proc.creds.uid:
             raise PermissionError_(
                 f"uid {sender.uid} may not signal pid {pid} (uid {proc.creds.uid})"
@@ -152,8 +156,13 @@ class ProcessTable:
             self.reap(pid, exit_code=-sig)
 
     def reap(self, pid: int, exit_code: int = 0) -> None:
-        """Exit *pid*: mark it dead and close every socket it holds."""
-        proc = self.get(pid)
+        """Exit *pid*: it leaves the table, marked dead on the caller's
+        :class:`Process`, and every socket it holds closes.  Reaping a
+        pid that is not live does nothing."""
+        proc = self._procs.pop(pid, None)
+        if proc is None:
+            return
+        self._last_exit = proc
         self._unindex(proc)
         proc.state = ProcState.DEAD
         proc.exit_code = exit_code

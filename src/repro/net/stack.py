@@ -228,10 +228,15 @@ class HostStack:
         """Release *sock*: the one release path, which a closing connection
         and the owner's exit take too.  Its datagram flows go with it, on
         both hosts: left tracked, a flow would let its peer reach whoever
-        binds this port next via the fast path, with no UBF decision."""
+        binds this port next via the fast path, with no UBF decision.  A
+        listener's connections never accepted are reset the same way:
+        both ends close and their flows leave both hosts."""
         sock.closed = True
         if sock.owner.sockets is not None:
             sock.owner.sockets.pop(sock, None)
+        pending = sock.accept_queue
+        while pending:
+            pending.popleft().close()
         for flow in list(sock.flows):  # untrack empties the set
             self.fabric.untrack(flow, reason="close")
 

@@ -13,7 +13,10 @@ forensic audit plane (:mod:`repro.obs.audit` stores the records,
 :func:`repro.obs.forensics.attach_forensics` wires both).  It is an
 :class:`~repro.observer.Observer` of the scheduler's job lifecycle, like
 telemetry and the oracle; the E26 benchmark holds the armed overhead
-under 5%.
+under 5%.  It keeps the contexts and no copy of who runs where:
+:meth:`~AttributionRegistry.resolve` reads placement from the scheduler
+it observes — the compute nodes' allocation tables and the per-uid
+live-job index — at the moment of the decision.
 
 Determinism: context trace ids are monotone counters (``a000001``), no
 randomness and no wall-clock — two identical runs produce byte-identical
@@ -28,17 +31,7 @@ from typing import Callable
 from repro.obs.audit import (_OP_DISPATCH, _OP_FINISH, _OP_GPU, _OP_LOGIN,
                              _OP_REQUEUE, _OP_SUBMIT)
 from repro.observer import Observer
-
-#: Index-journal opcodes: the live ``(uid, node) → jobs`` index is not
-#: maintained eagerly — lifecycle hooks append ``(op, uid, jid, nodes_csv)``
-#: scalar quads to a flat journal and :meth:`AttributionRegistry.
-#: _sync_index` replays it on the first :meth:`~AttributionRegistry.
-#: resolve`/:meth:`~AttributionRegistry.live_jobs` that needs it.  A pure
-#: scheduling run (the E24/E26 hot-path benchmark) never resolves, so it
-#: never pays for the index at all; enforcement-heavy runs replay small
-#: increments at each verdict, which is the same total work the eager
-#: version did.
-_J_START, _J_FINISH = 0, 1
+from repro.sched.jobs import JobState
 
 
 class AttributionContext:
@@ -97,17 +90,20 @@ class AttributionContext:
 
 
 class AttributionRegistry(Observer):
-    """Live index from ``(uid, node)`` to the responsible context.
+    """The causal contexts, and the ``(uid, node)`` → context question.
 
-    Observes the scheduler (``job_submitted`` / ``job_started`` /
+    Observes *scheduler* (``job_submitted`` / ``job_started`` /
     ``job_finished`` / ``job_requeued``) and is called by
     ``Cluster._open_session`` (``session_opened``); enforcement-side
-    consumers call :meth:`resolve`.  When an :class:`~repro.obs.audit.
-    AuditTrail` is attached (``registry.audit``), every lifecycle step is
-    also recorded there, giving each context its causal root record.
+    consumers call :meth:`resolve`, which reads placement from
+    *scheduler*.  When an :class:`~repro.obs.audit.AuditTrail` is
+    attached (``registry.audit``), every lifecycle step is also recorded
+    there, giving each context its causal root record.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None):
+    def __init__(self, scheduler, clock: Callable[[], float] | None = None):
+        #: the observed scheduler, whose placement :meth:`resolve` reads
+        self.scheduler = scheduler
         self.clock: Callable[[], float] = clock if clock is not None \
             else (lambda: 0.0)
         self._ids = itertools.count(1)
@@ -115,14 +111,6 @@ class AttributionRegistry(Observer):
         self.jobs: dict[int, AttributionContext] = {}
         #: (uid, node) → session context
         self.sessions: dict[tuple[int, str], AttributionContext] = {}
-        #: node → uid → job ids with a live allocation there (lazily
-        #: rebuilt from the ``_jlog`` journal; see the ``_J_*`` docs)
-        self._node_jobs: dict[str, dict[int, set[int]]] = {}
-        #: uid → job ids currently running anywhere (lazy, ditto)
-        self._uid_jobs: dict[int, set[int]] = {}
-        #: flat scalar journal of pending index updates + read cursor
-        self._jlog: list = []
-        self._jpos = 0
         #: optional AuditTrail fed one record per lifecycle step
         self.audit = None
 
@@ -131,9 +119,8 @@ class AttributionRegistry(Observer):
     # These run once per job lifecycle step on the scheduler's hot path
     # (the E26 < 5% overhead budget), so they retain only GC-invisible
     # scalars: audit rows extend the trail's flat row store directly
-    # (AuditTrail._sync renders the record strings lazily) and the live
-    # (uid, node) index is journalled, not maintained — _sync_index
-    # replays the journal on the first resolve that needs it.
+    # (AuditTrail._sync renders the record strings lazily).  Placement is
+    # not copied here: resolve reads it from the scheduler.
 
     def job_submitted(self, job) -> AttributionContext:
         """A job entered the system: open (or reuse) its context."""
@@ -154,7 +141,7 @@ class AttributionRegistry(Observer):
         return ctx
 
     def job_started(self, job, charged=None, useful=None) -> None:
-        """Dispatch succeeded: journal the nodes, record GPU grants (the
+        """Dispatch succeeded: note the nodes, record GPU grants (the
         core charges are not part of the causal record)."""
         jid, uid = job.job_id, job.uid
         ctx = self.jobs.get(jid) or self.job_submitted(job)
@@ -168,7 +155,6 @@ class AttributionRegistry(Observer):
             node0 = csv.partition(",")[0] if csv else None
         ctx._nodes_csv = csv
         ctx.attempts = job.attempt
-        self._jlog += (_J_START, uid, jid, csv)
         audit = self.audit
         if audit is not None:
             now = self.clock()
@@ -184,19 +170,18 @@ class AttributionRegistry(Observer):
                     audit._n += 1
 
     def job_finished(self, job, state) -> None:
-        """The job left its nodes: journal the de-index; the context
-        stays queryable."""
-        jid, uid = job.job_id, job.uid
+        """The job left its nodes: close its context, which stays
+        queryable."""
+        jid = job.job_id
         ctx = self.jobs.get(jid)
-        csv = ctx._nodes_csv if ctx is not None else ""
-        self._jlog += (_J_FINISH, uid, jid, csv)
         if ctx is not None:
             now = self.clock()
             ctx.closed_at = now
             audit = self.audit
             if audit is not None:
+                csv = ctx._nodes_csv
                 node0 = csv.partition(",")[0] if csv else None
-                audit._raw += (_OP_FINISH, now, uid, jid, node0,
+                audit._raw += (_OP_FINISH, now, job.uid, jid, node0,
                                ctx.trace_num, state.name.lower())
                 audit._n += 1
 
@@ -239,53 +224,16 @@ class AttributionRegistry(Observer):
 
     # -- resolution ---------------------------------------------------------
 
-    def _sync_index(self) -> None:
-        """Replay the journal into the live ``(uid, node)`` indexes.
-
-        Index sets are kept (empty) after their last job leaves so repeat
-        traffic reuses them instead of re-allocating.
-        """
-        log = self._jlog
-        pos, end = self._jpos, len(log)
-        if pos == end:
-            return
-        node_jobs, uid_jobs = self._node_jobs, self._uid_jobs
-        while pos < end:
-            op, uid, jid, csv = log[pos], log[pos + 1], log[pos + 2], \
-                log[pos + 3]
-            pos += 4
-            if op == _J_START:
-                for node in csv.split(","):
-                    per_uid = node_jobs.get(node)
-                    if per_uid is None:
-                        per_uid = node_jobs[node] = {}
-                    jobs = per_uid.get(uid)
-                    if jobs is None:
-                        jobs = per_uid[uid] = set()
-                    jobs.add(jid)
-                live = uid_jobs.get(uid)
-                if live is None:
-                    live = uid_jobs[uid] = set()
-                live.add(jid)
-            else:
-                if csv:
-                    for node in csv.split(","):
-                        per_uid = node_jobs.get(node)
-                        if per_uid is not None:
-                            jobs = per_uid.get(uid)
-                            if jobs is not None:
-                                jobs.discard(jid)
-                live = uid_jobs.get(uid)
-                if live is not None:
-                    live.discard(jid)
-        self._jpos = pos
-
-    def live_jobs(self, uid: int, node: str | None = None) -> list[int]:
-        """Job ids of *uid* running now (on *node* when given), sorted."""
-        self._sync_index()
-        if node is not None:
-            return sorted(self._node_jobs.get(node, {}).get(uid, ()))
-        return sorted(self._uid_jobs.get(uid, ()))
+    def _newest_on(self, uid: int, allocations) -> int:
+        """The largest job id in *allocations* (a node's table) whose
+        context belongs to *uid*; -1 when none does."""
+        jobs, best = self.jobs, -1
+        for jid in allocations:
+            if jid > best:
+                ctx = jobs.get(jid)
+                if ctx is not None and ctx.uid == uid:
+                    best = jid
+        return best
 
     def resolve(self, uid: int, node: str | None = None
                 ) -> AttributionContext | None:
@@ -294,19 +242,36 @@ class AttributionRegistry(Observer):
         Preference order: a live job on that exact node, then a live job
         anywhere (newest first — the most recent dispatch is the likeliest
         actor), then the ``(uid, node)`` session, then any session of the
-        uid.  ``None`` means the principal has no auditable entry point —
-        exactly the gap the E26 completeness assertion hunts for.
+        uid.  Placement comes from the scheduler: the node's allocation
+        table, then the per-uid live-job index — or, while the control
+        plane is crashed and that index is empty, every node's allocation
+        table, which a crash leaves in place.  A job without a context
+        (started before the registry attached) never resolves.  ``None``
+        means the principal has no auditable entry point — exactly the
+        gap the E26 completeness assertion hunts for.
         """
         if uid < 0:
             return None
-        self._sync_index()
+        jobs, sched = self.jobs, self.scheduler
         if node is not None:
-            on_node = self._node_jobs.get(node, {}).get(uid)
-            if on_node:
-                return self.jobs[max(on_node)]
-        anywhere = self._uid_jobs.get(uid)
-        if anywhere:
-            return self.jobs[max(anywhere)]
+            cn = sched.nodes.get(node)
+            if cn is not None:
+                best = self._newest_on(uid, cn.allocations)
+                if best >= 0:
+                    return jobs[best]
+        best = -1
+        if sched.crashed:
+            for cn in sched.nodes.values():
+                best = max(best, self._newest_on(uid, cn.allocations))
+        else:
+            live = sched._live.get(uid)
+            if live:
+                for jid, job in live.items():
+                    if (jid > best and job.state is JobState.RUNNING
+                            and jid in jobs):
+                        best = jid
+        if best >= 0:
+            return jobs[best]
         if node is not None:
             ctx = self.sessions.get((uid, node))
             if ctx is not None:

@@ -112,7 +112,7 @@ def attach_forensics(cluster, *, capacity: int = 256,
         return existing
     clock = lambda: cluster.engine.now  # noqa: E731
 
-    registry = AttributionRegistry(clock)
+    registry = AttributionRegistry(cluster.scheduler, clock)
     audit = AuditTrail(clock, registry)
     registry.audit = audit
     flight = FlightRecorder(

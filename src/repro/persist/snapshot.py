@@ -42,13 +42,13 @@ SNAPSHOT_KEY = "snapshot"
 
 # -- capture ---------------------------------------------------------------
 
-def capture(cluster, *, seq: int, cache: dict | None = None) -> dict:
+def capture(cluster, *, seq: int, cache: dict) -> dict:
     """Capture a snapshot of *cluster*'s control plane at journal *seq*.
 
-    *cache* (the persistence spine passes its own dict) memoises rows
-    that can no longer change — finished jobs and the append-only
-    accounting records — so repeated captures cost O(live state), not
-    O(everything that ever ran).  Without it every row is rebuilt.
+    *cache* (the persistence spine keeps one per cluster; start it empty)
+    memoises rows that can no longer change — finished jobs and the
+    append-only accounting records — so repeated captures cost O(live
+    state), not O(everything that ever ran).
     """
     sched = cluster.scheduler
     return {
@@ -95,21 +95,18 @@ def _capture_job(job) -> dict:
     }
 
 
-def _capture_scheduler(sched, cache: dict | None = None) -> dict:
+def _capture_scheduler(sched, cache: dict) -> dict:
     jobs = []
-    job_cache = None if cache is None else cache.setdefault("jobs", {})
+    job_cache = cache.setdefault("jobs", {})
     for j in sched.jobs.values():
-        if job_cache is not None and j.state.finished:
+        if j.state.finished:
             # a finished attempt never changes again; key on the facts
             # that would differ if this id were requeued and re-finished
             key = (j.state.value, j.attempt, j.end_time)
             hit = job_cache.get(j.job_id)
-            if hit is not None and hit[0] == key:
-                jobs.append(hit[1])
-                continue
-            row = _capture_job(j)
-            job_cache[j.job_id] = (key, row)
-            jobs.append(row)
+            if hit is None or hit[0] != key:
+                hit = job_cache[j.job_id] = (key, _capture_job(j))
+            jobs.append(hit[1])
         else:
             jobs.append(_capture_job(j))
     return {
@@ -134,23 +131,19 @@ def _capture_record(r) -> list:
             r.core_seconds, list(r.nodes)]
 
 
-def _capture_accounting(db, cache: dict | None = None) -> dict:
-    if cache is None:
-        rows = [_capture_record(r) for r in db._records]
-    else:
-        # _records is append-only between restores; serialise only the
-        # suffix.  A restore can shrink the list — detected by length,
-        # which forces a full rebuild.
-        kept = cache.get("acct")
-        if kept is None or len(kept) > len(db._records):
-            kept = cache["acct"] = []
-        for r in db._records[len(kept):]:
-            kept.append(_capture_record(r))
-        rows = list(kept)
+def _capture_accounting(db, cache: dict) -> dict:
+    # _records is append-only between restores; serialise only the
+    # suffix.  A restore can shrink the list — detected by length, which
+    # forces a full rebuild.
+    kept = cache.get("acct")
+    if kept is None or len(kept) > len(db._records):
+        kept = cache["acct"] = []
+    for r in db._records[len(kept):]:
+        kept.append(_capture_record(r))
     return {
         "records_total": db.records_total,
         "core_seconds_total": db.core_seconds_total,
-        "records": rows,
+        "records": list(kept),
     }
 
 

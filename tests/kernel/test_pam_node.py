@@ -11,6 +11,7 @@ from repro.kernel import (
     SyscallInterface,
 )
 from repro.kernel.errors import AccessDenied, InvalidArgument, PermissionError_
+from repro.kernel.process import ProcState
 
 from tests.conftest import creds_of
 
@@ -130,7 +131,8 @@ class TestSyscallInterface:
             sys_alice.socket()
 
     def test_exit_reaps(self, sys_alice, stock_node):
-        pid = sys_alice.process.pid
+        proc = sys_alice.process
         sys_alice.exit(3)
-        assert not stock_node.procs.get(pid).alive
-        assert stock_node.procs.get(pid).exit_code == 3
+        assert (proc.state, proc.exit_code) == (ProcState.DEAD, 3)
+        assert not stock_node.procs.exists(proc.pid)
+        assert proc.pid not in stock_node.procs.pids()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.kernel import ProcMountOptions
 from repro.kernel.errors import NoSuchProcess
-from repro.kernel.process import ProcessTable
+from repro.kernel.process import ProcessTable, ProcState
 from repro.kernel.procfs import ProcFS
 
 
@@ -75,7 +75,7 @@ class TestTableIndexes:
         assert len(killed) == 2
         assert killed == sorted(killed)
         for pid in killed:
-            assert not populated.get(pid).alive
+            assert not populated.exists(pid)  # reaped: gone from the table
         # alice's job 8 and bob's job 9 untouched
         alice = userdb.user("alice").uid
         bob = userdb.user("bob").uid
@@ -112,12 +112,21 @@ class TestTableIndexes:
         assert table.of_user(creds.uid) == []
         assert table.kill_job(3) == []
 
-    def test_dead_pids_leave_listings_but_stay_gettable(self, userdb):
+    def test_reaped_pids_leave_the_table(self, userdb):
         table = ProcessTable("n1")
         creds = userdb.credentials_for(userdb.user("alice"))
-        p = table.spawn(creds, ["a"])
+        p, q = table.spawn(creds, ["a"]), table.spawn(creds, ["b"])
         table.reap(p.pid, exit_code=1)
+        # the caller's own Process carries the exit
+        assert (p.state, p.exit_code) == (ProcState.DEAD, 1)
         assert p.pid not in table.pids()
-        assert table.get(p.pid).exit_code == 1  # history retained
+        assert not table.exists(p.pid)
         with pytest.raises(NoSuchProcess):
             table.kill(creds, p.pid)
+        # only the last exit stays readable through get; older ones are
+        # gone, as if never spawned
+        assert table.get(p.pid) is p
+        table.reap(q.pid)
+        with pytest.raises(NoSuchProcess):
+            table.get(p.pid)
+        assert len(table._procs) == len(table.pids()) == 1  # init

@@ -15,7 +15,7 @@ from repro.kernel.errors import (
 from repro.net import Proto
 from repro.net.stack import EPHEMERAL_START
 
-from tests.net.conftest import proc_on
+from tests.net.conftest import build_fabric, proc_on
 
 
 class TestBind:
@@ -295,6 +295,42 @@ class TestAbstractUds:
         nodes["c1"].procs.reap(alice.pid)
         assert not conn.open
         net.abstract_bind(proc_on(nodes, "c1", userdb, "bob"), "ipc")
+
+
+class TestListenerClose:
+    """Closing a listener resets the connections still in its accept
+    queue: both ends close and their flows leave conntrack on both hosts.
+    Accepted connections belong to the acceptor and stay up."""
+
+    def test_pending_connection_resets(self, userdb):
+        fabric, nodes, _ = build_fabric(userdb, ["login1", "c1"], ubf=True)
+        net = nodes["c1"].net
+        listener = net.listen(
+            net.bind(proc_on(nodes, "c1", userdb, "alice"), 5000))
+        cli = proc_on(nodes, "login1", userdb, "alice")
+        accepted = nodes["login1"].net.connect(cli, "c1", 5000)
+        server = net.accept(listener)
+        pending = nodes["login1"].net.connect(cli, "c1", 5000)
+        port = pending._conn.client_sock.port
+        net.close(listener)
+        assert not pending.open and not listener.accept_queue
+        assert pending._conn not in cli.sockets
+        assert nodes["login1"].net.lookup(Proto.TCP, port) is None
+        for host in ("login1", "c1"):
+            assert fabric.host(host).firewall.conntrack.flows() == \
+                [accepted._conn.flow]
+        accepted.send(b"still up")
+        assert server.recv() == b"still up"
+
+    def test_abstract_listener_resets_pending(self, open_fabric, userdb):
+        fabric, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        sock = net.abstract_bind(proc_on(nodes, "c1", userdb, "alice"), "ipc")
+        pending = net.abstract_connect(proc_on(nodes, "c1", userdb, "alice"),
+                                       "ipc")
+        net.close(sock)
+        assert not pending.open
+        assert fabric.host("c1").firewall.conntrack.flows() == []
 
 
 class TestSocketAPI:

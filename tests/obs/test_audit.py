@@ -9,6 +9,7 @@ from types import SimpleNamespace
 from repro.monitor.events import EventKind, SecurityEvent
 from repro.obs.audit import AUDIT_SCHEMA_VERSION, AuditTrail
 from repro.obs.context import AttributionRegistry
+from repro.sched.jobs import JobState
 
 GOLDEN = Path(__file__).with_name("golden_audit.jsonl")
 
@@ -16,11 +17,41 @@ GOLDEN = Path(__file__).with_name("golden_audit.jsonl")
 def fake_job(job_id=1, uid=1000, name="alice", nodes=("c1",), gpus=()):
     """A minimal stand-in for a scheduler Job with one allocation/node."""
     return SimpleNamespace(
-        job_id=job_id, uid=uid, attempt=1,
+        job_id=job_id, uid=uid, attempt=1, state=JobState.PENDING,
         spec=SimpleNamespace(user=SimpleNamespace(name=name), ntasks=1,
                              partition="normal"),
         allocations=[SimpleNamespace(node=n, gpu_indices=tuple(gpus))
                      for n in nodes])
+
+
+class FakeScheduler:
+    """A stand-in for the placement ``resolve`` reads from a scheduler:
+    each node's allocation table and the per-uid live-job index.  Like
+    the real one, it updates both before telling its observers."""
+
+    crashed = False
+
+    def __init__(self, *node_names, clock=None):
+        self.nodes = {n: SimpleNamespace(allocations={}) for n in node_names}
+        self._live = {}
+        self.registry = AttributionRegistry(self, clock)
+
+    def submit(self, job):
+        self._live.setdefault(job.uid, {})[job.job_id] = job
+        self.registry.job_submitted(job)
+
+    def start(self, job):
+        job.state = JobState.RUNNING
+        for alloc in job.allocations:
+            self.nodes[alloc.node].allocations[job.job_id] = alloc
+        self.registry.job_started(job)
+
+    def finish(self, job, state):
+        job.state = state
+        self._live[job.uid].pop(job.job_id)
+        for alloc in job.allocations:
+            del self.nodes[alloc.node].allocations[job.job_id]
+        self.registry.job_finished(job, state)
 
 
 def fake_user(uid=1000, name="alice"):
@@ -40,15 +71,16 @@ class Clock:
 def build_trail():
     """The deterministic scenario behind the golden export."""
     clock = Clock()
-    registry = AttributionRegistry(clock)
+    sched = FakeScheduler("c1", "c2", "c3", clock=clock)
+    registry = sched.registry
     trail = AuditTrail(clock, registry)
     registry.audit = trail
 
     clock.now = 1.0
     job = fake_job(gpus=(0,))
-    registry.job_submitted(job)
+    sched.submit(job)
     clock.now = 2.0
-    registry.job_started(job)
+    sched.start(job)
     clock.now = 3.0
     registry.session_opened(fake_user(1001, "bob"), "login1")
     # a denial arrives through the event-log sink path
@@ -60,7 +92,7 @@ def build_trail():
     trail.ubf_verdict(uid=1000, node="c1", target="c3:2049",
                       verdict="accept", reason="rule: same-user")
     clock.now = 6.0
-    registry.job_finished(job, SimpleNamespace(name="COMPLETED"))
+    sched.finish(job, JobState.COMPLETED)
     return registry, trail
 
 
@@ -160,24 +192,23 @@ class TestExport:
 
 class TestRegistryResolution:
     def test_prefers_live_job_on_node(self):
-        clock = Clock()
-        registry = AttributionRegistry(clock)
-        j1, j2 = fake_job(1, 1000, nodes=("c1",)), \
-            fake_job(2, 1000, nodes=("c2",))
-        for j in (j1, j2):
-            registry.job_submitted(j)
-            registry.job_started(j)
-        assert registry.resolve(1000, "c2").job_id == 2
-        assert registry.resolve(1000, "c1").job_id == 1
+        sched = FakeScheduler("c1", "c2")
+        for j in (fake_job(1, 1000, nodes=("c1",)),
+                  fake_job(2, 1000, nodes=("c2",))):
+            sched.submit(j)
+            sched.start(j)
+        assert sched.registry.resolve(1000, "c2").job_id == 2
+        assert sched.registry.resolve(1000, "c1").job_id == 1
 
     def test_falls_back_newest_job_then_session(self):
-        registry = AttributionRegistry()
+        sched = FakeScheduler("c1")
+        registry = sched.registry
         j = fake_job(7, 1000)
-        registry.job_submitted(j)
-        registry.job_started(j)
+        sched.submit(j)
+        sched.start(j)
         # unknown node: newest live job anywhere
         assert registry.resolve(1000, "login1").job_id == 7
-        registry.job_finished(j, SimpleNamespace(name="COMPLETED"))
+        sched.finish(j, JobState.COMPLETED)
         assert registry.resolve(1000, "login1") is None
         registry.session_opened(fake_user(1000, "alice"), "login1")
         ctx = registry.resolve(1000, "login1")
@@ -186,17 +217,17 @@ class TestRegistryResolution:
         assert registry.resolve(1000).kind == "session"
 
     def test_negative_uid_never_resolves(self):
-        registry = AttributionRegistry()
+        registry = FakeScheduler().registry
         registry.session_opened(fake_user(1000, "alice"), "login1")
         assert registry.resolve(-1, "login1") is None
 
     def test_requeue_keeps_context_live(self):
-        registry = AttributionRegistry()
+        sched = FakeScheduler("c1")
         j = fake_job(3, 1000)
-        registry.job_submitted(j)
-        registry.job_started(j)
-        registry.job_finished(j, SimpleNamespace(name="NODE_FAIL"))
+        sched.submit(j)
+        sched.start(j)
+        sched.finish(j, JobState.NODE_FAIL)
         j.attempt = 2
-        registry.job_requeued(j)
-        ctx = registry.jobs[3]
+        sched.registry.job_requeued(j)
+        ctx = sched.registry.jobs[3]
         assert ctx.live and ctx.attempts == 2

@@ -8,6 +8,7 @@ from repro.faults import FaultKind
 from repro.kernel.errors import AccessDenied
 from repro.monitor import EventKind, instrument_cluster
 from repro.obs import attach_forensics, attach_telemetry, ops_dashboard
+from repro.persist import attach_persistence
 
 
 @pytest.fixture
@@ -114,6 +115,25 @@ class TestEndToEnd:
         assert rec.job_id == job.job_id
         res = bundle.audit.resolution(rec)
         assert res["resolved"] and res["root"].action == "submit"
+
+    def test_crash_window_login_action_resolves_to_running_job(
+            self, cluster):
+        # a control-plane crash empties the scheduler's job tables but not
+        # the nodes': a login-node action by a user whose job still runs
+        # belongs to that job, not to the user's shell session
+        attach_persistence(cluster)
+        registry = attach_forensics(cluster).registry
+        cluster.login("alice")
+        job = cluster.submit("alice", duration=100.0)
+        cluster.run(until=1.0)
+        uid = cluster.user("alice").uid
+        login1 = cluster.login_nodes[0].name
+        cluster.chaos().crash_scheduler()
+        assert cluster.scheduler.jobs == {}
+        ctx = registry.resolve(uid, login1)
+        assert (ctx.kind, ctx.job_id) == ("job", job.job_id)
+        cluster.recover()
+        assert registry.resolve(uid, login1) is ctx
 
     def test_node_fence_snapshots_flight_dump(self, cluster):
         instrument_cluster(cluster)

@@ -66,6 +66,19 @@ class TestForwarding:
         page = portal.connect(session.token, app.app_id)
         assert b"jupyter" in page
 
+    def test_forwards_leave_the_portal_table_at_its_live_size(self, userdb):
+        """Each forward spawns a portal-fwd process and reaps it; a reaped
+        process must leave the table, not pile up as history."""
+        portal, nodes = make_portal(userdb)
+        app = launch_as(nodes, userdb, "c1", "alice", 8888, "jupyter")
+        portal.register(app)
+        session = portal.login("alice")
+        table = nodes["portal"].procs
+        live = len(table.pids())
+        for _ in range(1000):
+            portal.connect(session.token, app.app_id)
+        assert len(table._procs) == len(table.pids()) == live
+
     def test_app_on_any_node_reachable(self, userdb):
         """Apps are not restricted to a dedicated partition."""
         portal, nodes = make_portal(userdb)

@@ -8,6 +8,7 @@ socket and connection.  Invariants:
   = private);
 * same-user connections always succeed when a listener exists;
 * a port is never owned by two live sockets;
+* closing a listener closes the connections still in its accept queue;
 * the open sockets on each host are exactly the ones the model holds:
   listeners, explicit UDP sockets and the client sockets of open
   connections -- no implicit-send or failed-connect socket survives;
@@ -18,7 +19,8 @@ socket and connection.  Invariants:
 from __future__ import annotations
 
 from hypothesis import settings
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 from hypothesis import strategies as st
 
 from repro.kernel import LinuxNode, UserDB
@@ -84,7 +86,15 @@ class NetMachine(RuleBasedStateMachine):
     def close_listener(self, host, port):
         entry = self.listeners.pop((host, port), None)
         if entry is not None:
-            self.nodes[host].net.close(entry[1])
+            sock = entry[1]
+            self.nodes[host].net.close(sock)
+            # connect never accepts: every connection to the listener was
+            # still queued, and is reset with it
+            gone = [item for item in self.open_conns
+                    if item[1]._conn.server_sock is sock]
+            for item in gone:
+                assert not item[1].open
+                self.open_conns.remove(item)
 
     @rule(host=hosts, port=ports, user=users)
     def bind_udp(self, host, port, user):
@@ -101,6 +111,13 @@ class NetMachine(RuleBasedStateMachine):
         entry = self.udp.pop((host, port), None)
         if entry is not None:
             self.nodes[host].net.close(entry[1])
+
+    @initialize(host=hosts, port=ports, user=users, src=hosts)
+    def pending_connection(self, host, port, user, src):
+        """Every run starts with a listener holding one connection it has
+        not accepted."""
+        self.listen(host, port, user)
+        self.connect(src, host, port, user)
 
     @rule(src=hosts, dst=hosts, port=ports, user=users)
     def connect(self, src, dst, port, user):
@@ -234,6 +251,6 @@ class NetMachine(RuleBasedStateMachine):
 
 
 TestNetMachine = NetMachine.TestCase
-TestNetMachine.settings = settings(max_examples=25,
+TestNetMachine.settings = settings(max_examples=50,
                                    stateful_step_count=30,
                                    deadline=None)
