@@ -112,7 +112,7 @@ def test_e15_telemetry_overhead(benchmark):
     resolve a few-percent signal on a shared machine (bare-vs-bare rounds
     routinely differ by 10%+), so the overhead is *attributed* instead —
     stable amortised unit costs from tight loops (span start+finish,
-    wrapped-vs-inner syscall on the same session, labeled counter bump),
+    observed-vs-bare façade over the same process, labeled counter bump),
     multiplied by the telemetry operation counts of the instrumented day,
     divided by the bare day's best-of-N wall time (whose minima ARE
     stable run to run).  Every term is measured, none modelled."""
@@ -169,17 +169,20 @@ def test_e15_telemetry_overhead(benchmark):
         return min(loop() for _ in range(3))
 
     def syscall_unit_cost() -> float:
-        # wrapped vs inner façade of the SAME session, so cluster-to-
-        # cluster variation cancels; each wrapped chunk is bracketed by
-        # two inner chunks and the median of the paired differences taken,
+        # observed vs bare façade over the SAME process, so cluster-to-
+        # cluster variation cancels; each observed chunk is bracketed by
+        # two bare chunks and the median of the paired differences taken,
         # so a noise spike in any one chunk cannot skew the estimate
         import statistics
+
+        from repro.kernel.syscalls import SyscallInterface
 
         cluster = Cluster.build(LLSC, n_compute=1, users=("alice",))
         attach_telemetry(cluster, tracing=False)
         alice = cluster.login("alice")
         alice.sys.create("/home/alice/d", mode=0o600, data=b"x" * 512)
-        wrapped, inner = alice.sys, alice.sys._inner
+        wrapped = alice.sys
+        inner = SyscallInterface(alice.node, alice.process)
 
         def chunk(sys) -> float:
             n = 2_000

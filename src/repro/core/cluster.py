@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 from repro.containers.runtime import SingularityRuntime
 from repro.core.config import SeparationConfig
+from repro.kernel.errors import InvalidArgument, NoSuchEntity
 from repro.kernel.node import LinuxNode, NodeRole, NodeSpec, ROOT_CREDS
 from repro.kernel.pam import PamModule, PamSlurm, PamSmask, PamStack, PamUnix
 from repro.kernel.procfs import ProcMountOptions
 from repro.kernel.smask import FilePermissionHandler
-from repro.kernel.syscalls import SyscallInterface
+from repro.kernel.syscalls import ObservedSyscalls, SyscallInterface
 from repro.kernel.users import Group, User, UserDB
 from repro.kernel.vfs import Filesystem
 from repro.net.firewall import Firewall, ubf_ruleset
@@ -97,8 +98,8 @@ class Cluster:
     workstations: dict[str, LinuxNode] = field(default_factory=dict)
     dtn_nodes: list[LinuxNode] = field(default_factory=list)
     #: observability registry; set by repro.obs.attach_telemetry.  When
-    #: present, new sessions get a counting syscall façade (allow/deny
-    #: telemetry) — behaviour is unchanged either way.
+    #: present, new sessions get a syscall façade it observes (allow/deny
+    #: counts) — behaviour is unchanged either way.
     telemetry: "object | None" = None
     #: separation oracle; set by repro.oracle.attach_oracle (or the
     #: REPRO_ORACLE=1 environment gate below).  Strictly additive.
@@ -116,6 +117,10 @@ class Cluster:
     persist: "object | None" = None
     #: every plane subscribed so far (:meth:`subscribe`), in order
     observers: Observers = field(default_factory=Observers)
+    #: every node by name, for :meth:`node` (filled by :meth:`build` and
+    #: :meth:`add_workstation`)
+    _nodes: dict[str, LinuxNode] = field(default_factory=dict, init=False,
+                                         repr=False)
 
     # ------------------------------------------------------------------ build
 
@@ -260,6 +265,9 @@ class Cluster:
             seepid_group=seepid_group,
             dtn_nodes=dtn_nodes,
         )
+        cluster._nodes.update(
+            (n.name, n) for n in login_nodes + dtn_nodes + [portal_node]
+            + compute_raw + debug_raw)
         cluster._build_storage_layout(projects or {})
         if os.environ.get("REPRO_ORACLE"):
             # Suite-wide invariant checking: REPRO_ORACLE=1 arms every
@@ -361,25 +369,17 @@ class Cluster:
                        sys=self._facade(node, proc))
 
     def _facade(self, node: LinuxNode, proc) -> SyscallInterface:
-        """The syscall façade for one process; counted when telemetry is
-        attached (same interface, same outcomes)."""
-        sys = SyscallInterface(node, proc)
-        if self.telemetry is not None:
-            from repro.obs.telemetry import ObservedSyscalls
-            return ObservedSyscalls(sys, self.telemetry.metrics)
-        return sys
+        """The syscall façade for one process; observed by telemetry when
+        it is attached (same interface, same outcomes)."""
+        if self.telemetry is None:
+            return SyscallInterface(node, proc)
+        return ObservedSyscalls(node, proc, [self.telemetry])
 
     def node(self, name: str) -> LinuxNode:
-        for n in self.login_nodes + self.dtn_nodes + [self.portal_node]:
-            if n.name == name:
-                return n
-        for cn in self.compute_nodes:
-            if cn.name == name:
-                return cn.node
-        if name in self.workstations:
-            return self.workstations[name]
-        from repro.kernel.errors import NoSuchEntity
-        raise NoSuchEntity(f"node {name!r}")
+        try:
+            return self._nodes[name]
+        except KeyError:
+            raise NoSuchEntity(f"node {name!r}") from None
 
     def compute(self, name: str) -> ComputeNode:
         return self.scheduler.nodes[name]
@@ -388,7 +388,7 @@ class Cluster:
         """The user's own computer (where they may build containers)."""
         name = f"{username}-laptop"
         ws = LinuxNode(name, self.userdb, role=NodeRole.WORKSTATION)
-        self.workstations[name] = ws
+        self.workstations[name] = self._nodes[name] = ws
         return ws
 
     def singularity(self, node_name: str) -> SingularityRuntime:
@@ -427,7 +427,6 @@ class Cluster:
     def job_session(self, job: Job) -> Session:
         """A shell inside a running job (srun --pty style): the first task's
         node, same credentials the tasks run with."""
-        from repro.kernel.errors import InvalidArgument
         if not job.allocations:
             raise InvalidArgument(f"job {job.job_id} is not running")
         node = self.node(job.allocations[0].node)

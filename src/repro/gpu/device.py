@@ -72,10 +72,6 @@ class GPUDevice:
 
     # -- direct (driver-level) operations ------------------------------------
 
-    def write_at(self, offset: int, data: bytes) -> None:
-        a = np.frombuffer(data, dtype=np.uint8)
-        self.memory[offset:offset + a.size] = a
-
     def read_at(self, offset: int, size: int) -> bytes:
         return self.memory[offset:offset + size].tobytes()
 

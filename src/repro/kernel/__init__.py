@@ -33,7 +33,7 @@ from repro.kernel.smask import (
     RELAXED_SMASK,
     STOCK_KERNEL,
 )
-from repro.kernel.syscalls import SyscallInterface
+from repro.kernel.syscalls import ObservedSyscalls, SyscallInterface
 from repro.kernel.users import Credentials, Group, User, UserDB
 from repro.kernel.vfs import (
     AclEntry,
@@ -60,7 +60,7 @@ __all__ = [
     "ProcFS", "ProcMountOptions", "PsEntry",
     "FilePermissionHandler", "LLSC_KERNEL", "PAPER_SMASK", "RELAXED_SMASK",
     "STOCK_KERNEL",
-    "SyscallInterface",
+    "ObservedSyscalls", "SyscallInterface",
     "Credentials", "Group", "User", "UserDB",
     "AclEntry", "FileKind", "Filesystem", "R_OK", "S_ISGID", "S_ISUID",
     "S_ISVTX", "Stat", "VFS", "W_OK", "X_OK", "check_access",

@@ -10,16 +10,29 @@ through these calls.
 Network syscalls (socket/bind/connect) live on the
 :class:`repro.net.stack.HostStack` attached to the node; :meth:`socket` is a
 convenience forwarder.
+
+An :class:`ObservedSyscalls` façade reports every call's outcome to its
+``observers`` (:mod:`repro.observer`): the cluster opens one for telemetry,
+and :func:`repro.monitor.wiring.audited_session` one for the event log.
+A spawned child's façade is its parent's, rebound to the child.
 """
 
 from __future__ import annotations
 
-from repro.kernel.errors import InvalidArgument
+import copy
+
+from repro.kernel.errors import (
+    AccessDenied,
+    InvalidArgument,
+    NoSuchProcess,
+    PermissionError_,
+)
 from repro.kernel.process import Process, SIGTERM
 from repro.kernel.procfs import PsEntry
 from repro.kernel.node import LinuxNode
 from repro.kernel.users import Credentials
 from repro.kernel.vfs import AclEntry, Stat, stat_of
+from repro.observer import as_observers
 
 
 class SyscallInterface:
@@ -112,12 +125,16 @@ class SyscallInterface:
         self.node.procs.kill(self.creds, pid, sig)
 
     def spawn_child(self, argv: list[str], *, rss_mb: int = 10) -> "SyscallInterface":
+        """Spawn a child of this process.  Its façade is this one rebound
+        to the child: same class, node, mount namespace and observers."""
         child = self.node.procs.spawn(self.creds, argv,
                                       ppid=self.process.pid,
                                       cwd=self.process.cwd,
                                       job_id=self.process.job_id,
                                       rss_mb=rss_mb)
-        return SyscallInterface(self.node, child)
+        facade = copy.copy(self)
+        facade.process = child
+        return facade
 
     def exit(self, code: int = 0) -> None:
         self.node.procs.reap(self.process.pid, exit_code=code)
@@ -137,3 +154,44 @@ class SyscallInterface:
         if self.node.net is None:
             raise InvalidArgument(f"node {self.node.name} has no network stack")
         return self.node.net.endpoint(self.process)
+
+
+class ObservedSyscalls(SyscallInterface):
+    """A façade that reports the outcome of every call to its observers.
+
+    Each public method of :class:`SyscallInterface` is overridden once, at
+    import, by one that calls the base method and then reports
+    :meth:`~repro.observer.Observer.syscall_allowed` if it returned or
+    :meth:`~repro.observer.Observer.syscall_denied` if it raised
+    :class:`AccessDenied`, :class:`PermissionError_` or
+    :class:`NoSuchProcess`.  Arguments, results and exceptions pass
+    through untouched.  ``observers`` is fixed when the façade opens, and
+    a spawned child's façade reports to the same container.
+    """
+
+    def __init__(self, node: LinuxNode, process: Process, observers):
+        super().__init__(node, process)
+        self.observers = as_observers(observers)
+
+
+def _observed(name: str, method):
+    """*method* of :class:`SyscallInterface`, reporting its outcome."""
+    def call(self, *args, **kwargs):
+        try:
+            result = method(self, *args, **kwargs)
+        except (AccessDenied, PermissionError_, NoSuchProcess) as exc:
+            for f in self.observers.syscall_denied:
+                f(self, name, args, exc)
+            raise
+        for f in self.observers.syscall_allowed:
+            f(self, name)
+        return result
+
+    call.__name__, call.__doc__ = name, method.__doc__
+    return call
+
+
+for _name, _method in vars(SyscallInterface).items():
+    if callable(_method) and not _name.startswith("_"):
+        setattr(ObservedSyscalls, _name, _observed(_name, _method))
+del _name, _method

@@ -9,7 +9,6 @@ from repro.monitor.events import (
     detect_probe_patterns,
 )
 from repro.monitor.wiring import (
-    AuditedSyscalls,
     audited_seepid,
     audited_session,
     audited_smask_relax,
@@ -19,6 +18,6 @@ from repro.monitor.wiring import (
 __all__ = [
     "EventKind", "ProbeAlert", "SecurityEvent", "SecurityEventLog",
     "detect_probe_patterns",
-    "AuditedSyscalls", "audited_seepid", "audited_session",
+    "audited_seepid", "audited_session",
     "audited_smask_relax", "instrument_cluster",
 ]

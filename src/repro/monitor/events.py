@@ -14,9 +14,8 @@ the ones that are security events:
 * refused opens of GPU ``/dev`` files and refused portal requests,
 * node-lifecycle transitions, oracle violations and fired alerts;
 
-the syscall façade (when wrapped with
-:func:`~repro.monitor.wiring.audited_session`) adds EACCES/EPERM
-filesystem and ``/proc`` denials.
+a syscall façade opened by :func:`~repro.monitor.wiring.audited_session`
+adds its EACCES/EPERM/ESRCH filesystem and ``/proc`` denials.
 
 :func:`detect_probe_patterns` is the simple operations heuristic layered on
 top: a principal accumulating many *distinct-target* denials in a short
@@ -126,6 +125,16 @@ class SecurityEventLog(Observer):
         if refused_by is not None and refused_by.name == "pam_slurm":
             self.emit(self.clock(), EventKind.PAM_DENY, user.uid, node_name,
                       "pam_slurm refusal", node=node_name)
+
+    def syscall_denied(self, sys, name, args, exc):
+        """A refusal on an audited façade: PROC_DENY for the ``/proc`` and
+        signal calls, FS_DENY for the rest, aimed at the first argument."""
+        kind = (EventKind.PROC_DENY
+                if name.startswith(("read_proc", "kill", "ps", "list_proc"))
+                else EventKind.FS_DENY)
+        self.emit(self.clock(), kind, sys.creds.uid,
+                  str(args[0]) if args else name, exc.errname,
+                  node=sys.node.name)
 
     def gpu_denied(self, device, creds, path):
         self.emit(self.clock(), EventKind.GPU_DENY, creds.uid,

@@ -16,10 +16,10 @@ at every enforcement point:
   violations and :data:`EventKind.ALERT` for fired alerts, whichever of
   those planes is attached before or after it.
 
-An :class:`AuditedSyscalls` wrapper (handed out by
-:func:`audited_session`) adds FS/PROC denials for the calls user code
-makes through it, and :func:`audited_seepid` / :func:`audited_smask_relax`
-add ADMIN escalation records.
+:func:`audited_session` opens a syscall façade that also reports to the
+log, which adds FS/PROC denials for the calls user code makes through it
+(its children's too), and :func:`audited_seepid` /
+:func:`audited_smask_relax` add ADMIN escalation records.
 
 Instrumentation is additive — enforcement behaviour is unchanged; only
 observations are recorded.  ``instrument_cluster`` is idempotent: calling
@@ -29,10 +29,9 @@ one (which would record duplicate events).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.kernel.errors import AccessDenied, KernelError, NoSuchProcess, PermissionError_
+from repro.kernel.syscalls import ObservedSyscalls
 from repro.monitor.events import EventKind, SecurityEventLog
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
@@ -56,49 +55,14 @@ def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     return log
 
 
-@dataclass
-class AuditedSyscalls:
-    """Pass-through syscall wrapper that records FS/PROC denials, its
-    children's too.  Each method's wrapper is built once, at first use."""
-
-    session: Session
-    log: SecurityEventLog
-
-    def _emit(self, kind: EventKind, target: str, err: KernelError) -> None:
-        self.log.emit(self.session.cluster.engine.now, kind,
-                      self.session.creds.uid, target, err.errname,
-                      node=self.session.node.name)
-
-    def __getattr__(self, name):
-        inner = getattr(self.session.sys, name)
-        if not callable(inner):
-            return inner
-        kind = (EventKind.PROC_DENY
-                if name.startswith(("read_proc", "kill", "ps", "list_proc"))
-                else EventKind.FS_DENY)
-
-        def call(*args, **kwargs):
-            try:
-                return inner(*args, **kwargs)
-            except (AccessDenied, PermissionError_, NoSuchProcess) as e:
-                self._emit(kind, str(args[0]) if args else name, e)
-                raise
-
-        if name == "spawn_child":
-            session, log, audited = self.session, self.log, call
-
-            def call(*args, **kwargs):
-                child = replace(session, sys=audited(*args, **kwargs))
-                return AuditedSyscalls(child, log)
-
-        setattr(self, name, call)  # steady state bypasses __getattr__
-        return call
-
-
 def audited_session(session: Session,
-                    log: SecurityEventLog) -> AuditedSyscalls:
-    """Wrap *session*'s syscalls so denials are recorded in *log*."""
-    return AuditedSyscalls(session, log)
+                    log: SecurityEventLog) -> ObservedSyscalls:
+    """A façade over *session*'s process that reports to the session
+    façade's observers (telemetry, when it counts the session) and then
+    to *log*, which records its denials."""
+    sys = session.sys
+    return ObservedSyscalls(sys.node, sys.process,
+                            [*getattr(sys, "observers", ()), log])
 
 
 def audited_seepid(cluster: Cluster, session: Session) -> Session:

@@ -77,13 +77,3 @@ class FirewallScore:
     attack_allowed: int = 0  # cross-user connection admitted (false allow)
     attack_denied: int = 0   # cross-user connection blocked (good)
     admin_tickets: int = 0   # change requests filed to make things work
-
-    @property
-    def false_deny_rate(self) -> float:
-        total = self.legit_allowed + self.legit_denied
-        return self.legit_denied / total if total else 0.0
-
-    @property
-    def false_allow_rate(self) -> float:
-        total = self.attack_allowed + self.attack_denied
-        return self.attack_allowed / total if total else 0.0

@@ -45,12 +45,12 @@ from repro.obs.export import (
 )
 from repro.obs.flight import FLIGHT_SCHEMA_VERSION, FlightRecorder, ForensicDump
 from repro.obs.forensics import Forensics, attach_forensics
-from repro.obs.telemetry import ObservedSyscalls, Telemetry, attach_telemetry
+from repro.obs.telemetry import Telemetry, attach_telemetry
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Span", "Tracer",
-    "ObservedSyscalls", "Telemetry", "attach_telemetry",
+    "Telemetry", "attach_telemetry",
     "event_lines", "export_jsonl", "prometheus_text", "span_lines",
     "denial_posture", "ops_dashboard", "recovery_posture",
     "shard_posture",

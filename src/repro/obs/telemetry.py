@@ -8,9 +8,10 @@ request and PAM session into a span on a :class:`~repro.obs.trace.Tracer`
 over the sim clock, plus labeled metrics at the remaining hot enforcement
 points:
 
-* ``syscalls_total{result}`` — every call through a session's syscall
-  façade, split allow/deny (the façade is wrapped by
-  :class:`ObservedSyscalls`, a counting pass-through);
+* ``syscalls_total{result}`` — every call through a syscall façade the
+  cluster opened after attachment (and its children's), split allow/deny:
+  those façades are :class:`~repro.kernel.syscalls.ObservedSyscalls`
+  observed by the registry;
 * ``pam_decisions_total{result}`` — every PAM verdict;
 * ``gpu_grants_total`` / ``gpu_scrubs_total`` — the GPU indices each
   prolog grants and each epilog scrubs.
@@ -31,79 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO
 
-from repro.kernel.errors import (
-    AccessDenied,
-    NoSuchProcess,
-    PermissionError_,
-)
-from repro.kernel.syscalls import SyscallInterface
 from repro.net.firewall import Verdict
 from repro.obs.export import export_jsonl, prometheus_text
 from repro.obs.trace import Span, Tracer
 from repro.observer import Observer, Observers, as_observers
 from repro.sched.jobs import JobState
 from repro.sim.metrics import MetricSet
-
-
-def _counting(name: str):
-    """The counting wrapper of syscall *name*, a method of
-    :class:`ObservedSyscalls`."""
-    def call(self, *args, **kwargs):
-        try:
-            result = getattr(self._inner, name)(*args, **kwargs)
-        except (AccessDenied, PermissionError_, NoSuchProcess):
-            self._deny.value += 1
-            raise
-        self._allow.value += 1
-        return result
-
-    if name == "spawn_child":
-        counted = call
-
-        def call(self, *args, **kwargs):
-            return ObservedSyscalls(counted(self, *args, **kwargs),
-                                    self._metrics)
-
-    call.__name__ = name
-    return call
-
-
-class ObservedSyscalls:
-    """Counting pass-through over a :class:`SyscallInterface`.
-
-    Every syscall outcome increments ``syscalls_total{result=allow|deny}``;
-    nothing else changes — arguments, return values and exceptions flow
-    through untouched (a spawned child's interface comes back wrapped
-    too).  The counting wrappers are built once, when this module loads:
-    one method per public method of :class:`SyscallInterface`, shared by
-    every façade.  Opening a session builds nothing, and a call costs one
-    extra frame and one counter increment (the E15 telemetry-overhead
-    benchmark holds this under 5%).
-    """
-
-    def __init__(self, inner, metrics: MetricSet):
-        self._inner = inner
-        self._metrics = metrics
-        self._allow = metrics.counter("syscalls_total", result="allow")
-        self._deny = metrics.counter("syscalls_total", result="deny")
-
-    @property
-    def node(self):
-        return self._inner.node
-
-    @property
-    def process(self):
-        return self._inner.process
-
-    @property
-    def creds(self):
-        return self._inner.creds
-
-
-for _name, _value in vars(SyscallInterface).items():
-    if callable(_value) and not _name.startswith("_"):
-        setattr(ObservedSyscalls, _name, _counting(_name))
-del _name, _value
 
 
 #: a job's end state -> its ``state`` tag
@@ -144,6 +78,8 @@ class Telemetry(Observer):
         counter = self.metrics.counter
         self._pam = {r: counter("pam_decisions_total", result=r)
                      for r in ("allow", "deny")}
+        self._syscall_allow = counter("syscalls_total", result="allow")
+        self._syscall_deny = counter("syscalls_total", result="deny")
         self._grants = counter("gpu_grants_total")
         self._scrubs = counter("gpu_scrubs_total")
 
@@ -232,7 +168,13 @@ class Telemetry(Observer):
         # the dead scheduler's in-flight traces are lost with its tables
         self._job_spans.clear()
 
-    # -- PAM, UBF, portal ----------------------------------------------------
+    # -- syscall façades, PAM, UBF, portal ----------------------------------
+
+    def syscall_allowed(self, sys, name):
+        self._syscall_allow.value += 1
+
+    def syscall_denied(self, sys, name, args, exc):
+        self._syscall_deny.value += 1
 
     def pam_session(self, user, node_name, refused_by):
         result = "allow" if refused_by is None else "deny"

@@ -15,7 +15,6 @@ span exports.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -102,22 +101,12 @@ class Tracer:
     ``start_span`` with no parent opens a new trace; with a parent the child
     joins the parent's trace.  All spans (open and finished) are kept in
     ``spans`` in start order.
-
-    ``retention`` caps the store: when set, ``spans`` becomes a bounded
-    ring keeping only the newest *retention* spans, so a long run's
-    tracer does not grow without bound.  The default stays unbounded
-    (full-history queries, golden exports).
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None, *,
-                 retention: int | None = None):
-        if retention is not None and retention < 1:
-            raise ValueError("retention must be a positive span count")
+    def __init__(self, clock: Callable[[], float] | None = None):
         self.clock: Callable[[], float] = clock if clock is not None \
             else (lambda: 0.0)
-        self.retention = retention
-        self.spans: list[Span] | deque[Span] = \
-            [] if retention is None else deque(maxlen=retention)
+        self.spans: list[Span] = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
 

@@ -2,16 +2,18 @@
 
 Every enforcement object (``Scheduler``, ``HealthMonitor``, ``UserDB``,
 ``ProcFS``, ``VFS``, ``PamStack``, ``GPUDevice``, ``UBFDaemon``,
-``Portal``, ``FaultInjector``) carries an ``observers`` container
-(:class:`Observers`), empty by default.  :class:`Observer` is the whole
-decision vocabulary: each method is a documented no-op, and an optional
-plane overrides only the decisions it consumes.  At each decision a point
-calls the observers that override it, in subscription order (``for f in
-self.observers.job_finished: f(job, state)``); a plane never hears a
-decision it does not consume.  Decisions are method calls on the point's
-own arguments, so a point without observers allocates nothing.
-:meth:`repro.core.cluster.Cluster.subscribe` adds one observer to every
-point of a cluster.  Observers watch; they never decide.
+``Portal``, ``FaultInjector``, ``ObservedSyscalls``) carries an
+``observers`` container (:class:`Observers`), empty by default.
+:class:`Observer` is the whole decision vocabulary: each method is a
+documented no-op, and an optional plane overrides only the decisions it
+consumes.  At each decision a point calls the observers that override it,
+in subscription order (``for f in self.observers.job_finished: f(job,
+state)``); a plane never hears a decision it does not consume.  Decisions
+are method calls on the point's own arguments, so a point without
+observers allocates nothing.  :meth:`repro.core.cluster.Cluster.subscribe`
+adds one observer to every point of a cluster; a syscall façade's
+observers are instead fixed when it opens.  Observers watch; they never
+decide.
 
 The last group carries what planes derive from decisions to the other
 planes over the cluster's own container, so no plane holds another.
@@ -100,6 +102,12 @@ class Observer:
         """``setfacl`` stored *entry* on *path*."""
     def pam_session(self, user, node_name, refused_by):
         """A PAM session opened, or the module *refused_by* refused it."""
+
+    # -- syscall façade (repro.kernel.syscalls.ObservedSyscalls) ------------
+    def syscall_allowed(self, sys, name):
+        """The façade *sys*'s call *name* returned."""
+    def syscall_denied(self, sys, name, args, exc):
+        """The façade *sys*'s call *name* on *args* was refused with *exc*."""
 
     # -- GPU devices (repro.gpu.device) -------------------------------------
     def gpu_read(self, device, creds):

@@ -64,9 +64,6 @@ class Gauge:
     def inc(self, by: float = 1.0) -> None:
         self.value += by
 
-    def dec(self, by: float = 1.0) -> None:
-        self.value -= by
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Gauge({_render_key(self.name, self.labels)}={self.value})"
 

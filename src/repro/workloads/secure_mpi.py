@@ -31,7 +31,8 @@ from repro.net.stack import ConnectionEnd
 MAC_LEN = 16
 #: Modelled per-byte cost of AES-GCM-class processing without hardware
 #: offload on the message path (µs/KB), as measured in studies like
-#: Naser et al. [23]; used to translate byte counters into E18's series.
+#: Naser et al. [23]; :func:`option1_exchange_cost_us` prices E18's series
+#: with it.
 CRYPTO_US_PER_KB = 0.9
 #: Fixed per-message cost (key schedule amortised, MAC finalisation).
 CRYPTO_US_PER_MSG = 0.4
@@ -39,16 +40,11 @@ CRYPTO_US_PER_MSG = 0.4
 
 @dataclass
 class CryptoStats:
-    """Counters for encrypted traffic and its modelled CPU cost."""
+    """Counters for encrypted traffic through a channel."""
 
     messages: int = 0
     bytes_processed: int = 0
     mac_failures: int = 0
-
-    @property
-    def modelled_cost_us(self) -> float:
-        return (self.bytes_processed / 1024.0) * CRYPTO_US_PER_KB \
-            + self.messages * CRYPTO_US_PER_MSG
 
 
 def _keystream(key: bytes, counter: int, n: int) -> np.ndarray:

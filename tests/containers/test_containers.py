@@ -119,6 +119,22 @@ class TestRuntime:
             with pytest.raises(NoSuchEntity):
                 node.vfs.lstat(path, ROOT_CREDS)
 
+    def test_children_stay_in_the_container(self, userdb, image):
+        """A container's whole process tree lives in its mount namespace:
+        a child (and its child) reads the image, which the host lacks."""
+        from repro.containers import ContainerSyscalls
+        c = self._run(userdb, self._node(userdb), image)
+        parent = c.syscalls()
+        child = parent.spawn_child(["python", "train.py"])
+        grandchild = child.spawn_child(["python", "-c", "pass"])
+        for sys, ppid in ((child, parent.process.pid),
+                          (grandchild, child.process.pid)):
+            assert type(sys) is ContainerSyscalls
+            assert sys.process.ppid == ppid
+            assert sys.open_read("/opt/conda/bin/python") \
+                == b"#!ELF python3.11"
+        assert parent.process is c.process  # the parent stays bound
+
     def test_allowed_users_enforced(self, userdb, image):
         node = self._node(userdb)
         rt = SingularityRuntime(

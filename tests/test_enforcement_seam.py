@@ -4,14 +4,15 @@ Every enforcement object reports its decisions to one ``observers``
 container (:mod:`repro.observer`); the security-event log, telemetry, the
 forensic plane, the oracle and the journal are observers on it.  This
 stdlib-``ast`` gate (the same approach as ``test_docstring_coverage.py``)
-keeps it that way: none of the ten enforcement classes may declare or
-assign a per-plane hook field again, nor keep a private per-decision
-``log`` beside its observers, each must declare ``observers``, no
-module may mark a hook with a ``_wrapped`` flag (the idiom closures that
-wrap an enforcement hook need to avoid wrapping it twice), and no module
-may loop over every observer calling a method of each: a decision goes
-only to the observers that override it (``for f in
-self.observers.job_finished: f(job, state)``).
+keeps it that way: none of the eleven enforcement classes (the observed
+syscall façade among them) may declare or assign a per-plane hook field
+again, nor keep a private per-decision ``log`` beside its observers, each
+must declare ``observers``, no module may mark a hook with a ``_wrapped``
+flag (the idiom closures that wrap an enforcement hook need to avoid
+wrapping it twice), no module may loop over every observer calling a
+method of each: a decision goes only to the observers that override it
+(``for f in self.observers.job_finished: f(job, state)``), and no module
+may single out ``spawn_child`` by name to re-wrap a child's façade.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ ENFORCEMENT = {
     "net/ubf.py": "UBFDaemon",
     "portal/gateway.py": "Portal",
     "faults/injector.py": "FaultInjector",
+    "kernel/syscalls.py": "ObservedSyscalls",
 }
 
 PLANE_FIELDS = {"tracer", "oracle", "audit", "events", "event_log",
@@ -139,4 +141,16 @@ def test_decisions_reach_only_their_overriders():
     offenders = [f"{path.relative_to(SRC.parent)}:{line}"
                  for path in sorted(SRC.rglob("*.py"))
                  for line in all_observer_loops(ast.parse(path.read_text()))]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_module_special_cases_spawn_child():
+    """A child's façade is its parent's rebound to the child
+    (``SyscallInterface.spawn_child``): no wrapper compares a method name
+    with ``"spawn_child"`` to wrap the child again by hand."""
+    offenders = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant)
+                 and node.value == "spawn_child"]
     assert not offenders, "\n".join(offenders)
