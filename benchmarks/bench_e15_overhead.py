@@ -178,7 +178,7 @@ def test_e15_telemetry_overhead(benchmark):
         from repro.kernel.syscalls import SyscallInterface
 
         cluster = Cluster.build(LLSC, n_compute=1, users=("alice",))
-        attach_telemetry(cluster, tracing=False)
+        attach_telemetry(cluster)
         alice = cluster.login("alice")
         alice.sys.create("/home/alice/d", mode=0o600, data=b"x" * 512)
         wrapped = alice.sys

@@ -107,15 +107,16 @@ class Cluster:
     #: node health monitor; set by repro.sched.health.attach_health.
     #: None = no heartbeat traffic, no fencing (admin fail_node still works).
     health: "object | None" = None
-    #: forensic audit plane; set by repro.obs.attach_forensics.  When
-    #: present, new sessions register an attribution context so their
-    #: denials resolve to an auditable login.  Strictly additive.
+    #: forensic audit plane; set by repro.obs.attach_forensics.  Its
+    #: registry turns each ``session_opened`` into an auditable login.
+    #: Strictly additive.
     forensics: "object | None" = None
     #: persistence spine; set by repro.persist.attach_persistence.  When
     #: present, every mutating control-plane operation is journaled and
     #: :meth:`recover` can rebuild the control plane after a crash.
     persist: "object | None" = None
-    #: every plane subscribed so far (:meth:`subscribe`), in order
+    #: every plane subscribed so far (:meth:`subscribe`), in order; told
+    #: of each shell the cluster opens (``session_opened``)
     observers: Observers = field(default_factory=Observers)
     #: every node by name, for :meth:`node` (filled by :meth:`build` and
     #: :meth:`add_workstation`)
@@ -362,9 +363,8 @@ class Cluster:
     def _open_session(self, user: User, node: LinuxNode) -> Session:
         creds = node.open_session(user)
         proc = node.procs.spawn(creds, ["-bash"])
-        forensics = getattr(self, "forensics", None)
-        if forensics is not None:
-            forensics.registry.session_opened(user, node.name)
+        for f in self.observers.session_opened:
+            f(user, node.name)
         return Session(cluster=self, user=user, node=node,
                        sys=self._facade(node, proc))
 

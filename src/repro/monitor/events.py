@@ -52,6 +52,16 @@ class EventKind(enum.Enum):
     ATTACK = "attack"  # scripted red-team probe ran (repro.attacks campaign)
 
 
+#: The kinds that are a principal's own denial, which the posture table,
+#: the probe heuristic and the deny-spike alert count.  ADMIN is audit;
+#: DEGRADED blames infrastructure, ORACLE the enforcement code and
+#: NODE_LIFECYCLE hardware; ALERT is derived from events already counted,
+#: and ATTACK marks a scripted probe whose denials have their own kinds.
+DENY_KINDS = (EventKind.NET_DENY, EventKind.PAM_DENY, EventKind.FS_DENY,
+              EventKind.PROC_DENY, EventKind.SCHED_DENY, EventKind.GPU_DENY,
+              EventKind.PORTAL_DENY)
+
+
 @dataclass(frozen=True)
 class SecurityEvent:
     """One auditable enforcement decision: who, what, and why.
@@ -235,15 +245,7 @@ def detect_probe_patterns(log: SecurityEventLog, *,
             events = [e for e in events if e.time >= last - window]
     per_subject: dict[int, list[SecurityEvent]] = defaultdict(list)
     for e in events:
-        # ADMIN is audit, not denial; DEGRADED blames infrastructure, not
-        # the principal; ORACLE blames the *enforcement code*;
-        # NODE_LIFECYCLE blames hardware; ALERT is a derived signal over
-        # events already counted; ATTACK marks a *scripted* campaign probe
-        # whose denials are already recorded under their own kinds — none
-        # should trip the scanner heuristic.
-        if e.kind not in (EventKind.ADMIN, EventKind.DEGRADED,
-                          EventKind.ORACLE, EventKind.NODE_LIFECYCLE,
-                          EventKind.ALERT, EventKind.ATTACK):
+        if e.kind in DENY_KINDS:
             per_subject[e.subject_uid].append(e)
     alerts = []
     for uid, evs in per_subject.items():

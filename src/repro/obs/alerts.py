@@ -33,15 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.monitor.events import EventKind, SecurityEvent
+from repro.monitor.events import DENY_KINDS, EventKind, SecurityEvent
 from repro.observer import Observer, as_observers
-
-#: Every denial kind the per-tenant spike rule counts.
-DENY_KINDS = (
-    EventKind.NET_DENY, EventKind.PAM_DENY, EventKind.FS_DENY,
-    EventKind.PROC_DENY, EventKind.SCHED_DENY, EventKind.GPU_DENY,
-    EventKind.PORTAL_DENY,
-)
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     ">": lambda a, b: a > b,

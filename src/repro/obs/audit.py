@@ -12,11 +12,14 @@ CVE-2020-27746 week they grepped UBF and PAM logs by hand; the
 Records arrive from two directions and never overlap:
 
 * **Lifecycle roots** — the :class:`~repro.obs.context.AttributionRegistry`
-  records submit/dispatch/finish/login directly (it knows the job).
-* **Enforcement verdicts** — every event the :class:`~repro.monitor.
-  events.SecurityEventLog` records reaches :meth:`observe_event`; ALLOW
-  verdicts on the UBF hot path come through :meth:`ubf_verdict` (accepts
-  only — denies already arrive as events).
+  writes submit/dispatch/finish/login rows straight into the trail's row
+  store (it knows the job, and it runs on the scheduler's hot path).
+* **Decisions** — the trail is an :class:`~repro.observer.Observer` on the
+  cluster's seam.  Every event the :class:`~repro.monitor.events.
+  SecurityEventLog` records reaches :meth:`observe_event`; clean UBF
+  accepts reach :meth:`ubf_verdict` (denies already arrive as events),
+  forwarded portal requests :meth:`portal_forwarded`, and control-plane
+  crashes and recoveries their own decisions.
 
 The trail is append-only (records are frozen, ``seq`` is monotone) and
 exports versioned JSONL (:data:`AUDIT_SCHEMA_VERSION`) for golden-file
@@ -30,6 +33,9 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
 from repro.monitor.events import EventKind, SecurityEvent
+from repro.net.firewall import Verdict
+from repro.net.ubf import DecisionReason
+from repro.observer import Observer
 
 #: Version stamped into every exported record; bump on shape changes.
 AUDIT_SCHEMA_VERSION = 1
@@ -106,7 +112,7 @@ class AuditRecord:
         }
 
 
-class AuditTrail:
+class AuditTrail(Observer):
     """Append-only store of :class:`AuditRecord` with per-key indexes.
 
     When a :class:`~repro.obs.context.AttributionRegistry` is attached,
@@ -288,20 +294,40 @@ class AuditTrail:
         self._append(event.time, mechanism, action, uid, job_id,
                      event.node, trace_id, event.target, event.detail)
 
-    def ubf_verdict(self, *, uid: int, node: str, target: str,
-                    verdict: str, reason: str) -> None:
-        """Record an UBF ALLOW from the daemon's verdict chokepoint.
+    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
+        """Record a clean UBF ACCEPT from the daemon's verdict chokepoint.
 
-        Only clean accepts are stored here — denies and degraded verdicts
-        already reach the trail as security events, and recording
-        them twice would double-count the denial posture.
+        Denies and degraded verdicts already reach the trail as security
+        events, and recording them twice would double-count the denial
+        posture; an unidentified initiator has no principal to record.
         """
-        if verdict.lower() != "accept" or reason.startswith("degraded"):
-            return None
+        if uid is None or verdict is Verdict.DROP \
+                or code is DecisionReason.DEGRADED:
+            return
+        node = flow.src_host
         job_id, trace_id = self._resolve(uid, None, node, None)
         self._append(self.clock(), "ubf", "allow", uid, job_id, node,
-                     trace_id, target, reason)
-        return None
+                     trace_id, f"{flow.dst_host}:{flow.dst_port}", reason)
+
+    def portal_forwarded(self, portal, user, creds, app):
+        self.record(
+            mechanism="portal", action="allow", uid=user.uid,
+            node=app.node.name, target=f"portal:app/{app.app_id}",
+            detail=f"forwarded to {app.node.name}:{app.port}")
+
+    def control_plane_crashed(self, seq):
+        self.record(
+            mechanism="recovery", action="crash", uid=0, target="scheduler",
+            detail=f"control plane crashed at seq {seq}")
+
+    def control_plane_recovered(self, cluster, report):
+        self.record(
+            mechanism="recovery", action="restore", uid=0,
+            target="scheduler",
+            detail=(f"replayed {report.replayed} records from seq "
+                    f"{report.snapshot_seq}; generation "
+                    f"{report.generation}; digest "
+                    f"{'intact' if report.identical else 'DIVERGED'}"))
 
     # -- queries ------------------------------------------------------------
 

@@ -93,12 +93,12 @@ class AttributionRegistry(Observer):
     """The causal contexts, and the ``(uid, node)`` → context question.
 
     Observes *scheduler* (``job_submitted`` / ``job_started`` /
-    ``job_finished`` / ``job_requeued``) and is called by
-    ``Cluster._open_session`` (``session_opened``); enforcement-side
-    consumers call :meth:`resolve`, which reads placement from
-    *scheduler*.  When an :class:`~repro.obs.audit.AuditTrail` is
-    attached (``registry.audit``), every lifecycle step is also recorded
-    there, giving each context its causal root record.
+    ``job_finished`` / ``job_requeued``) and the cluster's logins
+    (``session_opened``); enforcement-side consumers call
+    :meth:`resolve`, which reads placement from *scheduler*.  When an
+    :class:`~repro.obs.audit.AuditTrail` is attached (``registry.audit``),
+    every lifecycle step is also recorded there, giving each context its
+    causal root record.
     """
 
     def __init__(self, scheduler, clock: Callable[[], float] | None = None):

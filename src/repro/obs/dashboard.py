@@ -15,7 +15,7 @@ from collections import defaultdict
 
 from repro.markdown import md_table
 from repro.monitor.events import (
-    EventKind,
+    DENY_KINDS,
     SecurityEventLog,
     detect_probe_patterns,
 )
@@ -57,18 +57,12 @@ def denial_posture(log: SecurityEventLog, userdb=None) -> list[dict]:
     """Per-principal denial summary rows, noisiest first.
 
     Each row: ``user``, ``uid``, ``denials``, ``kinds`` (kind → count),
-    ``distinct_targets``, ``first``/``last`` event times.  ADMIN escalation
-    records are excluded (they are audit, not denial), as are DEGRADED
-    verdicts (those blame failing infrastructure, not the principal),
-    ORACLE violations (those blame the enforcement code itself),
-    NODE_LIFECYCLE transitions (those blame hardware), and ALERT records
-    (derived signals over denials already counted).
+    ``distinct_targets``, ``first``/``last`` event times.  Only the
+    :data:`~repro.monitor.events.DENY_KINDS` count.
     """
     per_uid: dict[int, list] = defaultdict(list)
     for e in log.events:
-        if e.kind not in (EventKind.ADMIN, EventKind.DEGRADED,
-                          EventKind.ORACLE, EventKind.NODE_LIFECYCLE,
-                          EventKind.ALERT):
+        if e.kind in DENY_KINDS:
             per_uid[e.subject_uid].append(e)
     rows = []
     for uid, evs in per_uid.items():

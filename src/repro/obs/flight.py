@@ -7,7 +7,8 @@ state — the last window of UBF/PAM log lines on the affected node.  The
 ring of the most recent security events (global and per node) plus the
 tracer's newest spans, automatically snapshotted into a
 :class:`ForensicDump` the moment something forensically interesting
-happens — an oracle violation, a node fence, an injected fault.
+happens — an oracle violation, a node fence, an injected fault, a
+control-plane crash or recovery.
 
 The recorder is fed the :class:`~repro.monitor.events.SecurityEventLog`
 stream and every span telemetry opens (it never touches the enforcement
@@ -37,9 +38,10 @@ class ForensicDump:
     """One frozen snapshot of recent history around an incident.
 
     ``trigger`` is ``oracle-violation`` / ``node-fenced`` /
-    ``fault-injected`` / ``manual``; ``node`` scopes the per-node event
-    window (None for cluster-wide triggers).  All payloads are plain
-    JSON-ready dicts so a dump survives the simulation that produced it.
+    ``fault-injected`` / ``sched-crash`` / ``recovery`` / ``manual``;
+    ``node`` scopes the per-node event window (None for cluster-wide
+    triggers).  All payloads are plain JSON-ready dicts so a dump survives
+    the simulation that produced it.
     """
 
     dump_id: str
@@ -89,7 +91,9 @@ class FlightRecorder(Observer):
     * a ``NODE_LIFECYCLE`` event whose detail starts with ``"fenced:"``
       (the scheduler's fence record) → ``node-fenced`` dump,
     * :meth:`fault_injected` (each injected fault) → ``fault-injected``
-      dump.
+      dump,
+    * :meth:`control_plane_crashed` / :meth:`control_plane_recovered` →
+      ``sched-crash`` / ``recovery`` dump.
 
     Dumps accumulate in ``dumps``; :meth:`snapshot` also serves manual
     capture.  The optional ``metrics`` set counts
@@ -149,6 +153,15 @@ class FlightRecorder(Observer):
         """Snapshot the moment a fault is injected."""
         self.snapshot("fault-injected", node=fault.host,
                       detail=fault.describe())
+
+    def control_plane_crashed(self, seq) -> None:
+        """Snapshot the moment the control plane dies."""
+        self.snapshot("sched-crash", detail="control plane crashed")
+
+    def control_plane_recovered(self, cluster, report) -> None:
+        """Snapshot the control plane recovery rebuilt."""
+        self.snapshot("recovery",
+                      detail=f"recovered at seq {report.journal_seq}")
 
     # -- capture ------------------------------------------------------------
 

@@ -5,10 +5,9 @@
 :class:`~repro.obs.audit.AuditTrail` (per-tenant append-only trail),
 :class:`~repro.obs.flight.FlightRecorder` (bounded recent history with
 incident dumps), and :class:`~repro.obs.alerts.AlertEngine` (declarative
-rules) — and subscribes it to an existing
-:class:`~repro.core.cluster.Cluster` (:mod:`repro.observer`): the registry
-observes the job lifecycle, the :class:`Forensics` bundle clean UBF and
-portal verdicts, faults, control-plane crashes, spans and security events.
+rules) — and subscribes each of them to an existing
+:class:`~repro.core.cluster.Cluster` (:mod:`repro.observer`) for the
+decisions it consumes.  :class:`Forensics` only holds them.
 
 Like :func:`~repro.monitor.wiring.instrument_cluster` and
 :func:`~repro.obs.telemetry.attach_telemetry`, attachment is **idempotent**
@@ -22,69 +21,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.firewall import Verdict
 from repro.obs.alerts import AlertEngine, default_rules
 from repro.obs.audit import AuditTrail
 from repro.obs.context import AttributionRegistry
 from repro.obs.flight import FlightRecorder
-from repro.observer import Observer
 
 
 @dataclass
-class Forensics(Observer):
+class Forensics:
     """The attached forensic plane: one handle per component.
 
     Stored as ``cluster.forensics`` by :func:`attach_forensics`; the
-    dashboard and benchmarks reach the components through it.  As an
-    observer it feeds the trail, the recorder and the alert engine.
+    dashboard and benchmarks reach the components through it.
     """
 
     registry: AttributionRegistry
     audit: AuditTrail
     flight: FlightRecorder
     alerts: AlertEngine
-
-    def observe_event(self, event):
-        self.audit.observe_event(event)
-        self.flight.observe_event(event)
-        self.alerts.observe_event(event)
-
-    def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
-        # clean ACCEPTs only: denies reach the trail as security events
-        if uid is not None and verdict is not Verdict.DROP:
-            self.audit.ubf_verdict(
-                uid=uid, node=flow.src_host,
-                target=f"{flow.dst_host}:{flow.dst_port}",
-                verdict=verdict.value, reason=reason)
-
-    def portal_forwarded(self, portal, user, creds, app):
-        self.audit.record(
-            mechanism="portal", action="allow", uid=user.uid,
-            node=app.node.name, target=f"portal:app/{app.app_id}",
-            detail=f"forwarded to {app.node.name}:{app.port}")
-
-    def fault_injected(self, fault):
-        self.flight.fault_injected(fault)
-
-    def span_started(self, span):
-        self.flight.span_started(span)
-
-    def control_plane_crashed(self, seq):
-        self.flight.snapshot("sched-crash", detail="control plane crashed")
-        self.audit.record(
-            mechanism="recovery", action="crash", uid=0, target="scheduler",
-            detail=f"control plane crashed at seq {seq}")
-
-    def control_plane_recovered(self, cluster, report):
-        self.audit.record(
-            mechanism="recovery", action="restore", uid=0,
-            target="scheduler",
-            detail=(f"replayed {report.replayed} records from seq "
-                    f"{report.snapshot_seq}; generation "
-                    f"{report.generation}; digest "
-                    f"{'intact' if report.identical else 'DIVERGED'}"))
-        self.flight.snapshot(
-            "recovery", detail=f"recovered at seq {report.journal_seq}")
 
 
 def _gpu_state(cluster):
@@ -95,17 +49,14 @@ def _gpu_state(cluster):
     return sample
 
 
-def attach_forensics(cluster, *, capacity: int = 256,
-                     rules=None) -> Forensics:
+def attach_forensics(cluster) -> Forensics:
     """Attach the forensic audit plane to *cluster*; returns the bundle.
 
     Idempotent: a second call returns the existing ``cluster.forensics``.
     Builds the registry, the trail and the flight recorder (which starts
     empty: its rings model what a node retains from now on), stands up the
-    alert engine with :func:`~repro.obs.alerts.default_rules` (or *rules*
-    when given) firing to the cluster's planes, then subscribes the
-    registry and the bundle.  ``capacity`` bounds every flight-recorder
-    ring.
+    alert engine with :func:`~repro.obs.alerts.default_rules` firing to the
+    cluster's planes, then subscribes the four, in that order.
     """
     existing = getattr(cluster, "forensics", None)
     if existing is not None:
@@ -116,15 +67,13 @@ def attach_forensics(cluster, *, capacity: int = 256,
     audit = AuditTrail(clock, registry)
     registry.audit = audit
     flight = FlightRecorder(
-        clock, capacity=capacity, faults=cluster.fabric.faults,
-        metrics=cluster.metrics, gpu_state=_gpu_state(cluster))
-    alerts = AlertEngine(
-        cluster.metrics, clock=clock,
-        rules=default_rules() if rules is None else tuple(rules),
-        observers=cluster.observers)
+        clock, faults=cluster.fabric.faults, metrics=cluster.metrics,
+        gpu_state=_gpu_state(cluster))
+    alerts = AlertEngine(cluster.metrics, clock=clock, rules=default_rules(),
+                         observers=cluster.observers)
     bundle = Forensics(registry=registry, audit=audit, flight=flight,
                        alerts=alerts)
     cluster.forensics = bundle  # type: ignore[attr-defined]
-    cluster.subscribe(registry)
-    cluster.subscribe(bundle)
+    for component in (registry, audit, flight, alerts):
+        cluster.subscribe(component)
     return bundle

@@ -60,7 +60,6 @@ class Telemetry(Observer):
     tracer: Tracer
     observers: Observers = field(default_factory=Observers)
     cluster: object = field(default=None, repr=False)
-    tracing: bool = True
     scrub_on_epilog: bool = True
     #: job id -> its open trace: root, queue and run spans
     _job_spans: dict = field(default_factory=dict)
@@ -104,8 +103,6 @@ class Telemetry(Observer):
     # -- job traces: submit -> queue -> prolog -> run -> epilog --------------
 
     def job_arrived(self, job):
-        if not self.tracing:
-            return
         spec = job.spec
         root = self._span("job", None, {
             "job_id": job.job_id, "user": spec.user.name,
@@ -130,11 +127,11 @@ class Telemetry(Observer):
 
     job_cancelled = job_finished
 
-    def _hook_span(self, which: str, job, node) -> None:
+    def _hook_span(self, which: str, job, node, **end_tags) -> None:
         spans = self._job_spans.get(job.job_id)
         if spans is not None:
             self.tracer.finish(self._span(f"sched.{which}", spans["root"],
-                                          {"node": node.name}))
+                                          {"node": node.name}), **end_tags)
 
     def job_starting(self, scheduler, job, plan):
         spans = self._job_spans.get(job.job_id)
@@ -162,7 +159,8 @@ class Telemetry(Observer):
             self._scrubs.inc(len(gpus))
 
     def hook_failed(self, which, job, node, exc):
-        self._hook_span(which, job, node)
+        self._hook_span(which, job, node, status="error",
+                        error=type(exc).__name__)
 
     def control_plane_crashed(self, seq):
         # the dead scheduler's in-flight traces are lost with its tables
@@ -179,18 +177,14 @@ class Telemetry(Observer):
     def pam_session(self, user, node_name, refused_by):
         result = "allow" if refused_by is None else "deny"
         self._pam[result].inc()
-        if self.tracing:
-            self.tracer.finish(self._span("pam.open_session", None,
-                                          {"user": user.name,
-                                           "node": node_name}),
-                               result=result)
+        self.tracer.finish(self._span("pam.open_session", None,
+                                      {"user": user.name, "node": node_name}),
+                           result=result)
 
     def ubf_verdict(self, daemon, flow, uid, verdict, reason, code):
         self._ubf_reason = reason
 
     def ubf_decided(self, daemon, pkt, verdict, exc):
-        if not self.tracing:
-            return
         flow = pkt.flow
         span = self._span("ubf.decide", None, {
             "host": daemon.stack.hostname,
@@ -204,9 +198,8 @@ class Telemetry(Observer):
                                reason=self._ubf_reason)
 
     def ubf_batch_started(self, daemon, pkts):
-        if self.tracing:
-            self._batch = self._span("ubf.decide_batch", None, {
-                "host": daemon.stack.hostname, "n": len(pkts)})
+        self._batch = self._span("ubf.decide_batch", None, {
+            "host": daemon.stack.hostname, "n": len(pkts)})
 
     def ubf_ident_group(self, daemon, key, waiters, initiator, exc):
         if self._batch is None:
@@ -236,9 +229,7 @@ class Telemetry(Observer):
                                drops=drops)
 
     def portal_request(self, portal, app_id):
-        if self.tracing:
-            self._request = self._span("portal.connect", None,
-                                       {"app_id": app_id})
+        self._request = self._span("portal.connect", None, {"app_id": app_id})
 
     def portal_response(self, portal, app_id, user, exc):
         span, self._request = self._request, None
@@ -252,12 +243,11 @@ class Telemetry(Observer):
             self.tracer.finish(span, outcome="ok")
 
 
-def attach_telemetry(cluster, *, tracing: bool = True) -> Telemetry:
+def attach_telemetry(cluster) -> Telemetry:
     """Subscribe a :class:`Telemetry` observer to a built cluster.
 
-    Returns the registry (also stored as ``cluster.telemetry``).  With
-    ``tracing`` disabled only the metric instrumentation runs — the
-    cheapest configuration for pure-throughput benchmark runs.  Idempotent.
+    Returns the registry (also stored as ``cluster.telemetry``).
+    Idempotent.
     """
     existing = getattr(cluster, "telemetry", None)
     if existing is not None:
@@ -265,7 +255,7 @@ def attach_telemetry(cluster, *, tracing: bool = True) -> Telemetry:
     telemetry = Telemetry(
         metrics=cluster.metrics,
         tracer=Tracer(clock=lambda: cluster.engine.now),
-        observers=cluster.observers, cluster=cluster, tracing=tracing,
+        observers=cluster.observers, cluster=cluster,
         scrub_on_epilog=cluster.config.gpu_scrub)
     cluster.telemetry = telemetry
     cluster.subscribe(telemetry)

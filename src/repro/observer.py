@@ -11,9 +11,12 @@ in subscription order (``for f in self.observers.job_finished: f(job,
 state)``); a plane never hears a decision it does not consume.  Decisions
 are method calls on the point's own arguments, so a point without
 observers allocates nothing.  :meth:`repro.core.cluster.Cluster.subscribe`
-adds one observer to every point of a cluster; a syscall façade's
-observers are instead fixed when it opens.  Observers watch; they never
-decide.
+adds one observer to every point of a cluster, and to the cluster's own
+container, to which the cluster reports the shells it opens
+(``session_opened``); a syscall façade's observers are instead fixed when
+it opens.  A plane made of several components subscribes each component
+that consumes a decision, rather than forwarding the decision to it.
+Observers watch; they never decide.
 
 The last group carries what planes derive from decisions to the other
 planes over the cluster's own container, so no plane holds another.
@@ -102,6 +105,10 @@ class Observer:
         """``setfacl`` stored *entry* on *path*."""
     def pam_session(self, user, node_name, refused_by):
         """A PAM session opened, or the module *refused_by* refused it."""
+
+    # -- cluster access (repro.core.cluster) --------------------------------
+    def session_opened(self, user, node_name):
+        """*user*'s interactive shell (a login or ssh) runs on *node_name*."""
 
     # -- syscall façade (repro.kernel.syscalls.ObservedSyscalls) ------------
     def syscall_allowed(self, sys, name):

@@ -1,7 +1,7 @@
 """Tests: what the planes record on failure and escalation paths.
 
 A failed epilog reaches telemetry (an ``sched.epilog`` span in the job's
-trace) and the event log (a NODE_LIFECYCLE record attributed to the job
+trace, finished as an error) and the event log (a NODE_LIFECYCLE record attributed to the job
 and node); ``audited_smask_relax`` leaves an ADMIN record; and an audited
 façade's refusals keep their kind, target, detail, node and time.
 """
@@ -45,7 +45,8 @@ class TestEpilogFailure:
         (root,) = tele.tracer.by_name("job")
         (span,) = tele.tracer.by_name("sched.epilog")
         assert span.trace_id == root.trace_id and span.finished
-        assert span.tags["node"] == node.name
+        assert span.tags == {"node": node.name, "status": "error",
+                             "error": "RuntimeError"}
 
         (event,) = log.by_kind(EventKind.NODE_LIFECYCLE)
         assert (event.time, event.subject_uid, event.target) == \

@@ -7,6 +7,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from repro.monitor.events import EventKind, SecurityEvent
+from repro.net.firewall import Verdict
+from repro.net.ubf import DecisionReason
 from repro.obs.audit import AUDIT_SCHEMA_VERSION, AuditTrail
 from repro.obs.context import AttributionRegistry
 from repro.sched.jobs import JobState
@@ -58,6 +60,12 @@ def fake_user(uid=1000, name="alice"):
     return SimpleNamespace(uid=uid, name=name)
 
 
+def flow(src_host, dst_host, dst_port):
+    """The fields of a UBF flow the trail reads."""
+    return SimpleNamespace(src_host=src_host, dst_host=dst_host,
+                           dst_port=dst_port)
+
+
 class Clock:
     """Settable deterministic clock."""
 
@@ -89,8 +97,8 @@ def build_trail():
         node="c1"))
     # a clean UBF accept through the verdict chokepoint
     clock.now = 5.0
-    trail.ubf_verdict(uid=1000, node="c1", target="c3:2049",
-                      verdict="accept", reason="rule: same-user")
+    trail.ubf_verdict(None, flow("c1", "c3", 2049), 1000, Verdict.ACCEPT,
+                      "rule: same-user", DecisionReason.SAME_USER)
     clock.now = 6.0
     sched.finish(job, JobState.COMPLETED)
     return registry, trail
@@ -115,13 +123,17 @@ class TestRecording:
 
     def test_ubf_verdict_records_accepts_only(self):
         _, trail = build_trail()
-        assert trail.ubf_verdict(uid=1000, node="c1", target="x",
-                                 verdict="drop", reason="r") is None
-        assert trail.ubf_verdict(uid=1000, node="c1", target="x",
-                                 verdict="accept",
-                                 reason="degraded: identd down") is None
+        n = len(trail)
+        x = flow("c1", "x", 1)
+        trail.ubf_verdict(None, x, 1000, Verdict.DROP, "r",
+                          DecisionReason.CROSS_USER)
+        trail.ubf_verdict(None, x, 1000, Verdict.ACCEPT,
+                          "degraded: identd down", DecisionReason.DEGRADED)
+        trail.ubf_verdict(None, x, None, Verdict.ACCEPT, "root-owned service",
+                          DecisionReason.ROOT_SERVICE)
+        assert len(trail) == n
         (allow,) = trail.query(mechanism="ubf", action="allow")
-        assert allow.job_id == 1
+        assert (allow.job_id, allow.node, allow.target) == (1, "c1", "c3:2049")
 
     def test_session_login_recorded(self):
         _, trail = build_trail()

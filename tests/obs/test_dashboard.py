@@ -5,7 +5,11 @@ import pytest
 from repro import Cluster, LLSC
 from repro.kernel.errors import AccessDenied, KernelError
 from repro.monitor import audited_session, instrument_cluster
-from repro.monitor.events import EventKind, SecurityEventLog
+from repro.monitor.events import (
+    EventKind,
+    SecurityEventLog,
+    detect_probe_patterns,
+)
 from repro.obs import attach_telemetry, denial_posture, ops_dashboard
 
 
@@ -49,6 +53,18 @@ class TestDenialPosture:
         log = SecurityEventLog()
         log.emit(1.0, EventKind.ADMIN, 1000, "n1", "seepid")
         assert denial_posture(log) == []
+
+    def test_posture_and_probe_heuristic_count_the_same_denials(self):
+        """An ATTACK marker is not a denial: its probe's denials are
+        recorded under their own kinds."""
+        log = SecurityEventLog()
+        log.emit(1.0, EventKind.FS_DENY, 1002, "/home/alice/keys")
+        log.emit(2.0, EventKind.ATTACK, 1002, "probe:fs-cross-read")
+        (row,) = denial_posture(log)
+        assert (row["denials"], row["kinds"]) == (1, {"fs-deny": 1})
+        (alert,) = detect_probe_patterns(log, min_denials=1,
+                                         min_distinct_targets=1)
+        assert alert.denials == 1
 
     def test_unauthenticated_principal_labeled(self, cluster):
         busy_day(cluster)

@@ -8,7 +8,9 @@ from repro.faults import FaultKind
 from repro.kernel.errors import AccessDenied
 from repro.monitor import EventKind, instrument_cluster
 from repro.obs import attach_forensics, attach_telemetry, ops_dashboard
+from repro.observer import Observer
 from repro.persist import attach_persistence
+from repro.transfer import scp
 
 
 @pytest.fixture
@@ -77,17 +79,24 @@ class TestHandshakes:
 
 class TestHooks:
     def test_all_hooks_point_at_the_bundle(self, cluster):
+        """The four components, not the bundle, are on every point."""
         bundle = attach_forensics(cluster)
-        assert bundle.registry in cluster.scheduler.observers
-        for daemon in cluster.ubf_daemons.values():
-            assert bundle in daemon.observers
-        assert bundle in cluster.portal.observers
-        assert bundle in cluster.fabric.faults.observers
+        components = [bundle.registry, bundle.audit, bundle.flight,
+                      bundle.alerts]
+        assert not isinstance(bundle, Observer)
+        points = [cluster, cluster.scheduler, cluster.portal,
+                  cluster.fabric.faults, *cluster.ubf_daemons.values()]
+        for point in points:
+            assert [o for o in point.observers if o in components] \
+                == components
         assert bundle.registry.audit is bundle.audit
 
     def test_login_opens_session_context(self, cluster):
+        """A login is recorded once; scp's PAM session is no login."""
         bundle = attach_forensics(cluster)
         session = cluster.login("alice")
+        session.sys.create("/tmp/f", mode=0o600, data=b"x")
+        scp(cluster, session, "/tmp/f", "login1:/tmp/g")
         uid = session.user.uid
         key = (uid, session.node.name)
         assert key in bundle.registry.sessions

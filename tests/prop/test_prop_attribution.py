@@ -24,15 +24,12 @@ from repro import Cluster, LLSC
 from repro.faults import FaultKind
 from repro.kernel.errors import KernelError, TimedOut
 from repro.monitor import instrument_cluster
-from repro.monitor.events import EventKind
+from repro.monitor.events import DENY_KINDS
 from repro.obs import attach_forensics
 from repro.observer import Observer
 from repro.persist import attach_persistence
 
 USERS = ("alice", "bob", "mallory")
-DENY_KINDS = {EventKind.NET_DENY, EventKind.PAM_DENY, EventKind.FS_DENY,
-              EventKind.PROC_DENY, EventKind.SCHED_DENY, EventKind.GPU_DENY,
-              EventKind.PORTAL_DENY}
 
 actions = st.lists(
     st.one_of(

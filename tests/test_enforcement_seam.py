@@ -12,7 +12,9 @@ flag (the idiom closures that wrap an enforcement hook need to avoid
 wrapping it twice), no module may loop over every observer calling a
 method of each: a decision goes only to the observers that override it
 (``for f in self.observers.job_finished: f(job, state)``), and no module
-may single out ``spawn_child`` by name to re-wrap a child's façade.
+may single out ``spawn_child`` by name to re-wrap a child's façade, and
+no plane may forward a decision it hears to a component it holds: each
+component that consumes a decision subscribes itself.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import ast
 import pathlib
 
 import repro
+from repro.observer import DECISIONS
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -153,4 +156,29 @@ def test_no_module_special_cases_spawn_child():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Constant)
                  and node.value == "spawn_child"]
+    assert not offenders, "\n".join(offenders)
+
+
+def forwarded_decisions(tree: ast.Module) -> list[int]:
+    """Lines where a method named after a decision calls that decision on
+    an attribute of ``self`` (``self.audit.observe_event(event)``)."""
+    lines = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name in DECISIONS):
+            continue
+        lines += [node.lineno for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == fn.name
+                  and isinstance(node.func.value, ast.Attribute)
+                  and isinstance(node.func.value.value, ast.Name)
+                  and node.func.value.value.id == "self"]
+    return lines
+
+
+def test_no_plane_forwards_a_decision():
+    offenders = [f"{path.relative_to(SRC.parent)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line in forwarded_decisions(ast.parse(path.read_text()))]
     assert not offenders, "\n".join(offenders)
