@@ -310,13 +310,15 @@ class Cluster:
 
     # ------------------------------------------------------------- planes
 
-    def subscribe(self, observer) -> None:
-        """Add *observer* (a :class:`repro.observer.Observer`) to every
-        enforcement point; a health monitor attached later starts from
-        :attr:`observers`."""
-        self.observers.append(observer)
-        points = [self.scheduler, self.userdb, self.portal, self.fabric.faults,
-                  *self.ubf_daemons.values(),
+    def subscribe(self, *observers) -> None:
+        """Add *observers* (:class:`repro.observer.Observer`), in order, to
+        :attr:`observers` and every enforcement point; a health monitor
+        attached later starts from :attr:`observers`.  A plane of several
+        components passes them together: the points are walked once, and
+        each container ends in the order that one call per component
+        would give."""
+        points = [self, self.scheduler, self.userdb, self.portal,
+                  self.fabric.faults, *self.ubf_daemons.values(),
                   *(g for cn in self.compute_nodes for g in cn.gpus)]
         for node in (self.login_nodes + self.dtn_nodes + [self.portal_node]
                      + [cn.node for cn in self.compute_nodes]):
@@ -324,7 +326,8 @@ class Cluster:
         if self.health is not None:
             points.append(self.health)
         for point in points:
-            point.observers.append(observer)
+            for observer in observers:
+                point.observers.append(observer)
 
     # ------------------------------------------------------------------ chaos
 

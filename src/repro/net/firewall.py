@@ -15,7 +15,9 @@ The model keeps exactly the pieces that matter for that data path:
   the final verdict for NEW connections.
 
 Costs are recorded in a :class:`~repro.sim.metrics.MetricSet` so experiment
-E8 can price the fast and slow paths.
+E8 can price the fast and slow paths.  The packet path bumps its counters
+through :class:`HeldCounters`, which resolves each series once instead of
+asking the registry by name at every bump.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.sim.metrics import MetricSet
+from repro.sim.metrics import Counter, MetricSet
 
 
 class Proto(enum.Enum):
@@ -50,6 +52,36 @@ class ConnState(enum.Enum):
     ESTABLISHED = "established"
 
 
+class HeldCounters(dict):
+    """The counter series of one registry that packet-path code bumps,
+    held under the key it bumps them by: ``held[key].value += 1``.
+
+    A ``str`` key is an unlabelled series; a tuple ``(name, label, value,
+    ...)`` is the series of family *name* with those label pairs.  A key
+    resolves at its first bump through the ``counter()`` call it stands
+    for, so the registered series (and every export) stay what asking by
+    name gives; after that a bump is one dict lookup.  An owner whose
+    registry can be rewired starts a fresh table when ``held.registry``
+    is no longer its registry.
+    """
+
+    __slots__ = ("registry",)
+
+    def __init__(self, registry: MetricSet | None) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key: str | tuple) -> Counter:
+        if type(key) is str:
+            series = self.registry.counter(key)
+        else:
+            name, *pairs = key
+            series = self.registry.counter(
+                name, **dict(zip(pairs[::2], pairs[1::2])))
+        self[key] = series
+        return series
+
+
 @dataclass(frozen=True, init=False)
 class FiveTuple:
     """Flow identity: (proto, src host/port, dst host/port).
@@ -57,12 +89,16 @@ class FiveTuple:
     A flow is a dict key on both hosts' conntrack, probed in both
     directions per packet, so it hashes once (the same value the
     dataclass hash gives) and builds its reverse once: ``reversed()``
-    links the twins, and ``f.reversed().reversed() is f``.  The hash and
-    the twin are plain attributes, not fields, so ``==``, ``repr``,
-    ``dataclasses.fields`` and ``asdict`` see the five flow fields only.
-    The constructor writes the instance dict directly: the generated
-    frozen ``__init__`` would pay one ``object.__setattr__`` per field,
-    and flows are built per connection.
+    links the twins, and ``f.reversed().reversed() is f``.  Linked twins
+    are a reference cycle, so a flow leaving conntrack by
+    :meth:`ConntrackTable.evict` unlinks them (:meth:`unlink`), and a
+    closed connection's flows are freed by reference counting; the next
+    ``reversed()`` of an unlinked flow builds and links a fresh twin.
+    The hash and the twin are plain attributes, not fields, so ``==``,
+    ``repr``, ``dataclasses.fields`` and ``asdict`` see the five flow
+    fields only.  The constructor writes the instance dict directly: the
+    generated frozen ``__init__`` would pay one ``object.__setattr__``
+    per field, and flows are built per connection.
     """
 
     proto: Proto
@@ -94,8 +130,15 @@ class FiveTuple:
             self.__dict__["_reverse"] = rev
         return rev
 
+    def unlink(self) -> None:
+        """Forget the linked twin, and have the twin forget this flow."""
+        rev = self._reverse
+        if rev is not None:
+            rev.__dict__["_reverse"] = None
+            self.__dict__["_reverse"] = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Packet:
     """The firewall-visible part of a segment/datagram.
 
@@ -109,12 +152,23 @@ class Packet:
     which returns uid *and* group membership.  ``None`` models a packet
     whose origin offers no credential (e.g. hand-crafted test traffic); the
     daemon then always runs the full query.
+
+    Every packet that crosses the fabric is built, so the constructor
+    writes the instance dict directly, as :class:`FiveTuple`'s does.
     """
 
     flow: FiveTuple
     state: ConnState
     payload_len: int = 0
     src_uid: int | None = None
+
+    def __init__(self, flow: FiveTuple, state: ConnState,
+                 payload_len: int = 0, src_uid: int | None = None) -> None:
+        d = self.__dict__
+        d["flow"] = flow
+        d["state"] = state
+        d["payload_len"] = payload_len
+        d["src_uid"] = src_uid
 
 
 @dataclass(frozen=True)
@@ -183,14 +237,19 @@ class ConntrackTable:
         #: (registry, its size series): a labelled lookup per commit costs
         #: more than the rest of the commit
         self._size = (None, None)
+        #: the eviction counters, held against ``metrics``
+        self._held = HeldCounters(None)
         self._table: OrderedDict[FiveTuple, ConntrackEntry] = OrderedDict()
 
     # -- accounting ---------------------------------------------------------
 
     def _count_eviction(self, reason: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("conntrack_evictions_total",
-                                 reason=reason).inc()
+        metrics = self.metrics
+        if metrics is not None:
+            held = self._held
+            if held.registry is not metrics:
+                held = self._held = HeldCounters(metrics)
+            held["conntrack_evictions_total", "reason", reason].value += 1
 
     def _note_size(self) -> None:
         metrics = self.metrics
@@ -253,9 +312,21 @@ class ConntrackTable:
         return entry
 
     def evict(self, flow: FiveTuple, reason: str = "close") -> None:
-        fwd = self._table.pop(flow, None)
-        rev = self._table.pop(flow.reversed(), None)
-        if fwd is not None or rev is not None:
+        """Stop tracking *flow*, in whichever direction it is tracked.
+
+        :meth:`commit` never keys both directions of one flow, so the
+        reverse is probed only when *flow* itself is not a key.  *flow*
+        and the evicted key leave unlinked from their twins
+        (:meth:`FiveTuple.unlink`): nothing that only those twins hold
+        outlives the flow.
+        """
+        table = self._table
+        entry = table.pop(flow, None)
+        if entry is None:
+            entry = table.pop(flow.reversed(), None)
+        flow.unlink()
+        if entry is not None:
+            entry.flow.unlink()
             self._count_eviction(reason)
             self._note_size()
 
@@ -315,6 +386,8 @@ class Firewall:
     def __post_init__(self) -> None:
         if self.conntrack.metrics is None:
             self.conntrack.metrics = self.metrics
+        #: the walk's counters, held against ``metrics``
+        self._held = HeldCounters(self.metrics)
 
     def bind_nfqueue(self, handler: NfqueueHandler) -> None:
         self._nfqueue = handler
@@ -344,13 +417,16 @@ class Firewall:
         """Conntrack, then the first matching rule (none: ACCEPT).  An
         ACCEPT is committed; an NFQUEUE is counted and left to the caller
         to hand to the daemon."""
+        held = self._held
+        if held.registry is not self.metrics:  # a HostStack rewired it
+            held = self._held = HeldCounters(self.metrics)
         entry = self.conntrack.lookup(pkt.flow)
         if entry is not None:
             entry.packets += 1
             entry.bytes += pkt.payload_len
-            self.metrics.counter("conntrack_fastpath_packets").inc()
+            held["conntrack_fastpath_packets"].value += 1
             return Verdict.ACCEPT
-        self.metrics.counter("rule_walks").inc()
+        held["rule_walks"].value += 1
         verdict = Verdict.ACCEPT
         for rule in self.rules:
             if rule.matches(pkt):
@@ -359,7 +435,7 @@ class Firewall:
         if verdict is Verdict.ACCEPT:
             self.conntrack.commit(pkt.flow)
         elif verdict is Verdict.NFQUEUE:
-            self.metrics.counter("nfqueue_decisions").inc()
+            held["nfqueue_decisions"].value += 1
         return verdict
 
     def evaluate(self, pkt: Packet) -> Verdict:

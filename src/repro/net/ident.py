@@ -75,14 +75,14 @@ def remote_ident_query(fabric: Fabric, target_host: str, proto: Proto,
     """
     faults = fabric.faults
     if not faults.ident_attempt_ok(target_host):
-        fabric.metrics.counter("ident_query_failures").inc()
+        fabric.series["ident_query_failures"].value += 1
         raise IdentUnavailable(f"ident query to {target_host} unanswered")
     forged = faults.spoofed_reply(target_host)
     if forged is not None:
         # a compromised responder still costs a round trip; the lie is
         # for the querying daemon's local cross-check to catch
-        fabric.metrics.counter("ident_round_trips").inc()
+        fabric.series["ident_round_trips"].value += 1
         return forged
     responder = fabric.host(target_host)  # an unknown host costs no trip
-    fabric.metrics.counter("ident_round_trips").inc()
+    fabric.series["ident_round_trips"].value += 1
     return local_ident(responder, proto, port)

@@ -11,7 +11,9 @@ Sockets are owned by kernel processes; the owning process's *current*
 credentials are what ident reports and what the UBF's group rule reads
 (paper: "the primary group of the listening process can be controlled via
 standard Linux tools such as newgrp or sg").  Only :meth:`HostStack.close`
-releases a socket; a closing connection and the owner's exit go through it.
+releases a socket; a closing connection and the owner's exit go through it,
+and a released socket leaves its host's table.  A closed connection is
+freed by reference counting: nothing on the packet path forms a cycle.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.net.firewall import (
     ConnState,
     Firewall,
     FiveTuple,
+    HeldCounters,
     Packet,
     Proto,
     Verdict,
@@ -61,6 +64,8 @@ class BoundSocket:
     #: UDP flows committed through this socket, at either end; closing it
     #: evicts them on both hosts, as Connection.close does for TCP
     flows: set = field(default_factory=set)
+    #: the abstract-namespace name it is bound to (its port is then -1)
+    name: str | None = None
 
     @property
     def owner_uid(self) -> int:
@@ -97,7 +102,9 @@ class Connection:
     """An established TCP connection (both directions).
 
     Its client process and the listener's owner both hold it, so either
-    one's exit closes it."""
+    one's exit closes it.  Its two ends are built on demand: stored, each
+    end and the connection would hold one another, a cycle only the
+    cyclic collector frees."""
 
     def __init__(self, client_stack: "HostStack", flow: FiveTuple,
                  client_proc: Process, server_stack: "HostStack",
@@ -113,11 +120,17 @@ class Connection:
         self._to_server: deque[bytes] = deque()
         self._to_client: deque[bytes] = deque()
         self.closed = False
-        self.client = ConnectionEnd(self, "client")
-        self.server = ConnectionEnd(self, "server")
         # both have a table: each bound a socket, or abstract_connect made it
         client_proc.sockets[self] = server_sock.owner.sockets[self] = \
             Connection.close
+
+    @property
+    def client(self) -> ConnectionEnd:
+        return ConnectionEnd(self, "client")
+
+    @property
+    def server(self) -> ConnectionEnd:
+        return ConnectionEnd(self, "server")
 
     @property
     def client_uid(self) -> int:
@@ -180,7 +193,9 @@ class HostStack:
         self.firewall.metrics = fabric.metrics
         self.firewall.conntrack.metrics = fabric.metrics
         self.firewall.conntrack.host = node.name
-        self._sockets: dict[tuple[Proto, int], BoundSocket] = {}
+        #: bound IP sockets by (the protocol's value, port): a str key
+        #: hashes in C, where a Proto member's hash is a Python call
+        self._sockets: dict[tuple[str, int], BoundSocket] = {}
         self._abstract: dict[str, BoundSocket] = {}
         self._ephemeral = itertools.count(EPHEMERAL_START)
         self._abstract_flow_ids = itertools.count(2)  # -1 is the UDS "port"
@@ -199,8 +214,9 @@ class HostStack:
             raise InvalidArgument(f"bad port {port}")
         if port < 1024 and not process.creds.is_root:
             raise PermissionError_(f"binding privileged port {port} requires root")
-        key = (proto, port)
-        if key in self._sockets and not self._sockets[key].closed:
+        key = (proto._value_, port)
+        existing = self._sockets.get(key)
+        if existing is not None and not existing.closed:
             raise AddressInUse(f"{self.hostname}:{port}/{proto.value}")
         sock = BoundSocket(self.hostname, proto, port, process)
         self._sockets[key] = sock
@@ -210,18 +226,19 @@ class HostStack:
         return sock
 
     def bind_ephemeral(self, process: Process, proto: Proto) -> BoundSocket:
+        value = proto._value_
         for _ in range(65536 - EPHEMERAL_START):
             port = next(self._ephemeral)
             if port > 65535:  # wrap and recycle released ports
                 self._ephemeral = itertools.count(EPHEMERAL_START)
                 port = next(self._ephemeral)
-            existing = self._sockets.get((proto, port))
+            existing = self._sockets.get((value, port))
             if existing is None or existing.closed:
                 return self.bind(process, port, proto)
         raise AddressInUse("ephemeral port range exhausted")
 
     def lookup(self, proto: Proto, port: int) -> BoundSocket | None:
-        sock = self._sockets.get((proto, port))
+        sock = self._sockets.get((proto._value_, port))
         return None if sock is None or sock.closed else sock
 
     def close(self, sock: BoundSocket) -> None:
@@ -230,7 +247,9 @@ class HostStack:
         both hosts: left tracked, a flow would let its peer reach whoever
         binds this port next via the fast path, with no UBF decision.  A
         listener's connections never accepted are reset the same way:
-        both ends close and their flows leave both hosts."""
+        both ends close and their flows leave both hosts.  Last, the
+        socket leaves its host's table, if the table still holds it: a
+        closed socket (and the process that owned it) is not kept."""
         sock.closed = True
         if sock.owner.sockets is not None:
             sock.owner.sockets.pop(sock, None)
@@ -239,6 +258,13 @@ class HostStack:
             pending.popleft().close()
         for flow in list(sock.flows):  # untrack empties the set
             self.fabric.untrack(flow, reason="close")
+        # after the untracks, which find this socket's flow set in the table
+        if sock.name is None:
+            table, key = self._sockets, (sock.proto._value_, sock.port)
+        else:
+            table, key = self._abstract, sock.name
+        if table.get(key) is sock:
+            del table[key]
 
     # -- TCP -------------------------------------------------------------------
 
@@ -267,7 +293,7 @@ class HostStack:
         self.firewall.conntrack.commit(flow)
         conn = Connection(self, flow, process, dst, listener, src_sock)
         listener.accept_queue.append(conn)
-        self.fabric.metrics.counter("connects_established").inc()
+        self.fabric.series["connects_established"].value += 1
         return conn.client
 
     def listen(self, sock: BoundSocket) -> BoundSocket:
@@ -339,7 +365,7 @@ class HostStack:
         if existing is not None and not existing.closed:
             raise AddressInUse(f"@{name}")
         sock = BoundSocket(self.hostname, Proto.TCP, -1, process,
-                           listening=True)
+                           listening=True, name=name)
         self._abstract[name] = sock
         if process.sockets is None:
             process.sockets = {}
@@ -364,7 +390,7 @@ class HostStack:
         # bypass the firewall entirely: local kernel object, not IP
         self.firewall.conntrack.commit(flow)
         sock.accept_queue.append(conn)
-        self.fabric.metrics.counter("abstract_uds_connects").inc()
+        self.fabric.series["abstract_uds_connects"].value += 1
         return conn.client
 
     def abstract_accept(self, name: str) -> ConnectionEnd:
@@ -412,10 +438,16 @@ class SocketAPI:
 
 
 class Fabric:
-    """The cluster interconnect: host registry + shared metrics."""
+    """The cluster interconnect: host registry + shared metrics.
+
+    ``metrics`` is fixed at construction (the fault injector shares it).
+    ``series`` holds the counters the packet path bumps in it: the
+    fabric's transmit step, the stacks' connects, the UBF daemons and
+    identd."""
 
     def __init__(self, metrics: MetricSet | None = None):
         self.metrics = metrics or MetricSet()
+        self.series = HeldCounters(self.metrics)
         self.faults = FaultInjector(self.metrics)
         self._hosts: dict[str, HostStack] = {}
 
@@ -433,7 +465,7 @@ class Fabric:
             return
         for endpoint in (src_host, dst_host):
             if self.faults.host_unreachable(endpoint):
-                self.metrics.counter("fault_unreachable_drops").inc()
+                self.series["fault_unreachable_drops"].value += 1
                 raise TimedOut(f"host unreachable: {endpoint}")
         if self.faults.drop_packet(dst_host):
             raise TimedOut(f"packet to {dst_host} lost")
@@ -444,16 +476,16 @@ class Fabric:
         datagram, to *dst*, the stack its caller resolved: count the
         attempt, cross the fabric (a loss raises there and is counted only
         by the fault counters), walk *dst*'s INPUT chain, and on a DROP
-        count it and raise :class:`TimedOut`."""
+        count it and raise :class:`TimedOut`.  A dropped flow is tracked
+        nowhere on *dst*; it forgets the twin the chain walk linked."""
         syn = data is None
-        self.metrics.counter("connect_attempts" if syn
-                             else "packets_sent").inc()
+        series = self.series
+        series["connect_attempts" if syn else "packets_sent"].value += 1
         self.check_transit(flow.src_host, flow.dst_host)
-        pkt = Packet(flow, ConnState.NEW, payload_len=0 if syn else len(data),
-                     src_uid=uid)
+        pkt = Packet(flow, ConnState.NEW, 0 if syn else len(data), uid)
         if dst.firewall.evaluate(pkt) is not Verdict.ACCEPT:
-            self.metrics.counter("connects_denied" if syn
-                                 else "packets_dropped").inc()
+            series["connects_denied" if syn else "packets_dropped"].value += 1
+            flow.unlink()
             raise TimedOut(f"{'connect' if syn else 'packet to'} "
                            f"{flow.dst_host}:{flow.dst_port} dropped")
 
@@ -465,7 +497,8 @@ class Fabric:
         if flow.proto is Proto.UDP:
             for name, port in ((flow.src_host, flow.src_port),
                                (flow.dst_host, flow.dst_port)):
-                sock = self._hosts[name]._sockets.get((Proto.UDP, port))
+                sock = self._hosts[name]._sockets.get(
+                    (Proto.UDP._value_, port))
                 if sock is not None:
                     sock.flows.discard(flow)
 

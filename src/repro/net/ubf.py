@@ -263,8 +263,8 @@ class UBFDaemon:
         if self.cache_capacity is not None and key not in self._cache:
             while len(self._cache) >= self.cache_capacity:
                 self._cache.popitem(last=False)
-                self.fabric.metrics.counter("ubf_cache_evictions_total",
-                                            reason="lru").inc()
+                self.fabric.series["ubf_cache_evictions_total",
+                                   "reason", "lru"].value += 1
         self._cache[key] = (verdict, host)
         self._cache.move_to_end(key)
 
@@ -317,7 +317,7 @@ class UBFDaemon:
             key = (pkt.src_uid, listener.uid, listener.egid)
             cached = self._cache_get(key)
             if cached is not None:
-                self.fabric.metrics.counter("ubf_cache_hits").inc()
+                self.fabric.series["ubf_cache_hits"].value += 1
                 for f in self.observers.ubf_cached:
                     f(self, key, cached)
                 return self._log(pkt, pkt.src_uid, cached, "cached",
@@ -339,7 +339,7 @@ class UBFDaemon:
             # responder whose answer contradicts it is forged or
             # compromised — the claimed identity is worthless, so the flow
             # is treated as unidentifiable (never cached, always DROP).
-            self.fabric.metrics.counter("ubf_ident_mismatches").inc()
+            self.fabric.series["ubf_ident_mismatches"].value += 1
             for f in self.observers.ubf_concluded:
                 f(self, pkt, listener, None, Verdict.DROP)
             return self._log(
@@ -355,7 +355,7 @@ class UBFDaemon:
                                                   listener.egid, code):
             self._cache_put((initiator.uid, listener.uid, listener.egid),
                             verdict, pkt.flow.src_host)
-        self.fabric.metrics.counter("ubf_full_decisions").inc()
+        self.fabric.series["ubf_full_decisions"].value += 1
         return self._log(pkt, initiator.uid, verdict, reason, code)
 
     def decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
@@ -399,10 +399,10 @@ class UBFDaemon:
             flow = pkt.flow
             waiters.setdefault((flow.src_host, flow.proto, flow.src_port),
                                []).append((i, listener))
-        coalesced = self.fabric.metrics.counter("ident_coalesced")
+        coalesced = self.fabric.series["ident_coalesced"]
         for gkey, parked in waiters.items():
             if len(parked) > 1:
-                coalesced.inc(len(parked) - 1)
+                coalesced.value += len(parked) - 1
             try:
                 initiator = self._remote_ident(pkts[parked[0][0]].flow)
             except IdentUnavailable as exc:
@@ -435,10 +435,10 @@ class UBFDaemon:
                 raise IdentUnavailable(
                     f"peer host {flow.src_host!r} unknown") from exc
             except IdentUnavailable:
-                self.fabric.metrics.counter("ubf_ident_timeouts").inc()
+                self.fabric.series["ubf_ident_timeouts"].value += 1
                 if attempt + 1 >= attempts:
                     raise
-                self.fabric.metrics.counter("ubf_ident_retries").inc()
+                self.fabric.series["ubf_ident_retries"].value += 1
                 self.fabric.metrics.samples("ubf_ident_backoff_us").add(
                     self.ident_backoff_us * (2 ** attempt))
         raise AssertionError("unreachable")  # pragma: no cover
@@ -456,8 +456,8 @@ class UBFDaemon:
         verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
         for f in self.observers.ubf_degraded:
             f(self, verdict)
-        self.fabric.metrics.counter("ubf_degraded_verdicts",
-                                    policy=policy).inc()
+        self.fabric.series["ubf_degraded_verdicts",
+                           "policy", policy].value += 1
         return self._log(pkt, None, verdict, f"degraded: {exc} ({policy})",
                          DecisionReason.DEGRADED)
 
@@ -498,15 +498,16 @@ class UBFDaemon:
     def _log(self, pkt: Packet, iu: int | None, verdict: Verdict,
              reason: str, code: DecisionReason) -> Verdict:
         """Count one verdict and report it to the observers; every
-        decision path ends here."""
-        flow = pkt.flow
-        self.fabric.metrics.counter("ubf_verdicts_total",
-                                    verdict=verdict.value,
-                                    reason=code.value).inc()
+        decision path ends here.  The labels are the members'
+        ``_value_``: what ``value`` returns, without its descriptor
+        call."""
+        series = self.fabric.series
+        series["ubf_verdicts_total", "verdict", verdict._value_,
+               "reason", code._value_].value += 1
         if verdict is Verdict.DROP:
-            self.fabric.metrics.counter("ubf_denials").inc()
+            series["ubf_denials"].value += 1
         for f in self.observers.ubf_verdict:
-            f(self, flow, iu, verdict, reason, code)
+            f(self, pkt.flow, iu, verdict, reason, code)
         return verdict
 
     def purge_host(self, host: str) -> int:

@@ -74,6 +74,5 @@ def attach_forensics(cluster) -> Forensics:
     bundle = Forensics(registry=registry, audit=audit, flight=flight,
                        alerts=alerts)
     cluster.forensics = bundle  # type: ignore[attr-defined]
-    for component in (registry, audit, flight, alerts):
-        cluster.subscribe(component)
+    cluster.subscribe(registry, audit, flight, alerts)
     return bundle

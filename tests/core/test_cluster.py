@@ -174,6 +174,42 @@ class TestNodeWiring:
         assert oracle.checks_for("I1") == checks + 1
 
 
+class TestSubscribe:
+    def test_observers_together_order_like_one_call_each(self):
+        """Subscribing several observers in one call walks the points
+        once and leaves every container, the cluster's and the health
+        monitor's included, as one call per observer would."""
+        from repro.sched.health import attach_health
+
+        class Tagged(Observer):
+            def __init__(self, tag):
+                self.tag = tag
+
+        def containers(cluster):
+            nodes = (cluster.login_nodes + cluster.dtn_nodes
+                     + [cluster.portal_node]
+                     + [cn.node for cn in cluster.compute_nodes])
+            points = [cluster, cluster.scheduler, cluster.userdb,
+                      cluster.portal, cluster.fabric.faults, cluster.health,
+                      *cluster.ubf_daemons.values(),
+                      *(g for cn in cluster.compute_nodes for g in cn.gpus),
+                      *(p for n in nodes for p in (n.procfs, n.vfs, n.pam))]
+            return [[o.tag for o in p.observers if isinstance(o, Tagged)]
+                    for p in points]
+
+        together, apart = (Cluster.build(LLSC, n_compute=2, gpus_per_node=1)
+                           for _ in range(2))
+        for cluster in (together, apart):
+            attach_health(cluster)
+            cluster.subscribe(Tagged("first"))
+        together.subscribe(*(Tagged(t) for t in "abcd"))
+        for t in "abcd":
+            apart.subscribe(Tagged(t))
+        assert containers(together) == containers(apart)
+        assert {tuple(tags) for tags in containers(together)} == {
+            ("first", "a", "b", "c", "d")}
+
+
 class TestSeepid:
     def test_staff_gains_visibility(self):
         cluster = standard_cluster(LLSC)

@@ -52,6 +52,35 @@ class TestBind:
         nodes["c1"].net.close(s)
         nodes["c1"].net.bind(p, 5000)
 
+    def test_closed_sockets_leave_the_table(self, open_fabric, userdb):
+        """A released socket is not kept, nor the process that owned it."""
+        _, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        p = proc_on(nodes, "c1", userdb, "alice")
+        socks = [net.listen(net.bind(p, 5000)), net.bind(p, 6000, Proto.UDP),
+                 net.bind_ephemeral(p, Proto.UDP), net.abstract_bind(p, "ipc")]
+        for sock in socks:
+            net.close(sock)
+        assert net._sockets == {} and net._abstract == {}
+
+    def test_a_stale_close_keeps_the_rebound_socket(self, open_fabric,
+                                                     userdb):
+        """Closing a socket again after its port or name was bound anew
+        leaves the new socket in the table."""
+        _, nodes, _ = open_fabric
+        net = nodes["c1"].net
+        alice = proc_on(nodes, "c1", userdb, "alice")
+        old = [net.bind(alice, 5000), net.abstract_bind(alice, "ipc")]
+        for sock in old:
+            net.close(sock)
+        bob = proc_on(nodes, "c1", userdb, "bob")
+        new = net.bind(bob, 5000)
+        named = net.abstract_bind(bob, "ipc")
+        for sock in old:
+            net.close(sock)
+        assert net.lookup(Proto.TCP, 5000) is new
+        assert net._abstract == {"ipc": named}
+
     def test_bad_port_rejected(self, open_fabric, userdb):
         _, nodes, _ = open_fabric
         p = proc_on(nodes, "c1", userdb, "alice")

@@ -79,6 +79,18 @@ class TestForwarding:
             portal.connect(session.token, app.app_id)
         assert len(table._procs) == len(table.pids()) == live
 
+    def test_forwards_leave_no_socket_in_the_portal_table(self, userdb):
+        """Each forward connects from an ephemeral port and closes it; a
+        closed socket (and its reaped owner) must leave the host's socket
+        table."""
+        portal, nodes = make_portal(userdb)
+        app = launch_as(nodes, userdb, "c1", "alice", 8888, "jupyter")
+        portal.register(app)
+        session = portal.login("alice")
+        for _ in range(1000):
+            portal.connect(session.token, app.app_id)
+        assert nodes["portal"].net._sockets == {}
+
     def test_app_on_any_node_reachable(self, userdb):
         """Apps are not restricted to a dedicated partition."""
         portal, nodes = make_portal(userdb)

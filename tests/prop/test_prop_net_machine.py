@@ -232,8 +232,8 @@ class NetMachine(RuleBasedStateMachine):
             held |= {id(e._conn.client_sock) for _, e in self.open_conns
                      if e._conn.client_sock.host == host}
             stack = self.nodes[host].net
-            live = {id(s) for s in stack._sockets.values() if not s.closed}
-            assert live == held
+            assert not [s for s in stack._sockets.values() if s.closed]
+            assert {id(s) for s in stack._sockets.values()} == held
 
     @invariant()
     def every_tracked_flow_is_live(self):
